@@ -62,7 +62,14 @@ class CSRGraph:
         dst: Iterable[int],
         num_nodes: Optional[int] = None,
     ) -> "CSRGraph":
-        """Build from parallel source/destination arrays (COO form)."""
+        """Build from parallel source/destination arrays (COO form).
+
+        The edge order is stable: edges that share a source keep their
+        input order inside that node's neighbor list.  The sort is a
+        least-significant-digit radix sort over 16-bit digits of the
+        source ID, one stable pass per digit (numpy sorts 16-bit keys
+        by radix), so the build is O(E) per digit.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
@@ -73,14 +80,15 @@ class CSRGraph:
             raise GraphError("negative node IDs")
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
             raise GraphError("node IDs exceed num_nodes")
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        dst_sorted = dst[order]
-        counts = np.bincount(src_sorted, minlength=num_nodes)
+        order = np.argsort(src.astype(np.uint16), kind="stable")
+        for shift in range(16, max(int(num_nodes) - 1, 0).bit_length(), 16):
+            digit = (src[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+        counts = np.bincount(src, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         dtype = np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
-        return cls(indptr, dst_sorted.astype(dtype))
+        return cls(indptr, dst[order].astype(dtype))
 
     @classmethod
     def from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "CSRGraph":

@@ -39,6 +39,13 @@ def rmat_graph(
     builds on.  Node IDs are randomly permuted afterwards so that adjacency
     is not correlated with ID order (matching the paper's observation that
     mini-batch targets are scattered across the graph).
+
+    The draw order is a contract: level by level, ``num_edges`` uniform
+    "right" draws, then ``num_edges`` uniform "down" draws, then one
+    ``rng.permutation`` of ``2**scale`` IDs.  Every dataset is seeded
+    from its name, so a fixed stream keeps each materialized graph --
+    and every run key, stored record and figure built on it --
+    byte-identical across versions.
     """
     if num_nodes < 2:
         raise GraphError("rmat_graph needs at least 2 nodes")
@@ -48,23 +55,35 @@ def rmat_graph(
     scale = _next_pow2_exponent(num_nodes)
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    # Descend one quadrant per bit, vectorized over all edges.  Quadrant
-    # probabilities: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
+    # Descend one quadrant per bit, vectorized over all edges, in
+    # buffers allocated once.  Quadrant probabilities: a=(0,0),
+    # b=(0,1), c=(1,0), d=(1,1).
     p_right = b + d
     p_down_given_right = d / p_right if p_right > 0 else 0.0
     p_down_given_left = c / (a + c) if (a + c) > 0 else 0.0
+    u = np.empty(num_edges, dtype=np.float64)
+    right = np.empty(num_edges, dtype=bool)
+    down = np.empty(num_edges, dtype=bool)
+    alt = np.empty(num_edges, dtype=bool)
     for _level in range(scale):
-        go_right = rng.random(num_edges) < p_right
-        p_down = np.where(go_right, p_down_given_right, p_down_given_left)
-        go_down = rng.random(num_edges) < p_down
-        src = (src << 1) | go_down.astype(np.int64)
-        dst = (dst << 1) | go_right.astype(np.int64)
-    size = 1 << scale
-    # Random relabeling, then fold into [0, num_nodes).
-    perm = rng.permutation(size)
-    src = perm[src] % num_nodes
-    dst = perm[dst] % num_nodes
-    return CSRGraph.from_edges(src, dst, num_nodes=num_nodes)
+        rng.random(out=u)
+        np.less(u, p_right, out=right)
+        rng.random(out=u)
+        np.less(u, p_down_given_left, out=down)
+        np.less(u, p_down_given_right, out=alt)
+        # down = alt where right else down, as three branch-free bool
+        # ops (a masked copy is an order of magnitude slower).
+        np.bitwise_xor(down, alt, out=alt)
+        np.bitwise_and(alt, right, out=alt)
+        np.bitwise_xor(down, alt, out=down)
+        np.left_shift(src, 1, out=src)
+        np.bitwise_or(src, down, out=src)
+        np.left_shift(dst, 1, out=dst)
+        np.bitwise_or(dst, right, out=dst)
+    # Random relabeling folded into [0, num_nodes): the modulo runs over
+    # the 2**scale-entry table once instead of over every edge.
+    label = rng.permutation(1 << scale) % num_nodes
+    return CSRGraph.from_edges(label[src], label[dst], num_nodes=num_nodes)
 
 
 def powerlaw_graph(

@@ -33,6 +33,7 @@ with the invariants the campaign-as-a-service design asks for:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import (
@@ -50,7 +51,11 @@ from repro.api.spec import RunSpec
 from repro.errors import ConfigError
 from repro.service.jobs import Job, JobQueue, Spool
 from repro.service.store import ResultStore, run_key
-from repro.service.worker import evaluate_and_store, evaluate_batch_and_store
+from repro.service.worker import (
+    evaluate_and_store,
+    evaluate_batch_and_store,
+    place_worker,
+)
 
 __all__ = ["CampaignService", "ServiceReport", "EXECUTORS"]
 
@@ -252,7 +257,11 @@ class CampaignService:
         if self._pool is not None or self.executor == "inline":
             return
         if self.executor == "process":
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=place_worker,
+                initargs=(multiprocessing.Value("i", 0),),
+            )
         else:
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
 

@@ -1,0 +1,259 @@
+"""Bit-identity of the graph construction kernels against frozen references.
+
+``rmat_graph`` descends into preallocated buffers and ``CSRGraph.from_edges``
+orders edges with 16-bit least-significant-digit radix passes.  Both must
+reproduce the original allocation-per-level descent and int64 stable
+argsort exactly: the same ``indptr``, the same ``indices`` (values and
+dtype) and the same generator state afterwards, since every dataset, run
+key and stored record is derived from them.  The references below are
+the original kernels, kept here so that only tests see them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import GraphError
+from repro.graph import CSRGraph
+from repro.graph.generators import (
+    complete_graph,
+    powerlaw_graph,
+    rmat_graph,
+    uniform_graph,
+)
+
+# -- frozen references --------------------------------------------------------
+
+
+def reference_from_edges(src, dst, num_nodes=None):
+    """The original O(E log E) build: int64 stable argsort, then gather."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if num_nodes is None:
+        num_nodes = int(max(src.max(), dst.max())) + 1 if src.size else 0
+    order = np.argsort(src, kind="stable")
+    src_sorted = src[order]
+    dst_sorted = dst[order]
+    counts = np.bincount(src_sorted, minlength=num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    dtype = np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
+    return indptr, dst_sorted.astype(dtype)
+
+
+def reference_rmat(num_nodes, num_edges, rng, a=0.57, b=0.19, c=0.19):
+    """The original descent: fresh arrays every level, fold after gather."""
+    d = 1.0 - a - b - c
+    scale = 0
+    while (1 << scale) < num_nodes:
+        scale += 1
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    p_right = b + d
+    p_down_given_right = d / p_right if p_right > 0 else 0.0
+    p_down_given_left = c / (a + c) if (a + c) > 0 else 0.0
+    for _level in range(scale):
+        go_right = rng.random(num_edges) < p_right
+        p_down = np.where(go_right, p_down_given_right, p_down_given_left)
+        go_down = rng.random(num_edges) < p_down
+        src = (src << 1) | go_down.astype(np.int64)
+        dst = (dst << 1) | go_right.astype(np.int64)
+    perm = rng.permutation(1 << scale)
+    src = perm[src] % num_nodes
+    dst = perm[dst] % num_nodes
+    return reference_from_edges(src, dst, num_nodes=num_nodes)
+
+
+def assert_same_csr(graph, reference):
+    indptr, indices = reference
+    assert graph.indptr.dtype == indptr.dtype
+    assert np.array_equal(graph.indptr, indptr)
+    assert graph.indices.dtype == indices.dtype
+    assert np.array_equal(graph.indices, indices)
+
+
+def coo(graph):
+    """The graph's edges as (src, dst) arrays in CSR order."""
+    src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64),
+                    graph.degrees())
+    return src, graph.indices.astype(np.int64)
+
+
+def with_reference_build(monkeypatch, fn):
+    """Run ``fn`` with ``from_edges`` swapped for the reference build."""
+
+    def reference(cls, src, dst, num_nodes=None):
+        return cls(*reference_from_edges(src, dst, num_nodes))
+
+    monkeypatch.setattr(CSRGraph, "from_edges", classmethod(reference))
+    try:
+        return fn()
+    finally:
+        monkeypatch.undo()
+
+
+# -- rmat_graph ---------------------------------------------------------------
+
+#: (num_nodes, num_edges): the smallest graph, reddit at a 4e5-edge
+#: budget, both sides of the one-digit/two-digit boundary at 2**16
+#: nodes, and a 19-level graph
+RMAT_SIZES = [
+    (2, 50),
+    (277, 400_000),
+    (65_536, 200_000),
+    (65_537, 200_000),
+    (300_000, 600_000),
+]
+
+
+@pytest.mark.parametrize("num_nodes,num_edges", RMAT_SIZES)
+def test_rmat_matches_reference(num_nodes, num_edges):
+    rng = np.random.default_rng(num_nodes)
+    ref_rng = np.random.default_rng(num_nodes)
+    graph = rmat_graph(num_nodes, num_edges, rng)
+    assert_same_csr(graph, reference_rmat(num_nodes, num_edges, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_same_csr(
+        graph.reverse(), reference_from_edges(*coo(graph)[::-1], num_nodes)
+    )
+
+
+def test_rmat_matches_reference_with_custom_probabilities():
+    rng = np.random.default_rng(3)
+    ref_rng = np.random.default_rng(3)
+    graph = rmat_graph(1000, 5000, rng, a=0.25, b=0.25, c=0.25)
+    assert_same_csr(
+        graph, reference_rmat(1000, 5000, ref_rng, a=0.25, b=0.25, c=0.25)
+    )
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_rmat_without_edges_matches_reference():
+    rng = np.random.default_rng(5)
+    ref_rng = np.random.default_rng(5)
+    graph = rmat_graph(100, 0, rng)
+    assert graph.num_edges == 0
+    assert_same_csr(graph, reference_rmat(100, 0, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# -- other generators and transforms -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: powerlaw_graph(277, 12.0, rng),
+        lambda rng: powerlaw_graph(70_000, 3.0, rng),
+        lambda rng: uniform_graph(65_537, 2.0, rng),
+        lambda rng: uniform_graph(300, 5.0, rng),
+        lambda rng: complete_graph(9),
+    ],
+    ids=["powerlaw", "powerlaw-2digit", "uniform-2digit", "uniform",
+         "complete"],
+)
+def test_generators_match_reference_build(monkeypatch, build):
+    rng = np.random.default_rng(21)
+    ref_rng = np.random.default_rng(21)
+    graph = build(rng)
+    ref = with_reference_build(monkeypatch, lambda: build(ref_rng))
+    assert_same_csr(graph, (ref.indptr, ref.indices))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("num_nodes", [5, 277, 65_537])
+def test_transforms_match_reference(monkeypatch, num_nodes):
+    graph = uniform_graph(num_nodes, 4.0, np.random.default_rng(num_nodes))
+    for transform in (CSRGraph.reverse, CSRGraph.to_undirected):
+        ref = with_reference_build(monkeypatch, lambda: transform(graph))
+        assert_same_csr(transform(graph), (ref.indptr, ref.indices))
+
+
+# -- from_edges edge cases ---------------------------------------------------
+
+
+@pytest.mark.parametrize("num_nodes", [0, 1, 7, 70_000])
+def test_from_edges_empty_matches_reference(num_nodes):
+    empty = np.empty(0, dtype=np.int64)
+    graph = CSRGraph.from_edges(empty, empty, num_nodes=num_nodes)
+    assert graph.num_nodes == num_nodes and graph.num_edges == 0
+    assert_same_csr(graph, reference_from_edges(empty, empty, num_nodes))
+
+
+def test_from_edges_empty_infers_zero_nodes():
+    graph = CSRGraph.from_edges([], [])
+    assert graph.num_nodes == 0
+    assert_same_csr(graph, reference_from_edges([], []))
+
+
+@pytest.mark.parametrize("high", [1, 2, 300, 65_536, 65_537, 200_000])
+def test_from_edges_inferred_num_nodes_matches_reference(high):
+    rng = np.random.default_rng(high)
+    src = rng.integers(0, high, size=3000)
+    dst = rng.integers(0, high, size=3000)
+    src[0] = high - 1  # pin the inferred node count
+    graph = CSRGraph.from_edges(src, dst)
+    assert graph.num_nodes == high
+    assert_same_csr(graph, reference_from_edges(src, dst))
+
+
+def test_from_edges_is_stable_within_a_source():
+    # one source across both radix digits, destinations in input order
+    src = np.array([70_000, 3, 70_000, 65_539, 3, 70_000])
+    dst = np.array([5, 9, 4, 1, 8, 3])
+    graph = CSRGraph.from_edges(src, dst, num_nodes=70_001)
+    assert list(graph.neighbors(3)) == [9, 8]
+    assert list(graph.neighbors(65_539)) == [1]
+    assert list(graph.neighbors(70_000)) == [5, 4, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_nodes=st.sampled_from([1, 2, 3, 255, 256, 65_535, 65_536,
+                               65_537, 131_073, 300_000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    num_edges=st.integers(min_value=0, max_value=400),
+)
+def test_from_edges_property_matches_reference(num_nodes, seed, num_edges):
+    rng = np.random.default_rng(seed)
+    # cluster some IDs at the ends of a 16-bit digit, where the two
+    # radix passes interact
+    hot = np.minimum([0, 65_535, 65_536, num_nodes - 1], num_nodes - 1)
+    src = np.where(rng.random(num_edges) < 0.3,
+                   rng.choice(hot, num_edges),
+                   rng.integers(0, num_nodes, num_edges))
+    dst = rng.integers(0, num_nodes, num_edges)
+    assert_same_csr(
+        CSRGraph.from_edges(src, dst, num_nodes=num_nodes),
+        reference_from_edges(src, dst, num_nodes),
+    )
+
+
+# -- error paths through the radix build ---------------------------------------
+
+
+@pytest.mark.parametrize("num_nodes", [10, 70_000])
+def test_from_edges_rejects_negative_ids(num_nodes):
+    with pytest.raises(GraphError, match="negative"):
+        CSRGraph.from_edges([0, -1], [1, 2], num_nodes=num_nodes)
+    with pytest.raises(GraphError, match="negative"):
+        CSRGraph.from_edges([0, 1], [1, -3], num_nodes=num_nodes)
+
+
+@pytest.mark.parametrize("num_nodes", [10, 70_000])
+def test_from_edges_rejects_ids_past_num_nodes(num_nodes):
+    with pytest.raises(GraphError, match="exceed"):
+        CSRGraph.from_edges([0, num_nodes], [1, 2], num_nodes=num_nodes)
+    with pytest.raises(GraphError, match="exceed"):
+        CSRGraph.from_edges([0, 1], [num_nodes + 5, 2],
+                            num_nodes=num_nodes)
+
+
+def test_from_edges_rejects_mismatched_shapes():
+    with pytest.raises(GraphError, match="same length"):
+        CSRGraph.from_edges([0, 1, 2], [1, 2])
+    with pytest.raises(GraphError, match="same length"):
+        CSRGraph.from_edges(np.zeros(70_000, dtype=np.int64),
+                            np.zeros(69_999, dtype=np.int64),
+                            num_nodes=70_000)

@@ -1,6 +1,7 @@
 """Tests for the campaign service: store, queue, serving loop, CLI."""
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -24,6 +25,7 @@ from repro.service import (
     spec_pool,
     traffic_summary,
 )
+from repro.service.worker import evaluate_and_store, place_worker
 
 #: tiny-but-real specs (a few hundred ms each); index = distinct spec
 POOL = spec_pool(3, edge_budget=5e4, batch_size=8, n_batches=2)
@@ -570,27 +572,63 @@ def test_service_stress_concurrent_submitters_byte_identical(tmp_path):
             assert f.read() == record_bytes(serial)
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="process-pool speedup needs >= 2 cores",
-)
-def test_service_process_pool_beats_thread_pool(tmp_path):
-    pool = spec_pool(4, edge_budget=1e5, batch_size=16, n_batches=6)
+def pid_recording_work(spec_dict, store_root):
+    """The default unit, plus a marker naming the process that ran it."""
+    record = evaluate_and_store(spec_dict, store_root)
+    pid_dir = os.path.join(os.path.dirname(store_root), "pids")
+    os.makedirs(pid_dir, exist_ok=True)
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    return record
 
-    def timed(executor, sub):
-        start = time.perf_counter()
+
+def test_service_process_pool_matches_thread_pool(tmp_path):
+    # the process tier really leaves this process, and what it stores is
+    # byte-for-byte what the thread tier stores; its speed is measured by
+    # the benchmark, not asserted here
+    pool = spec_pool(4, edge_budget=1e5, batch_size=16, n_batches=6)
+    pids, records = {}, {}
+    for executor in ("thread", "process"):
+        state = tmp_path / executor
         with CampaignService(
-            str(tmp_path / sub), workers=2, executor=executor
+            str(state), workers=2, executor=executor,
+            work_fn=pid_recording_work,
         ) as svc:
             for spec in pool:
                 svc.submit(spec)
             report = svc.drain()
         assert report.counts["failed"] == 0
-        return time.perf_counter() - start
+        assert report.jobs_completed == len(pool)
+        pids[executor] = {int(p) for p in os.listdir(state / "pids")}
+        store = ResultStore(str(state / "store"))
+        records[executor] = {}
+        for spec in pool:
+            with open(store.path_for(run_key(spec)), "rb") as f:
+                records[executor][run_key(spec)] = f.read()
+    assert pids["thread"] == {os.getpid()}
+    assert pids["process"] and os.getpid() not in pids["process"]
+    assert records["process"] == records["thread"]
 
-    thread_s = timed("thread", "t")
-    process_s = timed("process", "p")
-    assert thread_s / process_s > 1.5, (thread_s, process_s)
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
+)
+def test_place_worker_moves_round_robin_then_restores(monkeypatch):
+    # worker i is moved to the i-th allowed CPU, then gets the whole
+    # allowed set back (the move is what a non-balancing kernel keeps)
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    calls = []
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, mask: calls.append(set(mask))
+    )
+    ordinals = multiprocessing.Value("i", 0)
+    for _ in range(len(cpus) + 1):
+        place_worker(ordinals)
+    expected = []
+    for i in range(len(cpus) + 1):
+        expected += [{cpus[i % len(cpus)]}, allowed]
+    assert calls == expected
+    assert ordinals.value == len(cpus) + 1
 
 
 # -- traffic generation ----------------------------------------------------
