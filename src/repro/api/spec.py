@@ -25,7 +25,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.validation import check_fraction, check_positive_real
-from repro.config import HardwareParams, default_hardware
+from repro.config import (
+    FABRIC_TOPOLOGIES,
+    HardwareParams,
+    default_hardware,
+)
 from repro.errors import ConfigError
 from repro.graph.datasets import DATASETS, LARGE_SCALE, _VARIANTS
 
@@ -141,8 +145,6 @@ class SystemSpec:
         from repro.cache.tiers import check_cache_config
 
         check_cache_config(self.cache_tiers, self.cache_policy)
-        from repro.net.fabric import FABRIC_TOPOLOGIES
-
         _require(
             self.fabric in FABRIC_TOPOLOGIES,
             f"fabric must be one of {FABRIC_TOPOLOGIES}, "

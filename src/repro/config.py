@@ -2,7 +2,8 @@
 
 Every latency, bandwidth, and capacity constant used anywhere in the
 simulator lives here, grouped per device, so that all experiments draw from
-one mechanistic parameter set (see DESIGN.md "Calibration").  The defaults
+one mechanistic parameter set (``python -m repro calibrate`` checks the
+headline ratios it produces, see README "Command line").  The defaults
 model the paper's testbed:
 
 * host: Intel Xeon Gold 6242 + 192 GB DDR4 (125 GB/s peak per the paper)
@@ -206,6 +207,10 @@ class CacheParams:
     nvlink_bandwidth: float = 50e9    # NVLink-class peer link, effective
     nvlink_latency_s: float = 1.9e-6  # peer read request/response latency
     uva_capacity_mb: float = 256.0    # pinned-host UVA window
+
+
+#: network fabric topologies between hosts (see repro.net.fabric)
+FABRIC_TOPOLOGIES = ("flat", "rack")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Sharded design points: shard-local device stacks for ``mode="sharded"``.
 
-Two registered designs pair with the sharded execution backend
-(:mod:`repro.pipeline.backends.sharded`):
+Two registered designs pair with the ``sharded`` preset of the
+topology engine (:mod:`repro.pipeline.engine`):
 
 ``smartsage-sharded``
     SmartSAGE(HW/SW) per shard -- each shard-local CSD runs the ISP
@@ -12,7 +12,7 @@ Two registered designs pair with the sharded execution backend
 
 Both size per-shard components (SSD page buffer, OS page cache) against
 the ``1/K`` slice that shard stores, via ``DesignContext.n_shards``.
-They build and run fine under the single-device backends too (``K=1``
+They build and run fine under the single-device modes too (``K=1``
 makes them identical to their paper counterparts).
 """
 

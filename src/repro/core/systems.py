@@ -267,17 +267,6 @@ class DesignContext:
     def dram_feature_engine(self) -> DRAMFeatureEngine:
         return DRAMFeatureEngine(self.hw, self.feature_layout.row_bytes)
 
-    def gpu_feature_cache(self):
-        """GPU-HBM software page cache sized to ``gpu_cache_mb``."""
-        from repro.config import MIB
-        from repro.storage.gids import GPUFeatureCache
-
-        lba = self.hw.ssd.lba_bytes
-        return GPUFeatureCache(
-            capacity_bytes=max(lba, int(self.gpu_cache_mb * MIB)),
-            page_bytes=lba,
-        )
-
     def feature_page_priority(self):
         """Feature-table pages by descending owner-node degree.
 

@@ -1,20 +1,18 @@
 """Multi-host distributed training over the simulated network fabric.
 
-Layers the missing *host* scale axis on top of the sharded multi-device
-backend: :mod:`repro.distributed.planner` decides which host owns which
-nodes (hierarchical host/device partitioning on
-:mod:`repro.graph.partition`, halo accounting, and a DistDGL-style
-deterministic data-shuffle plan), and
-:mod:`repro.distributed.coordinator` drives N host replicas -- each an
-independently built sharded device group -- exchanging remote-sampling
-RPCs, feature pulls, and gradient all-reduce traffic over
-:mod:`repro.net`.
+The *hosts* axis of the topology engine (:mod:`repro.pipeline.engine`):
+:mod:`repro.distributed.planner` decides which host owns which nodes
+(hierarchical host/device partitioning on :mod:`repro.graph.partition`,
+halo accounting, and a DistDGL-style deterministic data-shuffle plan),
+and :mod:`repro.distributed.coordinator` is the engine with the shards
+and hosts axes exposed plus its closed-form face.  Hosts exchange
+remote-sampling RPCs, feature pulls, and gradient all-reduce traffic
+over :mod:`repro.net`.  The engine imports this package only when a
+mode exposes the hosts axis.
 """
 
 from repro.distributed.coordinator import (
-    DistributedConsumer,
     DistributedCoordinator,
-    HostProducerPool,
     model_gradient_bytes,
 )
 from repro.distributed.planner import (
@@ -25,10 +23,8 @@ from repro.distributed.planner import (
 )
 
 __all__ = [
-    "DistributedConsumer",
     "DistributedCoordinator",
     "HostPartitionPlan",
-    "HostProducerPool",
     "WorkloadTraffic",
     "host_workload_traffic",
     "model_gradient_bytes",

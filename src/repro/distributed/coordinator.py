@@ -1,10 +1,11 @@
-"""The distributed coordinator: N host replicas over one fabric.
+"""The distributed coordinator: the hosts-axis engine and its
+closed-form face.
 
-Drives ``n_hosts`` host replicas, each an independently built sharded
-device group (``n_shards`` groups per host, built through
-``ExecutionRequest.system_factory`` exactly like the ``sharded``
-backend builds its groups).  Three traffic classes ride the simulated
-fabric (:mod:`repro.net`):
+``mode="distributed"`` is the topology engine
+(:class:`~repro.pipeline.engine.TopologyEngine`) with both scale-out
+axes exposed: ``n_hosts`` host replicas of ``n_shards`` device groups
+each, with three traffic classes on the simulated fabric
+(:mod:`repro.net`):
 
 * **sampling RPCs** -- producers whose sampled hop targets are owned by
   another host issue one request/response pair per owning host (ids
@@ -16,57 +17,28 @@ fabric (:mod:`repro.net`):
   (:mod:`repro.net.collectives`) and the per-host ring share is
   accounted once per host per step.
 
-Single-host parity: with ``n_hosts == 1`` the host partition is
-all-local, every cross-host byte count is zero, no fabric is attached,
-and the plain :class:`~repro.pipeline.consumer.GPUConsumer` is used --
-the event schedule is bit-identical to the ``sharded`` backend's.
+:class:`DistributedCoordinator` is that engine plus
+:meth:`~DistributedCoordinator.analytic`, the ``distributed-analytic``
+face, which prices the same :class:`~repro.pipeline.engine.TopologyPlan`
+in closed form.  With ``n_hosts == 1`` every cross-host byte count is
+zero and no fabric is attached, so the event face replays the
+``sharded`` preset bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.distributed.planner import (
-    HostPartitionPlan,
-    WorkloadTraffic,
-    host_workload_traffic,
-    plan_hosts,
-)
-from repro.errors import ConfigError
 from repro.net.collectives import (
     allreduce_host_share_bytes,
     allreduce_time,
 )
-from repro.net.fabric import (
-    ALLREDUCE,
-    FEATURE_PULL,
-    SAMPLING_RPC,
-    FabricState,
-    NetworkFabric,
-    TrafficAccount,
-)
+from repro.net.fabric import ALLREDUCE, TrafficAccount
 from repro.net.rpc import RpcChannel
-from repro.pipeline.backends.base import (
-    ExecutionRequest,
-    PipelineResult,
-    drive,
-)
-from repro.pipeline.backends.sharded import (
-    ShardProducerPool,
-    _remote_parts_per_workload,
-)
-from repro.pipeline.consumer import GPUConsumer
-from repro.pipeline.timeline import PhaseAccumulator
-from repro.pipeline.workqueue import WorkQueue
-from repro.sim.engine import Simulator
-from repro.sim.resources import BandwidthLink
+from repro.pipeline.backends.base import ExecutionRequest, PipelineResult
+from repro.pipeline.engine import HOSTS, SHARDS, TopologyEngine
 
-__all__ = [
-    "DistributedConsumer",
-    "DistributedCoordinator",
-    "HostProducerPool",
-    "model_gradient_bytes",
-]
+__all__ = ["DistributedCoordinator", "model_gradient_bytes"]
 
 
 def model_gradient_bytes(gpu, n_layers: int, dtype_bytes: int) -> int:
@@ -85,411 +57,13 @@ def model_gradient_bytes(gpu, n_layers: int, dtype_bytes: int) -> int:
     return params * dtype_bytes
 
 
-class HostProducerPool(ShardProducerPool):
-    """A host's shard producers: local prepare + intra-host remote
-    fetch (inherited) + cross-host RPC traffic (added).
+class DistributedCoordinator(TopologyEngine):
+    """The engine with the shards and hosts axes exposed; ``run()`` is
+    the event-driven face, :meth:`analytic` the closed-form one."""
 
-    After the inherited PCIe-ingress pull, each prepared batch settles
-    its cross-host debts: one sampling RPC and one feature pull per
-    remote owning host, serialized through the fabric's shared NIC and
-    uplink links.  A batch with no cross-host bytes (always, when
-    ``n_hosts == 1``) adds no events, preserving sharded parity.
-    """
-
-    def __init__(
-        self,
-        system,
-        runtime,
-        workloads,
-        queue: WorkQueue,
-        batch_ids: List[int],
-        phases: PhaseAccumulator,
-        shard: int = 0,
-        remote_bytes: Optional[Dict[int, int]] = None,
-        link: Optional[BandwidthLink] = None,
-        host: int = 0,
-        traffic: Optional[Dict[int, WorkloadTraffic]] = None,
-        rpc: Optional[RpcChannel] = None,
-        remote_cost: Optional[Dict[int, float]] = None,
-    ):
-        super().__init__(
-            system, runtime, workloads, queue, batch_ids, phases,
-            shard=shard, remote_bytes=remote_bytes, link=link,
-            remote_cost=remote_cost,
-        )
-        self.host = host
-        self.traffic = traffic or {}
-        self.rpc = rpc
-
-    def _post_prepare(self, idx: int, workload, name: str):
-        yield from super()._post_prepare(idx, workload, name)
-        tr = self.traffic.get(idx)
-        if tr is None or self.rpc is None:
-            return
-        sim = self.runtime.sim
-        for dst in tr.destinations():
-            if tr.sampling_req[dst] or tr.sampling_resp[dst]:
-                t0 = sim.now
-                yield from self.rpc.call(
-                    self.host, dst,
-                    int(tr.sampling_req[dst]), int(tr.sampling_resp[dst]),
-                    SAMPLING_RPC,
-                )
-                self.phases.record(
-                    "remote_sampling", sim.now - t0, worker=name, start_s=t0
-                )
-            if tr.pull_req[dst] or tr.pull_resp[dst]:
-                t0 = sim.now
-                yield from self.rpc.call(
-                    self.host, dst,
-                    int(tr.pull_req[dst]), int(tr.pull_resp[dst]),
-                    FEATURE_PULL,
-                )
-                self.phases.record(
-                    "feature_pull", sim.now - t0, worker=name, start_s=t0
-                )
-
-
-class DistributedConsumer(GPUConsumer):
-    """GPU consumer that synchronizes gradients after every step.
-
-    Every replica stalls for the collective's critical path; the wire
-    bytes (the per-host ring share) are accounted by one designated
-    consumer per host (``accounts=True``) so a host's K device groups
-    -- which reduce locally before touching the NIC -- are not
-    double-counted.
-    """
-
-    def __init__(self, *args, allreduce_s: float = 0.0,
-                 share_bytes: int = 0, state: Optional[FabricState] = None,
-                 accounts: bool = False,
-                 recovery_at: Optional[int] = None,
-                 recovery_s: float = 0.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.allreduce_s = allreduce_s
-        self.share_bytes = share_bytes
-        self.state = state
-        self.accounts = accounts
-        #: batch index (within this consumer's own count) after which
-        #: the host fails and replays checkpoint recovery; ``None``
-        #: on healthy hosts (the default), which keeps this method's
-        #: zero-fault event schedule identical to the base consumer's
-        self.recovery_at = recovery_at
-        self.recovery_s = recovery_s
-
-    def _post_train(self, sim):
-        if (
-            self.recovery_at is not None
-            and self.recovery_s > 0.0
-            and self.batches_done - 1 == self.recovery_at
-        ):
-            # host failure: detect, restore the last checkpoint, and
-            # re-warm the group's lost in-flight preparation before
-            # the epoch resumes where it left off
-            t0 = sim.now
-            yield sim.timeout(self.recovery_s)
-            self.phases.record(
-                "host_recovery", sim.now - t0, worker="gpu", start_s=t0
-            )
-        if self.allreduce_s <= 0.0:
-            return
-        t0 = sim.now
-        yield sim.timeout(self.allreduce_s)
-        if self.accounts and self.state is not None and self.share_bytes:
-            self.state.account.add(ALLREDUCE, self.share_bytes)
-        self.phases.record(
-            "grad_allreduce", sim.now - t0, worker="gpu", start_s=t0
-        )
-
-
-class DistributedCoordinator:
-    """Builds and runs one distributed training simulation.
-
-    Device groups are flattened as ``group = host * n_shards + shard``
-    with global round-robin batch assignment
-    (``range(group, n_batches, n_hosts * n_shards)``), which reduces
-    exactly to the sharded backend's assignment when ``n_hosts == 1``.
-    """
-
-    def __init__(self, request: ExecutionRequest):
-        self.request = request
-        self.n_hosts = request.n_hosts
-        self.n_shards = request.n_shards
-        self.n_groups = self.n_hosts * self.n_shards
-        if self.n_groups > 1 and request.graph is None:
-            raise ConfigError(
-                "distributed mode with n_hosts * n_shards > 1 needs the "
-                "dataset graph; run through Session (which supplies it) "
-                "or pass graph="
-            )
-
-    # -- shared deterministic planning -------------------------------------
-
-    def _prepare(self):
-        """Everything both faces share: systems, partition, traffic."""
-        req = self.request
-        gpu = req.gpu
-        workloads = req.workloads
-        group_ids = [g for g in range(self.n_groups)
-                     if g < req.n_batches]
-        if self.n_groups == 1:
-            systems = [req.base_system()]
-        else:
-            systems = [req.fresh_system() for _ in group_ids]
-        hw = systems[0].hw
-        row_bytes = gpu.feature_dim * gpu.feature_dtype_bytes
-        edge_id_bytes = hw.workload.edge_id_bytes
-
-        plan: Optional[HostPartitionPlan] = None
-        per_group_remote: List[List[int]] = [[0] * len(workloads)]
-        per_group_nodes: List[List] = [[]]
-        if self.n_groups > 1:
-            plan = plan_hosts(
-                req.graph, self.n_hosts,
-                shards_per_host=self.n_shards,
-                method=req.partition,
-                row_bytes=row_bytes,
-                edge_id_bytes=edge_id_bytes,
-            )
-            per_group_parts = [
-                _remote_parts_per_workload(
-                    plan.device_part, req.graph, workloads, g,
-                    row_bytes, edge_id_bytes,
-                )
-                for g in range(self.n_groups)
-            ]
-            per_group_remote = [
-                [total for total, _ in parts]
-                for parts in per_group_parts
-            ]
-            per_group_nodes = [
-                [nodes for _, nodes in parts]
-                for parts in per_group_parts
-            ]
-
-        # Front cache over each group's cross-device feature pulls:
-        # replayed here, in batch-id order, so both execution faces and
-        # every --jobs level see identical per-batch hit bytes.
-        cache_plans: Dict[int, object] = {}
-        if req.cache_tiers is not None and plan is not None:
-            from repro.cache import (
-                degree_priority_nodes,
-                plan_remote_cache,
-            )
-
-            priority_nodes = None
-            if req.cache_policy == "static":
-                priority_nodes = degree_priority_nodes(req.graph)
-            for g in group_ids:
-                cache_plans[g] = plan_remote_cache(
-                    hw,
-                    self._group_batches(g),
-                    per_group_nodes[g],
-                    row_bytes,
-                    tiers=req.cache_tiers,
-                    policy=req.cache_policy,
-                    priority_nodes=priority_nodes,
-                )
-
-        host_traffic: List[List[WorkloadTraffic]] = []
-        fabric: Optional[NetworkFabric] = None
-        grad_bytes = 0
-        if self.n_hosts > 1:
-            fabric = NetworkFabric(
-                hw.fabric, self.n_hosts, topology=req.fabric
-            )
-            host_traffic = [
-                host_workload_traffic(
-                    plan, req.graph, workloads, h,
-                    row_bytes, edge_id_bytes,
-                )
-                for h in range(self.n_hosts)
-            ]
-            n_layers = max(len(w.block_sizes) for w in workloads)
-            grad_bytes = model_gradient_bytes(
-                gpu, n_layers, hw.fabric.grad_dtype_bytes
-            )
-        return (group_ids, systems, hw, plan, per_group_remote,
-                host_traffic, fabric, grad_bytes, cache_plans)
-
-    def _group_batches(self, group: int) -> List[int]:
-        return list(range(group, self.request.n_batches, self.n_groups))
-
-    def _base_stats(self, plan, fabric, grad_bytes,
-                    n_groups_live: int) -> Dict[str, float]:
-        stats: Dict[str, float] = {
-            "n_groups": float(n_groups_live),
-            "n_hosts": float(self.n_hosts),
-        }
-        if plan is not None:
-            stats.update(plan.device_part.stats())
-            stats.update(plan.stats())
-        if fabric is not None:
-            stats["grad_bytes"] = float(grad_bytes)
-        return stats
-
-    # -- event-driven face -------------------------------------------------
-
-    def run(self) -> PipelineResult:
-        req = self.request
-        gpu = req.gpu
-        workloads = req.workloads
-        (group_ids, systems, hw, plan, per_group_remote,
-         host_traffic, fabric, grad_bytes, cache_plans) = self._prepare()
-        design = systems[0].design
-
-        sim = Simulator()
-        inj = req.injector()
-        state: Optional[FabricState] = None
-        rpc: Optional[RpcChannel] = None
-        allreduce_s = 0.0
-        share = 0
-        if fabric is not None:
-            state = fabric.attach(sim, faults=inj)
-            rpc = RpcChannel(fabric, state)
-            allreduce_s = allreduce_time(fabric, grad_bytes)
-            share = int(
-                allreduce_host_share_bytes(self.n_hosts, grad_bytes)
-            )
-
-        # Host failures are drawn up front, one draw per host in host
-        # order, so which hosts fail is a pure function of the plan
-        # seed (independent of event interleaving).
-        failed_hosts = set()
-        if inj is not None and inj.plan.host_fail_rate > 0.0:
-            for h in range(self.n_hosts):
-                if inj.happens(
-                    f"host{h}.fail", inj.plan.host_fail_rate
-                ):
-                    failed_hosts.add(h)
-                    inj.charge("host_failures", 1)
-
-        phases = PhaseAccumulator()
-        consumers: List[GPUConsumer] = []
-        pools: List[HostProducerPool] = []
-        procs = []
-        for g, group_system in zip(group_ids, systems):
-            host = g // self.n_shards
-            batch_ids = self._group_batches(g)
-            runtime = group_system.attach(sim, faults=inj)
-            recovery_at = None
-            recovery_s = 0.0
-            if host in failed_hosts and batch_ids:
-                # when the host dies (uniform over its groups' batch
-                # schedule) and what resuming costs: the checkpoint
-                # restore plus re-warming the in-flight batch each
-                # shard group lost (its preparation replays on the
-                # re-warmed engines)
-                recovery_at = int(
-                    inj.rng(f"host{host}.fail_at").integers(
-                        0, len(batch_ids)
-                    )
-                )
-                w = workloads[batch_ids[recovery_at] % len(workloads)]
-                rewarm_s = (
-                    group_system.sampling_engine.batch_cost(w).total_s
-                    + group_system.feature_engine.batch_cost(
-                        w.input_nodes
-                    ).total_s
-                )
-                recovery_s = inj.plan.host_recovery_s + rewarm_s
-                inj.charge("host_recovery_s", recovery_s)
-            link = None
-            if plan is not None:
-                pcie = hw.pcie
-                link = BandwidthLink(
-                    sim,
-                    pcie.gpu_link_bandwidth,
-                    pcie.host_link_latency_s + pcie.p2p_switch_latency_s,
-                    name=f"shard{g}.ingress",
-                )
-            remote = {
-                idx: per_group_remote[g][idx % len(workloads)]
-                for idx in batch_ids
-            }
-            remote_cost: Dict[int, float] = {}
-            cplan = cache_plans.get(g)
-            if cplan is not None:
-                remote = {
-                    idx: remote[idx] - cplan.hit_bytes[idx]
-                    for idx in batch_ids
-                }
-                remote_cost = cplan.hit_cost_s
-            traffic = {}
-            if host_traffic:
-                traffic = {
-                    idx: host_traffic[host][idx % len(workloads)]
-                    for idx in batch_ids
-                }
-            queue = WorkQueue(sim, depth=req.queue_depth)
-            pool = HostProducerPool(
-                group_system, runtime, workloads, queue, batch_ids,
-                phases, shard=g, remote_bytes=remote, link=link,
-                host=host, traffic=traffic, rpc=rpc,
-                remote_cost=remote_cost,
-            )
-            if fabric is None and recovery_at is None:
-                consumer = GPUConsumer(
-                    gpu, queue, len(batch_ids), phases,
-                    ssd=group_system.ssd if req.checkpoint_every else None,
-                    checkpoint_every=req.checkpoint_every,
-                    checkpoint_bytes=req.checkpoint_bytes,
-                )
-            else:
-                consumer = DistributedConsumer(
-                    gpu, queue, len(batch_ids), phases,
-                    ssd=group_system.ssd if req.checkpoint_every else None,
-                    checkpoint_every=req.checkpoint_every,
-                    checkpoint_bytes=req.checkpoint_bytes,
-                    allreduce_s=allreduce_s,
-                    share_bytes=share,
-                    state=state,
-                    accounts=(g % self.n_shards == 0),
-                    recovery_at=recovery_at,
-                    recovery_s=recovery_s,
-                )
-            group_procs = pool.spawn_all(req.n_workers)
-            group_procs.append(
-                sim.process(consumer.run(sim), name=f"gpu-{g}")
-            )
-            pools.append(pool)
-            consumers.append(consumer)
-            procs.extend(group_procs)
-
-        elapsed = drive(sim, procs, what="distributed pipeline")
-        busy = sum(c.utilization.busy_time(elapsed) for c in consumers)
-        stats = self._base_stats(plan, fabric, grad_bytes, len(consumers))
-        stats["remote_bytes"] = float(
-            sum(p.remote_bytes_moved for p in pools)
-        )
-        if cache_plans:
-            from repro.cache import merge_tier_stats
-
-            stats.update(
-                merge_tier_stats([cache_plans[g] for g in group_ids])
-            )
-        account = state.account if state is not None else TrafficAccount()
-        stats.update(account.stats())
-        if rpc is not None:
-            stats["net_rpc_calls"] = float(rpc.calls)
-        if inj is not None:
-            stats.update(inj.stats())
-        return PipelineResult(
-            design=design,
-            mode="distributed",
-            n_batches=req.n_batches,
-            n_workers=req.n_workers,
-            elapsed_s=elapsed,
-            gpu_busy_s=busy,
-            gpu_idle_fraction=max(
-                0.0, 1.0 - busy / (len(consumers) * elapsed)
-            ),
-            phase_means={
-                phase: stat.mean for phase, stat in phases.stats.items()
-            },
-            n_shards=self.n_shards,
-            backend_stats=stats,
-        )
+    def __init__(self, request: ExecutionRequest,
+                 mode: str = "distributed"):
+        super().__init__(request, mode, axes=(SHARDS, HOSTS))
 
     # -- analytic face -----------------------------------------------------
 
@@ -507,16 +81,19 @@ class DistributedCoordinator:
         req = self.request
         gpu = req.gpu
         workloads = req.workloads
-        (group_ids, systems, hw, plan, per_group_remote,
-         host_traffic, fabric, grad_bytes, cache_plans) = self._prepare()
-        design = systems[0].design
+        plan = self.plan()
+        fabric = plan.fabric
+        cache_plans = plan.cache_plans
 
         rpc = RpcChannel(fabric) if fabric is not None else None
         allreduce_s = (
-            allreduce_time(fabric, grad_bytes) if fabric is not None else 0.0
+            allreduce_time(fabric, plan.grad_bytes)
+            if fabric is not None else 0.0
         )
-        share = int(allreduce_host_share_bytes(self.n_hosts, grad_bytes))
-        pcie = hw.pcie
+        share = int(
+            allreduce_host_share_bytes(self.n_hosts, plan.grad_bytes)
+        )
+        pcie = plan.hw.pcie
         ingress_lat = pcie.host_link_latency_s + pcie.p2p_switch_latency_s
 
         account = TrafficAccount()
@@ -529,9 +106,9 @@ class DistributedCoordinator:
             phase_sums[name] = phase_sums.get(name, 0.0) + value
             phase_counts[name] = phase_counts.get(name, 0) + 1
 
-        for gi, (g, system) in enumerate(zip(group_ids, systems)):
+        for g, system in zip(plan.group_ids, plan.systems):
             host = g // self.n_shards
-            batch_ids = self._group_batches(g)
+            batch_ids = self.group_batches(g)
             produce = consume = 0.0
             for idx in batch_ids:
                 w = workloads[idx % len(workloads)]
@@ -542,49 +119,25 @@ class DistributedCoordinator:
                 add_phase("neighbor_sampling", samp)
                 add_phase("feature_lookup", feat)
                 prep = samp + feat
-                nbytes = per_group_remote[g][idx % len(workloads)]
                 cplan = cache_plans.get(g)
                 if cplan is not None:
                     cache_s = cplan.hit_cost_s.get(idx, 0.0)
                     if cache_s > 0.0:
                         add_phase("remote_cache", cache_s)
                         prep += cache_s
-                    nbytes -= cplan.hit_bytes.get(idx, 0)
-                if nbytes and plan is not None:
+                nbytes = plan.remote_bytes(g, idx)
+                if nbytes and plan.part is not None:
                     fetch = ingress_lat + nbytes / pcie.gpu_link_bandwidth
                     add_phase("remote_fetch", fetch)
                     prep += fetch
-                if host_traffic and rpc is not None:
-                    tr = host_traffic[host][idx % len(workloads)]
-                    for dst in tr.destinations():
-                        if tr.sampling_req[dst] or tr.sampling_resp[dst]:
-                            t = rpc.rpc_time(
-                                host, dst,
-                                int(tr.sampling_req[dst]),
-                                int(tr.sampling_resp[dst]),
-                            )
-                            add_phase("remote_sampling", t)
-                            prep += t
-                            account.add(
-                                SAMPLING_RPC, int(tr.sampling_req[dst])
-                            )
-                            account.add(
-                                SAMPLING_RPC, int(tr.sampling_resp[dst])
-                            )
-                        if tr.pull_req[dst] or tr.pull_resp[dst]:
-                            t = rpc.rpc_time(
-                                host, dst,
-                                int(tr.pull_req[dst]),
-                                int(tr.pull_resp[dst]),
-                            )
-                            add_phase("feature_pull", t)
-                            prep += t
-                            account.add(
-                                FEATURE_PULL, int(tr.pull_req[dst])
-                            )
-                            account.add(
-                                FEATURE_PULL, int(tr.pull_resp[dst])
-                            )
+                if plan.host_traffic and rpc is not None:
+                    tr = plan.host_traffic[host][idx % len(workloads)]
+                    for phase, cls, dst, req_b, resp_b in tr.calls():
+                        t = rpc.rpc_time(host, dst, req_b, resp_b)
+                        add_phase(phase, t)
+                        prep += t
+                        account.add(cls, req_b)
+                        account.add(cls, resp_b)
                 trans = gpu.transfer_time(w)
                 train = gpu.train_time(w)
                 add_phase("cpu_to_gpu", trans)
@@ -604,34 +157,12 @@ class DistributedCoordinator:
             elapsed = max(elapsed, group_elapsed)
             busy += n * (consume - allreduce_s)
 
-        stats = self._base_stats(plan, fabric, grad_bytes, len(group_ids))
-
-        def _net_remote(g: int, idx: int) -> int:
-            nbytes = per_group_remote[g][idx % len(workloads)]
-            cplan = cache_plans.get(g)
-            if cplan is not None:
-                nbytes -= cplan.hit_bytes.get(idx, 0)
-            return nbytes
-
-        stats["remote_bytes"] = float(
-            sum(
-                _net_remote(g, idx)
-                for g in group_ids
-                for idx in self._group_batches(g)
-            )
-            if plan is not None else 0
-        )
-        if cache_plans:
-            from repro.cache import merge_tier_stats
-
-            stats.update(
-                merge_tier_stats([cache_plans[g] for g in group_ids])
-            )
+        stats = self.topology_stats(plan)
         stats.update(account.stats())
-        n_groups_live = len(group_ids)
+        n_groups_live = len(plan.group_ids)
         return PipelineResult(
-            design=design,
-            mode="distributed-analytic",
+            design=plan.systems[0].design,
+            mode=self.mode,
             n_batches=req.n_batches,
             n_workers=req.n_workers,
             elapsed_s=elapsed,

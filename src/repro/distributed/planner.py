@@ -25,13 +25,14 @@ the *same* deterministic byte counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, partition_graph
+from repro.net.fabric import FEATURE_PULL, SAMPLING_RPC
 
 __all__ = [
     "HostPartitionPlan",
@@ -199,6 +200,23 @@ class WorkloadTraffic:
         ) > 0
         for dst in np.nonzero(any_bytes)[0]:
             yield int(dst)
+
+    def calls(self) -> Iterator[Tuple[str, str, int, int, int]]:
+        """The RPC pairs that settle this traffic, in issue order.
+
+        Yields ``(phase, traffic_class, dst, req_bytes, resp_bytes)``:
+        per destination host (ascending), the sampling RPC then the
+        feature pull, each only when it moves any bytes.
+        """
+        for dst in self.destinations():
+            for phase, cls, req, resp in (
+                ("remote_sampling", SAMPLING_RPC,
+                 self.sampling_req, self.sampling_resp),
+                ("feature_pull", FEATURE_PULL,
+                 self.pull_req, self.pull_resp),
+            ):
+                if req[dst] or resp[dst]:
+                    yield phase, cls, dst, int(req[dst]), int(resp[dst])
 
 
 def host_workload_traffic(

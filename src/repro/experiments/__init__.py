@@ -10,8 +10,8 @@ structured :class:`~repro.api.experiment.RunRecord` rows -- the
 machine-readable artifact a :class:`~repro.api.campaign.Campaign`
 serializes to JSON/CSV.  The legacy surface -- ``run(cfg)``,
 ``render(result) -> str``, ``main()`` -- is kept as thin shims over the
-same pieces.  ``ALL_EXPERIMENTS`` maps experiment name to module; see
-DESIGN.md's per-experiment index for the figure-to-module mapping.
+same pieces.  ``ALL_EXPERIMENTS`` maps experiment name to module;
+``python -m repro list`` prints the index (README "Command line").
 """
 
 from repro.experiments import (  # noqa: F401

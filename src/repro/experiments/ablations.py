@@ -1,4 +1,4 @@
-"""Ablations of SmartSAGE's individual design choices (DESIGN.md).
+"""Ablations of SmartSAGE's individual design choices.
 
 The paper motivates three co-designed mechanisms (Section VI-A: "1)
 direct I/O, 2) I/O command coalescing, and 3) ISP acceleration") plus

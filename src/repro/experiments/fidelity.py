@@ -1,4 +1,4 @@
-"""Fidelity validation: analytic vs event mode (DESIGN.md "modes").
+"""Fidelity validation: analytic vs event mode.
 
 The analytic mode composes closed-form per-batch costs; the event mode
 runs the same work through the discrete-event simulator with shared

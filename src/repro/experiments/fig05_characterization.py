@@ -6,7 +6,7 @@ fine-grained 8-byte reads make it latency bound, not throughput bound.
 
 We regenerate the measurement by feeding the sampler's actual byte-address
 trace through a set-associative LLC simulator, with the LLC scaled down in
-proportion to the scaled datasets (DESIGN.md "Calibration").
+proportion to the scaled datasets (see :mod:`repro.config`).
 """
 
 from __future__ import annotations

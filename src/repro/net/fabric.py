@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.config import FabricParams
+from repro.config import FABRIC_TOPOLOGIES, FabricParams
 from repro.errors import ConfigError
 from repro.sim.resources import BandwidthLink
 
@@ -53,7 +53,6 @@ ALLREDUCE = "allreduce"
 SHUFFLE = "shuffle"
 
 TRAFFIC_CLASSES = (SAMPLING_RPC, FEATURE_PULL, ALLREDUCE)
-FABRIC_TOPOLOGIES = ("flat", "rack")
 
 
 class TrafficAccount:

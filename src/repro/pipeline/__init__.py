@@ -1,9 +1,13 @@
 """Producer-consumer training pipeline (Fig 4) with GPU idle accounting.
 
-Execution strategies are pluggable (:mod:`repro.pipeline.backends`):
-``run_pipeline`` dispatches ``mode`` through the backend registry, so
-``event``/``analytic``/``sharded``/``async`` -- and any third-party
-``@register_backend`` mode -- share one entry point.
+One :class:`ProducerPool` and one :class:`GPUConsumer` make up the
+pipeline; :mod:`repro.pipeline.engine` replicates them over a topology
+of device groups, and the ``event``, ``sharded``, ``distributed`` and
+``gids`` modes are presets of that one engine.  ``run_pipeline``
+dispatches ``mode`` through the backend registry
+(:mod:`repro.pipeline.backends`), so those presets, ``async``, the
+closed-form ``analytic`` faces and any third-party
+``@register_backend`` mode share one entry point.
 """
 
 from repro.pipeline.backends import (

@@ -1,9 +1,13 @@
 """Pluggable execution backends for the training pipeline.
 
-``run_pipeline`` dispatches through this package's registry: ``event``
-and ``analytic`` are the historical single-device strategies, and the
-scale-out backends (``sharded``, ``async``) plug in beside them.  Third
-parties add modes with ``@register_backend("name")`` without touching
+``run_pipeline`` dispatches through this package's registry.  The
+event-driven ``event``, ``sharded`` and ``distributed`` modes are
+presets of one topology engine (:mod:`repro.pipeline.engine`) that
+differ only in the scale-out axes they expose; ``gids`` runs that
+engine with HBM-resident features, ``async`` splits preparation into
+two stages, and ``analytic`` / ``distributed-analytic`` are the
+closed-form faces.  Third parties add modes with
+``@register_backend("name")`` without touching
 :mod:`repro.pipeline.runner`.
 """
 

@@ -4,7 +4,10 @@ Producers collectively deliver one batch every ``p / W`` seconds (``p``
 = mean preparation time); the GPU needs ``c`` per batch.  The pipeline
 runs at the slower of the two rates, plus one pipeline-fill.  This is
 the historical ``mode="analytic"`` path of ``run_pipeline``, moved onto
-the backend registry unchanged.
+the backend registry unchanged.  ``mode="distributed-analytic"``, the
+closed-form face of the multi-host topology
+(:meth:`~repro.distributed.coordinator.DistributedCoordinator.analytic`),
+registers here too.
 
 The model factors into two halves that the batched sweep evaluator
 (:mod:`repro.api.batcheval`) reuses directly:
@@ -147,3 +150,20 @@ def _plan_analytic(request: ExecutionRequest) -> PipelineResult:
         system.design, samp, feat, trans, train,
         request.n_batches, request.n_workers,
     )
+
+
+@register_backend(
+    "distributed-analytic",
+    description="closed-form multi-host model (same traffic accounting)",
+    needs_graph=True,
+)
+def _plan_distributed_analytic(
+    request: ExecutionRequest,
+) -> PipelineResult:
+    # repro.distributed (and with it repro.net) loads only for the
+    # hosts axis, never on a single-device run
+    from repro.distributed.coordinator import DistributedCoordinator
+
+    return DistributedCoordinator(
+        request, mode="distributed-analytic"
+    ).analytic()

@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.config import FABRIC_TOPOLOGIES
 from repro.errors import ConfigError
 from repro.sim.stats import PhaseBreakdown
 
@@ -174,8 +175,6 @@ class ExecutionRequest:
                 f"partition must be one of {PARTITION_METHODS}, "
                 f"got {self.partition!r}"
             )
-        from repro.net.fabric import FABRIC_TOPOLOGIES
-
         if self.fabric not in FABRIC_TOPOLOGIES:
             raise ConfigError(
                 f"fabric must be one of {FABRIC_TOPOLOGIES}, "

@@ -3,8 +3,9 @@
 The data-preparation "producers" here are GPU fetch kernels, not host
 threads: they submit NVMe reads from GPU-resident queue pairs
 (:mod:`repro.storage.gids`) and the payloads DMA over the PCIe BAR
-straight into GPU HBM.  Two things therefore differ from the ``event``
-backend:
+straight into GPU HBM.  The pipeline itself is the no-axes topology
+engine (:mod:`repro.pipeline.engine`, the ``event`` preset); two things
+differ around it:
 
 * ``RunSpec.qp_depth`` bounds the in-flight warp submissions device
   wide -- a shallow queue pair serializes concurrent fetch kernels on
@@ -20,18 +21,12 @@ hit rate -- the quantities a GIDS-vs-ISP comparison turns on.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.errors import ConfigError
-from repro.pipeline.backends.base import (
-    ExecutionRequest,
-    PipelineResult,
-    drive,
-)
+from repro.pipeline.backends.base import ExecutionRequest, PipelineResult
 from repro.pipeline.backends.registry import register_backend
-from repro.pipeline.consumer import GPUConsumer
-from repro.pipeline.producer import ProducerPool
-from repro.pipeline.timeline import PhaseAccumulator
-from repro.pipeline.workqueue import WorkQueue
-from repro.sim.engine import Simulator
+from repro.pipeline.engine import TopologyEngine
 
 __all__ = []
 
@@ -48,13 +43,6 @@ class _ResidentFeatureGPU:
 
     def train_time(self, workload) -> float:
         return self._gpu.train_time(workload)
-
-
-class _FetchKernelPool(ProducerPool):
-    """Producers renamed to what they model: GPU fetch kernels."""
-
-    def _worker_name(self, worker_id: int) -> str:
-        return f"gids-fetch-{worker_id}"
 
 
 @register_backend(
@@ -87,26 +75,10 @@ def _plan_gids(request: ExecutionRequest) -> PipelineResult:
     )
     tier_hits0 = [(t.hits, t.hit_bytes) for t in tiers]
 
-    sim = Simulator()
-    inj = request.injector()
-    runtime = system.attach(sim, faults=inj)
-    phases = PhaseAccumulator()
-    queue = WorkQueue(sim, depth=request.queue_depth)
-    pool = _FetchKernelPool(
-        system, runtime, request.workloads, queue, request.n_batches,
-        phases,
-    )
-    consumer = GPUConsumer(
-        _ResidentFeatureGPU(request.gpu), queue, request.n_batches,
-        phases,
-        ssd=system.ssd if request.checkpoint_every else None,
-        checkpoint_every=request.checkpoint_every,
-        checkpoint_bytes=request.checkpoint_bytes,
-    )
-    procs = pool.spawn_all(request.n_workers)
-    procs.append(sim.process(consumer.run(sim), name="gpu"))
-    elapsed = drive(sim, procs, what="gids pipeline")
-    busy = consumer.utilization.busy_time(elapsed)
+    result = TopologyEngine(
+        dataclasses.replace(request, gpu=_ResidentFeatureGPU(request.gpu)),
+        mode="gids",
+    ).run()
 
     bar_bytes = controller.traffic.bar_bytes - bar_bytes0
     hits = (cache.hits - cache_hits0) if cache else 0
@@ -122,28 +94,13 @@ def _plan_gids(request: ExecutionRequest) -> PipelineResult:
         )
     if tiers:
         tier_stats["cache_misses"] = float(misses)
-    return PipelineResult(
-        design=system.design,
-        mode="gids",
-        n_batches=request.n_batches,
-        n_workers=request.n_workers,
-        elapsed_s=elapsed,
-        gpu_busy_s=busy,
-        gpu_idle_fraction=max(0.0, 1.0 - busy / elapsed),
-        phase_means={
-            phase: stat.mean for phase, stat in phases.stats.items()
-        },
-        backend_stats={
-            "qp_depth": float(request.qp_depth),
-            "bar_bytes": float(bar_bytes),
-            "bounce_bytes_avoided": float(bar_bytes),
-            "doorbells": float(
-                controller.queues.doorbells_rung - doorbells0
-            ),
-            "gpu_cache_hit_rate": (
-                hits / accesses if accesses else 0.0
-            ),
-            **tier_stats,
-            **(inj.stats() if inj is not None else {}),
-        },
-    )
+    result.backend_stats = {
+        "qp_depth": float(request.qp_depth),
+        "bar_bytes": float(bar_bytes),
+        "bounce_bytes_avoided": float(bar_bytes),
+        "doorbells": float(controller.queues.doorbells_rung - doorbells0),
+        "gpu_cache_hit_rate": hits / accesses if accesses else 0.0,
+        **tier_stats,
+        **result.backend_stats,
+    }
+    return result

@@ -15,11 +15,14 @@ pipelines, GIDS-style drop-in engines -- plug in without touching
 
 A backend is either a function ``plan(request) -> PipelineResult`` or a
 subclass of :class:`~repro.pipeline.backends.base.ExecutionBackend`
-(instantiated once at registration).  The built-in backends (``event``,
-``analytic``, ``sharded``, ``async``, ``gids``, ``distributed``,
-``distributed-analytic``) register on first use;
-this module imports them lazily so ``available_backends()`` is always
-complete.
+(instantiated once at registration).  The built-in backends register
+on first use; this module imports them lazily so
+``available_backends()`` is always complete.  They are the presets of
+the one event-driven topology engine (``event``, ``sharded``,
+``distributed``; :mod:`repro.pipeline.engine`), ``gids`` (the
+no-axes engine with HBM-resident features), ``async`` (two-stage
+preparation), and the closed-form ``analytic`` and
+``distributed-analytic`` faces.
 """
 
 from __future__ import annotations
@@ -78,10 +81,8 @@ def _ensure_builtin() -> None:
         try:
             import repro.pipeline.backends.analytic    # noqa: F401
             import repro.pipeline.backends.async_prefetch  # noqa: F401
-            import repro.pipeline.backends.distributed  # noqa: F401
-            import repro.pipeline.backends.event       # noqa: F401
             import repro.pipeline.backends.gids        # noqa: F401
-            import repro.pipeline.backends.sharded     # noqa: F401
+            import repro.pipeline.engine               # noqa: F401
         finally:
             _builtin_local.loading = False
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.pipeline.gpu import GPUModel
 from repro.pipeline.timeline import PhaseAccumulator
 from repro.pipeline.workqueue import WorkQueue
@@ -17,6 +19,15 @@ class GPUConsumer:
     ``checkpoint_every`` batches (``checkpoint_bytes`` of parameters +
     optimizer state, written write-back), exercising the storage write
     path during training.
+
+    On a multi-host topology every step also stalls ``allreduce_s`` for
+    the gradient collective's critical path; ``on_allreduce`` (set on
+    one consumer per host, so a host's device groups -- which reduce
+    locally before touching the NIC -- are not double-counted) charges
+    the wire bytes.  ``recovery_at`` is the batch (within this
+    consumer's own count) after which the host fails and replays
+    ``recovery_s`` of checkpoint restore and re-warm.  At the defaults
+    none of these schedule an event.
     """
 
     def __init__(
@@ -28,6 +39,10 @@ class GPUConsumer:
         ssd=None,
         checkpoint_every: int = 0,
         checkpoint_bytes: int = 0,
+        allreduce_s: float = 0.0,
+        on_allreduce: Optional[Callable[[], None]] = None,
+        recovery_at: Optional[int] = None,
+        recovery_s: float = 0.0,
     ):
         self.gpu = gpu
         self.queue = queue
@@ -40,6 +55,10 @@ class GPUConsumer:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_bytes = checkpoint_bytes
         self.checkpoints_written = 0
+        self.allreduce_s = allreduce_s
+        self.on_allreduce = on_allreduce
+        self.recovery_at = recovery_at
+        self.recovery_s = recovery_s
 
     def run(self, sim):
         """Generator: the single GPU worker process."""
@@ -60,7 +79,24 @@ class GPUConsumer:
             )
             self.utilization.set_idle(sim.now)
             self.batches_done += 1
-            yield from self._post_train(sim)
+            if (
+                self.recovery_at is not None
+                and self.recovery_s > 0.0
+                and self.batches_done - 1 == self.recovery_at
+            ):
+                t3 = sim.now
+                yield sim.timeout(self.recovery_s)
+                self.phases.record(
+                    "host_recovery", sim.now - t3, worker="gpu", start_s=t3
+                )
+            if self.allreduce_s > 0.0:
+                t3 = sim.now
+                yield sim.timeout(self.allreduce_s)
+                if self.on_allreduce is not None:
+                    self.on_allreduce()
+                self.phases.record(
+                    "grad_allreduce", sim.now - t3, worker="gpu", start_s=t3
+                )
             if (
                 self.ssd is not None
                 and self.checkpoint_every > 0
@@ -77,17 +113,6 @@ class GPUConsumer:
                 )
                 self.checkpoints_written += 1
         self.finished_at = sim.now
-
-    def _post_train(self, sim):
-        """Subclass hook run after each batch's training step.
-
-        The base consumer does nothing and schedules no events, so
-        subclasses that stay silent preserve the event schedule
-        bit-for-bit (the distributed backend's gradient all-reduce
-        plugs in here).
-        """
-        return
-        yield  # unreachable; makes the base hook a generator
 
     def idle_fraction(self, now: float) -> float:
         return self.utilization.idle_fraction(now)

@@ -3,11 +3,14 @@
 ``run_pipeline`` executes ``n_batches`` of GNN training on a
 :class:`~repro.core.systems.TrainingSystem` by dispatching to the
 execution backend registered for ``mode``
-(:mod:`repro.pipeline.backends`): ``event`` and ``analytic`` are the
-paper's single-device strategies, ``sharded`` simulates K shard-local
-device groups, ``async`` overlaps the preparation stages with bounded
-prefetch.  The result carries everything the paper's end-to-end figures
-report -- total time, per-phase breakdown, and the GPU idle fraction.
+(:mod:`repro.pipeline.backends`).  ``event``, ``sharded`` and
+``distributed`` are presets of the one event-driven topology engine
+(:mod:`repro.pipeline.engine`), exposing no axes, the shards axis, and
+the shards and hosts axes; ``gids`` is the no-axes engine with
+HBM-resident features, ``async`` overlaps the preparation stages with
+bounded prefetch, and ``analytic`` is the paper's closed-form model.
+The result carries everything the paper's end-to-end figures report
+-- total time, per-phase breakdown, and the GPU idle fraction.
 """
 
 from __future__ import annotations
@@ -54,20 +57,22 @@ def run_pipeline(
     ``mode`` is any name in
     :func:`repro.pipeline.backends.available_backends`; an unknown mode
     raises :class:`~repro.errors.ConfigError` listing the registered
-    backends.  ``n_shards``/``partition``/``graph`` feed the ``sharded``
-    backend, ``n_hosts``/``fabric`` additionally the ``distributed``
-    backend, ``prefetch_depth`` the ``async`` backend, ``qp_depth`` the
-    ``gids`` backend; the single-device backends ignore them.  ``system_factory`` (optional) builds a fresh
-    warmed system per device group so multi-device backends get
-    independent cache state per shard; when it is given, ``system`` may
-    be ``None`` and backends materialize instances lazily.
+    backends.  ``n_shards``/``partition``/``graph`` feed the shards
+    axis (``sharded``, ``distributed``), ``n_hosts``/``fabric`` the
+    hosts axis (``distributed``), ``prefetch_depth`` the ``async``
+    backend, ``qp_depth`` the ``gids`` backend; a mode that does not
+    expose an axis ignores its knobs.  ``system_factory`` (optional)
+    builds a fresh warmed system per device group so multi-group
+    topologies get independent cache state per shard; when it is given,
+    ``system`` may be ``None`` and backends materialize instances
+    lazily.
     ``faults`` (optional :class:`~repro.faults.FaultPlan`) injects
     deterministic storage/fabric/host faults into the event-driven
     backends; closed-form modes reject it at spec validation.
     ``cache_tiers``/``cache_policy`` (optional, see :mod:`repro.cache`)
     select the feature-cache stack: the ``gids`` backend reports
-    per-tier stats for its GPU-side stack, and the ``sharded`` /
-    ``distributed`` backends put a host/peer cache in front of
+    per-tier stats for its GPU-side stack, and multi-group ``sharded``
+    / ``distributed`` runs put a host/peer cache in front of
     cross-shard feature reads.  ``None`` keeps every backend's legacy
     behavior byte-identical.
     """

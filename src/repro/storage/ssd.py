@@ -1,6 +1,7 @@
 """The full SSD device model: analytic latencies plus DES contention state.
 
-Two usage modes, matching DESIGN.md's fidelity modes:
+Two usage modes, matching the pipeline's ``analytic`` and event-driven
+modes (README "Execution backends & sharding"):
 
 * **analytic** -- :class:`SSDevice` methods return closed-form latencies
   for a single QD1 requester (used for single-worker figures and fast
