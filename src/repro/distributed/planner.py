@@ -52,7 +52,8 @@ class HostPartitionPlan:
     ``host_part.owner[v]`` is the host serving node ``v``'s remote
     reads).  ``shuffle_matrix[src, dst]`` is the bytes the one-time
     data shuffle moves from initial contiguous block ``src`` to owning
-    host ``dst`` (diagonal = data already in place).
+    host ``dst`` (diagonal = data already in place).  Immutable, like
+    its partitions.
     """
 
     n_hosts: int
@@ -61,6 +62,9 @@ class HostPartitionPlan:
     device_part: GraphPartition
     host_part: GraphPartition
     shuffle_matrix: np.ndarray            # int64[n_hosts, n_hosts]
+
+    def __post_init__(self) -> None:
+        self.shuffle_matrix.setflags(write=False)
 
     @property
     def n_groups(self) -> int:

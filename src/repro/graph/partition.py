@@ -28,7 +28,7 @@ Three methods cover the usual trade-offs:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,9 @@ class GraphPartition:
 
     ``owner[v]`` is the shard that stores node ``v``'s neighbor list and
     feature row.  All derived statistics are computed once at
-    construction from the graph the partition was built on.
+    construction from the graph the partition was built on.  Like
+    :class:`~repro.graph.csr.CSRGraph` it is immutable: its arrays are
+    read-only, so one partition can be shared by every run on a graph.
     """
 
     n_shards: int
@@ -58,7 +60,12 @@ class GraphPartition:
     cut_edges: int
     total_edges: int
     #: per-shard count of distinct non-owned nodes its edges reference
-    replication: np.ndarray = field(default=None)
+    replication: np.ndarray                # int64[n_shards]
+
+    def __post_init__(self) -> None:
+        for arr in (self.owner, self.shard_nodes, self.shard_degrees,
+                    self.replication):
+            arr.setflags(write=False)
 
     @property
     def num_nodes(self) -> int:
@@ -211,7 +218,8 @@ def partition_graph(
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     if owner is not None:
-        owner = np.asarray(owner, dtype=np.int32)
+        # a copy: the partition freezes its owner, the caller's stays
+        owner = np.array(owner, dtype=np.int32)
         if owner.shape != (graph.num_nodes,):
             raise ConfigError(
                 f"owner must have one entry per node "

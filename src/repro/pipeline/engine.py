@@ -28,10 +28,18 @@ registered presets are ``event`` (no axes), ``sharded`` (shards) and
 (:mod:`repro.pipeline.backends.gids`) is the no-axes engine with a GPU
 model whose features are already resident in HBM.  Every group count
 of 1 therefore replays the same event schedule.
+
+A graph's cut depends only on the graph and the cut parameters, never
+on the workloads, so it is planned once per process: the first run on
+a graph partitions it and every later run with the same axes, counts,
+method and payload sizes reuses that (immutable) cut.  The memo holds
+its graphs weakly, so a cut is freed with its graph.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -62,6 +70,43 @@ PRESETS: Dict[str, Tuple[str, ...]] = {
     "sharded": (SHARDS,),
     "distributed": (SHARDS, HOSTS),
 }
+
+
+#: graph -> {cut key: (device partition, host plan or None)}
+_CUTS = weakref.WeakKeyDictionary()
+_CUTS_LOCK = threading.Lock()
+
+
+def _graph_cut(graph, hosts: bool, n_hosts: int, n_shards: int,
+               method: str, row_bytes: int, edge_id_bytes: int):
+    """``(device_part, host_plan)`` of ``graph``, built on first use.
+
+    ``hosts`` says whether the hosts axis is exposed; only then is the
+    cut hierarchical (:func:`~repro.distributed.planner.plan_hosts`)
+    and ``host_plan`` set.  The lock is held while a cut is built, so
+    concurrent runs on one graph build it once.  Neither value refers
+    to the graph, which keeps the weak key collectable.
+    """
+    key = (hosts, n_hosts, n_shards, method, row_bytes, edge_id_bytes)
+    with _CUTS_LOCK:
+        cuts = _CUTS.setdefault(graph, {})
+        if key not in cuts:
+            if hosts:
+                from repro.distributed.planner import plan_hosts
+
+                host_plan = plan_hosts(
+                    graph, n_hosts,
+                    shards_per_host=n_shards,
+                    method=method,
+                    row_bytes=row_bytes,
+                    edge_id_bytes=edge_id_bytes,
+                )
+                cuts[key] = (host_plan.device_part, host_plan)
+            else:
+                cuts[key] = (
+                    partition_graph(graph, n_shards, method=method), None
+                )
+        return cuts[key]
 
 
 def _remote_parts_per_workload(part, graph, workloads, group: int,
@@ -167,21 +212,10 @@ class TopologyEngine:
 
         row_bytes = req.gpu.feature_dim * req.gpu.feature_dtype_bytes
         edge_id_bytes = hw.workload.edge_id_bytes
-        if HOSTS in self.axes:
-            from repro.distributed.planner import plan_hosts
-
-            plan.host_plan = plan_hosts(
-                req.graph, self.n_hosts,
-                shards_per_host=self.n_shards,
-                method=req.partition,
-                row_bytes=row_bytes,
-                edge_id_bytes=edge_id_bytes,
-            )
-            plan.part = plan.host_plan.device_part
-        else:
-            plan.part = partition_graph(
-                req.graph, self.n_groups, method=req.partition
-            )
+        plan.part, plan.host_plan = _graph_cut(
+            req.graph, HOSTS in self.axes, self.n_hosts, self.n_shards,
+            req.partition, row_bytes, edge_id_bytes,
+        )
         parts = [
             _remote_parts_per_workload(
                 plan.part, req.graph, workloads, g, row_bytes, edge_id_bytes

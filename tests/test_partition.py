@@ -174,3 +174,18 @@ def test_empty_shards_have_empty_node_lists(method):
     for k in empties:
         assert part.nodes_of(k).size == 0
         assert part.local_fraction([], k) == 1.0
+
+
+def test_partition_arrays_are_read_only(graph):
+    part = partition_graph(graph, 4)
+    for arr in (part.owner, part.replication):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_custom_owner_is_copied_not_frozen(graph):
+    owner = (np.arange(graph.num_nodes) % 3).astype(np.int32)
+    part = partition_graph(graph, 3, owner=owner)
+    owner[0] = 2                    # the caller's array stays writeable
+    assert part.owner[0] == 0
+    assert not part.owner.flags.writeable
