@@ -35,8 +35,8 @@ and new design points plug in without touching core::
         return ctx.make_system(ssd=ssd, sampling_engine=...,
                                feature_engine=ctx.dram_feature_engine())
 
-The lower-level surface (``build_system``, ``run_pipeline``,
-``NeighborSampler``...) remains available for piecewise use; see
+The lower-level surface (``build_system``, ``run_pipeline`` with an
+``ExecutionRequest``, ``NeighborSampler``...) remains available for piecewise use; see
 ``examples/`` for both styles.
 """
 
@@ -67,6 +67,7 @@ from repro.errors import (
 from repro.graph import CSRGraph, GraphDataset, load_dataset
 from repro.graph.partition import GraphPartition, partition_graph
 from repro.pipeline import (
+    ExecutionRequest,
     PipelineResult,
     available_backends,
     register_backend,
@@ -91,6 +92,7 @@ __all__ = [
     "BatchCost",
     "SamplingWorkload",
     "run_pipeline",
+    "ExecutionRequest",
     "PipelineResult",
     "Session",
     "RunSpec",

@@ -38,6 +38,7 @@ from repro.core.accounting import BatchCost, SamplingWorkload
 from repro.core.systems import TrainingSystem, build_gpu_model, build_system
 from repro.errors import ConfigError
 from repro.graph.datasets import DATASETS, LARGE_SCALE, GraphDataset
+from repro.pipeline.backends.base import ExecutionRequest, drive
 from repro.pipeline.gpu import GPUModel
 from repro.pipeline.runner import PipelineResult, run_pipeline
 
@@ -248,7 +249,7 @@ def sampling_throughput(
     Runs in event mode so that workers genuinely contend for the SSD's
     flash lanes, embedded cores, PCIe link, and the page-cache lock.
     """
-    from repro.sim.engine import Simulator, all_of
+    from repro.sim.engine import Simulator
 
     warm = min(warmup, max(0, len(workloads) - 1))
     for w in workloads[:warm]:
@@ -269,11 +270,7 @@ def sampling_throughput(
             )
 
     procs = [sim.process(worker()) for _ in range(n_workers)]
-    done = all_of(sim, procs)
-    while not done.triggered:
-        if not sim.step():
-            raise ConfigError("sampling throughput run deadlocked")
-    return n_batches / sim.now
+    return n_batches / drive(sim, procs, what="sampling throughput run")
 
 
 @dataclass
@@ -357,6 +354,7 @@ class Session:
         self._workloads = list(workloads) if workloads is not None else None
         self._hw = hw
         self._gpu: Optional[GPUModel] = None
+        self._request: Optional[ExecutionRequest] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -412,6 +410,19 @@ class Session:
             self._gpu = build_gpu_model(self.dataset, self.hw)
         return self._gpu
 
+    @property
+    def request(self) -> ExecutionRequest:
+        """The pipeline request the spec declares, built once: every
+        :meth:`run` binds it to a fresh system for its design."""
+        if self._request is None:
+            self._request = ExecutionRequest.from_spec(
+                self.spec,
+                gpu=self.gpu,
+                workloads=self.workloads[self.spec.warmup_batches:],
+                graph=self.dataset.graph,
+            )
+        return self._request
+
     # -- building and running ---------------------------------------------
 
     def build(self, design: Optional[str] = None) -> TrainingSystem:
@@ -448,28 +459,7 @@ class Session:
                 fresh.sampling_engine.batch_cost(w)
             return fresh
 
-        return run_pipeline(
-            None,
-            self.gpu,
-            self.workloads[warm:],
-            n_batches=self.spec.n_batches,
-            n_workers=self.spec.n_workers,
-            mode=self.spec.mode,
-            queue_depth=self.spec.queue_depth,
-            checkpoint_every=self.spec.checkpoint_every,
-            checkpoint_bytes=self.spec.checkpoint_bytes,
-            n_shards=self.spec.system.n_shards,
-            n_hosts=self.spec.system.n_hosts,
-            fabric=self.spec.system.fabric,
-            partition=self.spec.system.partition,
-            prefetch_depth=self.spec.prefetch_depth,
-            qp_depth=self.spec.qp_depth,
-            graph=self.dataset.graph,
-            system_factory=warmed_system,
-            faults=self.spec.system.faults,
-            cache_tiers=self.spec.system.cache_tiers,
-            cache_policy=self.spec.system.cache_policy,
-        )
+        return run_pipeline(self.request, system_factory=warmed_system)
 
     def sampling_cost(self, design: Optional[str] = None) -> BatchCost:
         """Steady-state single-worker sampling cost (Fig 14 metric)."""

@@ -24,12 +24,15 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.validation import check_fraction, check_positive_real
-from repro.config import (
-    FABRIC_TOPOLOGIES,
-    HardwareParams,
-    default_hardware,
+from repro.api.validation import (
+    check_count,
+    check_fabric,
+    check_faults,
+    check_fraction,
+    check_partition,
+    check_positive_real,
 )
+from repro.config import HardwareParams, default_hardware
 from repro.errors import ConfigError
 from repro.graph.datasets import DATASETS, LARGE_SCALE, _VARIANTS
 
@@ -41,15 +44,6 @@ _SAMPLERS = ("sage", "saint")
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _check_positive_int(name: str, value: Any, minimum: int = 1) -> None:
-    ok = (
-        not isinstance(value, bool)
-        and isinstance(value, numbers.Integral)
-        and value >= minimum
-    )
-    _require(ok, f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def _from_dict(cls, data: Any) -> Any:
@@ -132,40 +126,22 @@ class SystemSpec:
                 f"fanouts must be positive ints, got {self.fanouts!r}",
             )
         if self.granularity is not None:
-            _check_positive_int("granularity", self.granularity)
+            check_count("granularity", self.granularity)
         check_fraction("host_cache_frac", self.host_cache_frac)
         check_fraction("page_buffer_frac", self.page_buffer_frac)
         _require(
             isinstance(self.features_in_dram, bool),
             f"features_in_dram must be a bool, got {self.features_in_dram!r}",
         )
-        _check_positive_int("n_shards", self.n_shards)
-        _check_positive_int("n_hosts", self.n_hosts)
+        check_count("n_shards", self.n_shards)
+        check_count("n_hosts", self.n_hosts)
         check_positive_real("gpu_cache_mb", self.gpu_cache_mb)
         from repro.cache.tiers import check_cache_config
 
         check_cache_config(self.cache_tiers, self.cache_policy)
-        _require(
-            self.fabric in FABRIC_TOPOLOGIES,
-            f"fabric must be one of {FABRIC_TOPOLOGIES}, "
-            f"got {self.fabric!r}",
-        )
-        from repro.graph.partition import PARTITION_METHODS
-
-        _require(
-            self.partition in PARTITION_METHODS,
-            f"partition must be one of {PARTITION_METHODS}, "
-            f"got {self.partition!r}",
-        )
-        if self.faults is not None:
-            from repro.faults import FaultPlan
-
-            _require(
-                isinstance(self.faults, FaultPlan),
-                f"faults must be a FaultPlan or mapping, "
-                f"got {self.faults!r}",
-            )
-            self.faults.validate()
+        check_fabric(self.fabric)
+        check_partition(self.partition)
+        self.faults = check_faults(self.faults)
         self.build_hardware()  # validates section/field names
         return self
 
@@ -280,9 +256,9 @@ class RunSpec:
             and self.edge_budget > 0,
             f"edge_budget must be positive, got {self.edge_budget!r}",
         )
-        _check_positive_int("batch_size", self.batch_size)
-        _check_positive_int("n_workloads", self.n_workloads)
-        _check_positive_int("warmup_batches", self.warmup_batches, minimum=0)
+        check_count("batch_size", self.batch_size)
+        check_count("n_workloads", self.n_workloads)
+        check_count("warmup_batches", self.warmup_batches, minimum=0)
         _require(
             self.warmup_batches < self.n_workloads,
             f"warmup_batches ({self.warmup_batches}) must leave at least "
@@ -299,15 +275,15 @@ class RunSpec:
             f"mode must be one of {available_backends()}, "
             f"got {self.mode!r}",
         )
-        _check_positive_int("n_batches", self.n_batches)
-        _check_positive_int("n_workers", self.n_workers)
-        _check_positive_int("queue_depth", self.queue_depth)
-        _check_positive_int("prefetch_depth", self.prefetch_depth)
-        _check_positive_int("qp_depth", self.qp_depth)
-        _check_positive_int(
+        check_count("n_batches", self.n_batches)
+        check_count("n_workers", self.n_workers)
+        check_count("queue_depth", self.queue_depth)
+        check_count("prefetch_depth", self.prefetch_depth)
+        check_count("qp_depth", self.qp_depth)
+        check_count(
             "checkpoint_every", self.checkpoint_every, minimum=0
         )
-        _check_positive_int(
+        check_count(
             "checkpoint_bytes", self.checkpoint_bytes, minimum=0
         )
         self.system.validate()

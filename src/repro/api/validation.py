@@ -1,13 +1,41 @@
-"""Small shared validators used by both the spec layer and core."""
+"""Small shared validators used by the spec layer, the pipeline request
+and core."""
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 from repro.errors import ConfigError
 
-__all__ = ["check_fraction", "check_bool", "check_positive_real"]
+__all__ = [
+    "check_fraction",
+    "check_bool",
+    "check_count",
+    "check_positive_real",
+    "check_fabric",
+    "check_partition",
+    "check_faults",
+]
+
+
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """Validate ``value`` as an integral count ``>= minimum``; return it
+    as a plain ``int`` (numpy integers pass, bools and floats do not).
+    A bad shard/host count must fail here, not as an IndexError deep in
+    graph partitioning."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        as_int = operator.index(value)
+    except TypeError:
+        as_int = None
+    if as_int is None or as_int < minimum:
+        raise ConfigError(
+            f"{name} must be an int >= {minimum}, got {value!r}"
+        )
+    return as_int
 
 
 def check_fraction(name: str, value) -> float:
@@ -41,4 +69,44 @@ def check_positive_real(name: str, value) -> float:
 def check_bool(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def check_fabric(value) -> str:
+    """Validate a network fabric topology name (see :mod:`repro.net`)."""
+    from repro.config import FABRIC_TOPOLOGIES
+
+    if value not in FABRIC_TOPOLOGIES:
+        raise ConfigError(
+            f"fabric must be one of {FABRIC_TOPOLOGIES}, got {value!r}"
+        )
+    return value
+
+
+def check_partition(value) -> str:
+    """Validate a graph partitioning method
+    (see :mod:`repro.graph.partition`)."""
+    from repro.graph.partition import PARTITION_METHODS
+
+    if value not in PARTITION_METHODS:
+        raise ConfigError(
+            f"partition must be one of {PARTITION_METHODS}, got {value!r}"
+        )
+    return value
+
+
+def check_faults(value):
+    """Validate an optional fault plan; a mapping becomes a
+    :class:`~repro.faults.FaultPlan`.  Returns the plan (or ``None``)."""
+    if value is None:
+        return None
+    from repro.faults import FaultPlan
+
+    if isinstance(value, dict):
+        value = FaultPlan.from_dict(value)
+    if not isinstance(value, FaultPlan):
+        raise ConfigError(
+            f"faults must be a FaultPlan or mapping, got {value!r}"
+        )
+    value.validate()
     return value

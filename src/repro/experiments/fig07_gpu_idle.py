@@ -32,20 +32,22 @@ def _run_dataset(
     n_batches: int = 30,
     n_workers: int = 12,
 ) -> tuple:
-    from repro.pipeline import run_pipeline
+    from repro.pipeline import ExecutionRequest, run_pipeline
 
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg)
-    gpu = build_gpu_model(ds, cfg.hw)
+    request = ExecutionRequest(
+        gpu=build_gpu_model(ds, cfg.hw),
+        workloads=workloads[cfg.warmup_batches:],
+        n_batches=n_batches,
+        n_workers=n_workers,
+    )
     idle = {}
     for design in _DESIGNS:
         system = build_eval_system(design, ds, cfg)
         for w in workloads[: cfg.warmup_batches]:
             system.sampling_engine.batch_cost(w)
-        result = run_pipeline(
-            system, gpu, workloads[cfg.warmup_batches:],
-            n_batches=n_batches, n_workers=n_workers, mode="event",
-        )
+        result = run_pipeline(request, system=system)
         idle[design] = result.gpu_idle_fraction
     return name, idle
 

@@ -21,7 +21,7 @@ from repro.experiments.common import (
     scaled_instance,
 )
 from repro.experiments.report import format_bars, format_table
-from repro.pipeline import run_pipeline
+from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import geometric_mean
 
 __all__ = ["run", "render", "main", "PAPER_AVG_SPEEDUP"]
@@ -39,16 +39,18 @@ def _run_dataset(
 ) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg, sampler_kind="saint")
-    gpu = build_gpu_model(ds, cfg.hw)
+    request = ExecutionRequest(
+        gpu=build_gpu_model(ds, cfg.hw),
+        workloads=workloads[cfg.warmup_batches:],
+        n_batches=n_batches,
+        n_workers=n_workers,
+    )
     elapsed = {}
     for design in _DESIGNS:
         system = build_eval_system(design, ds, cfg)
         for w in workloads[: cfg.warmup_batches]:
             system.sampling_engine.batch_cost(w)
-        elapsed[design] = run_pipeline(
-            system, gpu, workloads[cfg.warmup_batches:],
-            n_batches=n_batches, n_workers=n_workers, mode="event",
-        ).elapsed_s
+        elapsed[design] = run_pipeline(request, system=system).elapsed_s
     return name, {
         "elapsed": elapsed,
         "hwsw_speedup": elapsed["ssd-mmap"]

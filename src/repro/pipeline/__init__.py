@@ -2,17 +2,17 @@
 
 One :class:`ProducerPool` and one :class:`GPUConsumer` make up the
 pipeline; :mod:`repro.pipeline.engine` replicates them over a topology
-of device groups, and the ``event``, ``sharded``, ``distributed`` and
-``gids`` modes are presets of that one engine.  ``run_pipeline``
-dispatches ``mode`` through the backend registry
-(:mod:`repro.pipeline.backends`), so those presets, ``async``, the
-closed-form ``analytic`` faces and any third-party
+of device groups, and the ``event``, ``sharded``, ``distributed``,
+``async`` and ``gids`` modes are presets of that one engine.
+``run_pipeline`` takes one :class:`ExecutionRequest` (usually built by
+:meth:`ExecutionRequest.from_spec`) and dispatches its ``mode`` through
+the backend registry (:mod:`repro.pipeline.backends`), so those
+presets, the closed-form ``analytic`` faces and any third-party
 ``@register_backend`` mode share one entry point.
 """
 
 from repro.pipeline.backends import (
     BackendEntry,
-    ExecutionBackend,
     ExecutionRequest,
     available_backends,
     backend_entry,
@@ -36,7 +36,6 @@ __all__ = [
     "Span",
     "run_pipeline",
     "PipelineResult",
-    "ExecutionBackend",
     "ExecutionRequest",
     "BackendEntry",
     "register_backend",

@@ -1,18 +1,16 @@
 """Pluggable execution backends for the training pipeline.
 
-``run_pipeline`` dispatches through this package's registry.  The
-event-driven ``event``, ``sharded`` and ``distributed`` modes are
-presets of one topology engine (:mod:`repro.pipeline.engine`) that
-differ only in the scale-out axes they expose; ``gids`` runs that
-engine with HBM-resident features, ``async`` splits preparation into
-two stages, and ``analytic`` / ``distributed-analytic`` are the
-closed-form faces.  Third parties add modes with
+``run_pipeline`` dispatches one :class:`ExecutionRequest` through this
+package's registry.  The event-driven ``event``, ``sharded``,
+``distributed`` and ``async`` modes are presets of one topology engine
+(:mod:`repro.pipeline.engine`) that differ only in the axes they
+expose; ``gids`` runs that engine with HBM-resident features, and
+``analytic`` / ``distributed-analytic`` are the closed-form faces.  Third parties add modes with
 ``@register_backend("name")`` without touching
 :mod:`repro.pipeline.runner`.
 """
 
 from repro.pipeline.backends.base import (
-    ExecutionBackend,
     ExecutionRequest,
     PipelineResult,
 )
@@ -25,7 +23,6 @@ from repro.pipeline.backends.registry import (
 )
 
 __all__ = [
-    "ExecutionBackend",
     "ExecutionRequest",
     "PipelineResult",
     "BackendEntry",

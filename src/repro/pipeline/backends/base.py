@@ -1,4 +1,4 @@
-"""Execution-backend protocol shared by every pipeline strategy.
+"""The request/result pair shared by every pipeline strategy.
 
 An execution backend decides *how* prepared batches flow through the
 system -- single-device producer/consumer, closed-form analytic,
@@ -12,18 +12,21 @@ register through :mod:`repro.api.registry`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.config import FABRIC_TOPOLOGIES
+from repro.api.validation import (
+    check_count,
+    check_fabric,
+    check_faults,
+    check_partition,
+)
 from repro.errors import ConfigError
 from repro.sim.stats import PhaseBreakdown
 
 __all__ = [
     "PipelineResult",
     "ExecutionRequest",
-    "ExecutionBackend",
     "drive",
 ]
 
@@ -32,8 +35,9 @@ def drive(sim, procs, what: str = "pipeline") -> float:
     """Run ``sim`` until every process in ``procs`` completes.
 
     The one run-to-completion loop every event-driven backend shares;
-    raises :class:`ConfigError` if the event queue drains first (a
-    deadlock).  Returns the final simulation time.
+    re-raises the exception of a process that failed, and raises
+    :class:`ConfigError` if the event queue drains first (a deadlock).
+    Returns the final simulation time.
     """
     from repro.sim.engine import all_of
 
@@ -41,6 +45,8 @@ def drive(sim, procs, what: str = "pipeline") -> float:
     while not done.triggered:
         if not sim.step():
             raise ConfigError(f"{what} deadlocked")
+    if done._failed:
+        raise done.value
     return sim.now
 
 
@@ -77,47 +83,62 @@ class PipelineResult:
         return sum(self.phase_means.values())
 
 
+#: request knobs copied by name from :class:`~repro.api.spec.RunSpec`
+_RUN_KNOBS = (
+    "mode", "n_batches", "n_workers", "queue_depth", "checkpoint_every",
+    "checkpoint_bytes", "prefetch_depth", "qp_depth",
+)
+#: request knobs copied by name from :class:`~repro.api.spec.SystemSpec`
+_SYSTEM_KNOBS = (
+    "n_shards", "n_hosts", "fabric", "partition", "faults", "cache_tiers",
+    "cache_policy",
+)
+
+
 @dataclass
 class ExecutionRequest:
     """Everything a backend needs to execute one training run.
 
-    The first block mirrors the historical ``run_pipeline`` signature;
-    the second carries the scale-out axes that only some backends read
-    (``n_shards``/``partition``/``graph`` for ``sharded``,
-    ``prefetch_depth`` for ``async``).  ``graph`` is the dataset's
-    :class:`~repro.graph.csr.CSRGraph`; :class:`~repro.api.session.Session`
-    always supplies it, direct ``run_pipeline`` callers only need to
-    when they ask for a graph-partitioning backend.
+    The first block is what every mode reads; the second carries the
+    axes only some modes expose (``n_shards``/``partition``/``graph``
+    for the shards axis, ``n_hosts``/``fabric`` for the hosts axis,
+    ``prefetch_depth`` for the prefetch axis, ``qp_depth`` for
+    ``gids``); a mode ignores the knobs of axes it does not expose.
+    ``graph`` is the dataset's :class:`~repro.graph.csr.CSRGraph`;
+    :meth:`from_spec` always supplies it, hand-built requests only need
+    to when they ask for a graph-partitioning backend.
 
-    ``system_factory``, when given, builds a *fresh, cache-warmed*
-    system equivalent to ``system``; multi-device backends call it once
-    per device group so each group owns independent engine/cache state
-    instead of mutating one shared instance.  ``system`` may then be
-    ``None`` -- single-device backends resolve it lazily through
+    ``system`` and ``system_factory`` are bound per run by
+    :func:`~repro.pipeline.runner.run_pipeline`, so one request can run
+    many designs.  ``system_factory``, when given, builds a *fresh,
+    cache-warmed* system; multi-device backends call it once per device
+    group so each group owns independent engine/cache state instead of
+    mutating one shared instance.  ``system`` may then be ``None`` --
+    single-device backends resolve it lazily through
     :meth:`base_system`, so a replicating backend never pays for an
     instance it would discard.
     """
 
-    system: Optional[object]           # TrainingSystem
     gpu: object                        # GPUModel
     workloads: List                    # List[SamplingWorkload]
     n_batches: int
     n_workers: int
+    mode: str = "event"
     queue_depth: int = 4
     checkpoint_every: int = 0
     checkpoint_bytes: int = 0
-    # -- scale-out axes ----------------------------------------------------
+    # -- per-axis knobs ----------------------------------------------------
     n_shards: int = 1
-    #: host replicas (mode="distributed"); each holds ``n_shards`` groups
+    #: host replicas (hosts axis); each holds ``n_shards`` groups
     n_hosts: int = 1
-    #: network fabric topology between hosts (mode="distributed")
+    #: network fabric topology between hosts (hosts axis)
     fabric: str = "rack"
     partition: str = "edge-cut"
+    #: prefetch window between samplers and feature workers
     prefetch_depth: int = 2
     #: GPU-resident queue-pair depth (mode="gids")
     qp_depth: int = 64
     graph: Optional[object] = None     # CSRGraph
-    system_factory: Optional[Callable[[], object]] = None
     #: degraded-operation plan (repro.faults.FaultPlan); event-driven
     #: backends create one fresh FaultInjector per simulation from it
     faults: Optional[object] = None
@@ -126,6 +147,23 @@ class ExecutionRequest:
     cache_tiers: Optional[tuple] = None
     #: replacement policy shared by the stack (``None`` -> ``"lru"``)
     cache_policy: Optional[str] = None
+    # -- the system one run executes on ------------------------------------
+    system: Optional[object] = None    # TrainingSystem
+    system_factory: Optional[Callable[[], object]] = None
+
+    @classmethod
+    def from_spec(cls, spec, *, gpu, workloads,
+                  graph=None) -> "ExecutionRequest":
+        """The request a :class:`~repro.api.spec.RunSpec` declares, run
+        on ``workloads`` with ``gpu``; ``graph`` feeds the shards and
+        hosts axes."""
+        return cls(
+            gpu=gpu,
+            workloads=list(workloads),
+            graph=graph,
+            **{name: getattr(spec, name) for name in _RUN_KNOBS},
+            **{name: getattr(spec.system, name) for name in _SYSTEM_KNOBS},
+        )
 
     def base_system(self):
         """The request's system, built on first use when only a
@@ -140,57 +178,18 @@ class ExecutionRequest:
             return self.system_factory()
         return self.system
 
-    def _check_count(self, name: str, minimum: int = 1) -> None:
-        """Require an integral field ``>= minimum``, naming the field
-        and its legal range in the error (a bad shard/host count must
-        fail here, not as an IndexError deep in graph partitioning)."""
-        value = getattr(self, name)
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            as_int = operator.index(value)
-        except TypeError:
-            raise ConfigError(
-                f"{name} must be an integer >= {minimum}, "
-                f"got {value!r}"
-            ) from None
-        if as_int < minimum:
-            raise ConfigError(
-                f"{name} must be >= {minimum}, got {as_int}"
-            )
-        setattr(self, name, as_int)
-
     def validate(self) -> "ExecutionRequest":
-        if self.system is None and self.system_factory is None:
-            raise ConfigError("need a system or a system_factory")
+        """Check every knob, normalizing counts to ``int``, ``faults``
+        to a :class:`~repro.faults.FaultPlan` and ``cache_tiers`` to a
+        tuple."""
         if not self.workloads:
             raise ConfigError("need at least one workload")
         for name in ("n_batches", "n_workers", "queue_depth",
                      "n_shards", "n_hosts", "prefetch_depth", "qp_depth"):
-            self._check_count(name)
-        from repro.graph.partition import PARTITION_METHODS
-
-        if self.partition not in PARTITION_METHODS:
-            raise ConfigError(
-                f"partition must be one of {PARTITION_METHODS}, "
-                f"got {self.partition!r}"
-            )
-        if self.fabric not in FABRIC_TOPOLOGIES:
-            raise ConfigError(
-                f"fabric must be one of {FABRIC_TOPOLOGIES}, "
-                f"got {self.fabric!r}"
-            )
-        if self.faults is not None:
-            from repro.faults import FaultPlan
-
-            if isinstance(self.faults, dict):
-                self.faults = FaultPlan.from_dict(self.faults)
-            if not isinstance(self.faults, FaultPlan):
-                raise ConfigError(
-                    f"faults must be a FaultPlan or mapping, "
-                    f"got {self.faults!r}"
-                )
-            self.faults.validate()
+            setattr(self, name, check_count(name, getattr(self, name)))
+        check_partition(self.partition)
+        check_fabric(self.fabric)
+        self.faults = check_faults(self.faults)
         from repro.cache.tiers import check_cache_config
 
         self.cache_tiers, self.cache_policy = check_cache_config(
@@ -207,17 +206,3 @@ class ExecutionRequest:
         from repro.faults import FaultInjector
 
         return FaultInjector(self.faults)
-
-
-class ExecutionBackend:
-    """Protocol base for class-style backends.
-
-    Function-style backends (a callable ``plan(request) ->
-    PipelineResult``) register directly; subclasses of this base are
-    instantiated once at registration time.
-    """
-
-    name = "base"
-
-    def plan(self, request: ExecutionRequest) -> PipelineResult:
-        raise NotImplementedError

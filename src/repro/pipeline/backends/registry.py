@@ -13,16 +13,14 @@ pipelines, GIDS-style drop-in engines -- plug in without touching
         ...
         return PipelineResult(...)
 
-A backend is either a function ``plan(request) -> PipelineResult`` or a
-subclass of :class:`~repro.pipeline.backends.base.ExecutionBackend`
-(instantiated once at registration).  The built-in backends register
-on first use; this module imports them lazily so
-``available_backends()`` is always complete.  They are the presets of
-the one event-driven topology engine (``event``, ``sharded``,
-``distributed``; :mod:`repro.pipeline.engine`), ``gids`` (the
-no-axes engine with HBM-resident features), ``async`` (two-stage
-preparation), and the closed-form ``analytic`` and
-``distributed-analytic`` faces.
+A backend is a function ``plan(request) -> PipelineResult``.  The
+built-in backends register on first use; this module imports them
+lazily so ``available_backends()`` is always complete.  They are the
+closed-form ``analytic`` and ``distributed-analytic`` faces, the
+presets of the one event-driven topology engine (``event``,
+``sharded``, ``distributed``, ``async``;
+:mod:`repro.pipeline.engine`), and ``gids`` (the no-axes engine with
+HBM-resident features).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigError
-from repro.pipeline.backends.base import ExecutionBackend
 
 __all__ = [
     "BackendEntry",
@@ -80,7 +77,6 @@ def _ensure_builtin() -> None:
         _builtin_local.loading = True
         try:
             import repro.pipeline.backends.analytic    # noqa: F401
-            import repro.pipeline.backends.async_prefetch  # noqa: F401
             import repro.pipeline.backends.gids        # noqa: F401
             import repro.pipeline.engine               # noqa: F401
         finally:
@@ -116,12 +112,9 @@ def register_backend(
                 f"(by {_REGISTRY[name].plan!r}); "
                 "pass replace=True to override"
             )
-        plan = fn
-        if isinstance(fn, type) and issubclass(fn, ExecutionBackend):
-            plan = fn().plan
         _REGISTRY[name] = BackendEntry(
             name=name,
-            plan=plan,
+            plan=fn,
             description=description
             or (fn.__doc__ or "").strip().split("\n")[0],
             needs_graph=needs_graph,

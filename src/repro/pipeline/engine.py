@@ -20,11 +20,16 @@ groups*.  A mode exposes a fixed set of scale-out axes:
     feature pulls over the simulated network fabric (:mod:`repro.net`),
     stall for a gradient all-reduce after every step, and may fail per
     the fault plan's ``host_fail_rate``.
+``prefetch``
+    each group's producers split into samplers and feature workers
+    behind a ``prefetch_depth`` window (:class:`ProducerPool`), the
+    overlapped sampling/feature organisation of GIDS-style systems.
 
-An axis a mode does not expose is pinned to 1: it contributes no
-stats, no partition planning, no fault draws, and no imports.  The
-registered presets are ``event`` (no axes), ``sharded`` (shards) and
-``distributed`` (shards, hosts); ``gids``
+An axis a mode does not expose is pinned to 1 (or, for prefetch, to
+single-stage producers): it contributes no stats, no partition
+planning, no fault draws, and no imports.  The registered presets are
+``event`` (no axes), ``sharded`` (shards), ``distributed`` (shards,
+hosts) and ``async`` (prefetch); ``gids``
 (:mod:`repro.pipeline.backends.gids`) is the no-axes engine with a GPU
 model whose features are already resident in HBM.  Every group count
 of 1 therefore replays the same event schedule.
@@ -59,16 +64,25 @@ from repro.pipeline.workqueue import WorkQueue
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthLink
 
-__all__ = ["HOSTS", "PRESETS", "SHARDS", "TopologyEngine", "TopologyPlan"]
+__all__ = [
+    "HOSTS",
+    "PREFETCH",
+    "PRESETS",
+    "SHARDS",
+    "TopologyEngine",
+    "TopologyPlan",
+]
 
 SHARDS = "shards"
 HOSTS = "hosts"
+PREFETCH = "prefetch"
 
-#: registered event-driven mode -> the scale-out axes it exposes
+#: registered event-driven mode -> the axes it exposes
 PRESETS: Dict[str, Tuple[str, ...]] = {
     "event": (),
     "sharded": (SHARDS,),
     "distributed": (SHARDS, HOSTS),
+    "async": (PREFETCH,),
 }
 
 
@@ -179,6 +193,9 @@ class TopologyEngine:
         self.n_shards = request.n_shards if SHARDS in self.axes else 1
         self.n_hosts = request.n_hosts if HOSTS in self.axes else 1
         self.n_groups = self.n_hosts * self.n_shards
+        self.prefetch_depth = (
+            request.prefetch_depth if PREFETCH in self.axes else 0
+        )
         if self.n_groups > 1 and request.graph is None:
             raise ConfigError(
                 f"{mode} mode with {self.n_groups} device groups needs "
@@ -399,6 +416,7 @@ class TopologyEngine:
                 link=link,
                 remote_cost=cplan.hit_cost_s if cplan is not None else None,
                 host=host, traffic=traffic, rpc=rpc,
+                prefetch_depth=self.prefetch_depth,
             )
             consumer = GPUConsumer(
                 req.gpu, queue, len(batch_ids), phases,
@@ -427,6 +445,8 @@ class TopologyEngine:
             stats.update(account.stats())
             if rpc is not None:
                 stats["net_rpc_calls"] = float(rpc.calls)
+        if self.prefetch_depth:
+            stats["prefetch_depth"] = float(self.prefetch_depth)
         if inj is not None:
             stats.update(inj.stats())
         return PipelineResult(
@@ -454,7 +474,8 @@ def _register_preset(mode: str, description: str) -> None:
         return TopologyEngine(request, mode, axes).run()
 
     register_backend(
-        mode, description=description, needs_graph=bool(axes)
+        mode, description=description,
+        needs_graph=SHARDS in axes or HOSTS in axes,
     )(plan)
 
 
@@ -465,4 +486,7 @@ _register_preset(
 _register_preset(
     "distributed",
     "N host replicas of sharded groups over a network fabric",
+)
+_register_preset(
+    "async", "overlapped sampling/feature stages with bounded prefetch"
 )

@@ -6,6 +6,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.pipeline.timeline import PhaseAccumulator
 from repro.pipeline.workqueue import WorkItem, WorkQueue
+from repro.sim.resources import Resource
 
 __all__ = ["ProducerPool"]
 
@@ -25,6 +26,14 @@ class ProducerPool:
     ``link``, and the cross-host ``traffic`` settled as RPCs on
     ``rpc``.  A batch with none of these adds no events, so a
     single-group pool replays the plain producer schedule exactly.
+
+    A ``prefetch_depth`` splits each worker into two stages, the
+    overlapped organisation of GIDS-style systems: ``n_workers``
+    samplers feed a prefetch queue and ``n_workers`` feature workers
+    drain it, so sampling batch ``i+d`` overlaps the feature lookup of
+    batch ``i``.  A credit semaphore of ``prefetch_depth`` bounds the
+    batches in flight between the stages: depth 1 serializes
+    preparation, and widening the window never slows the pipeline.
     """
 
     def __init__(
@@ -41,6 +50,7 @@ class ProducerPool:
         host: int = 0,
         traffic: Optional[Dict[int, object]] = None,
         rpc=None,
+        prefetch_depth: int = 0,
     ):
         self.system = system
         self.runtime = runtime
@@ -55,6 +65,14 @@ class ProducerPool:
         self.traffic = traffic or {}
         self.rpc = rpc
         self._next = 0
+        self._fetched = 0
+        self.prefetch = self.credits = None
+        if prefetch_depth:
+            sim = runtime.sim
+            self.prefetch = WorkQueue(sim, depth=prefetch_depth)
+            self.credits = Resource(
+                sim, capacity=prefetch_depth, name="prefetch-credits"
+            )
 
     def _settle_remote(self, idx: int, name: str):
         """Generator: the batch's cache service, remote pull and
@@ -84,38 +102,85 @@ class ProducerPool:
                 phase, sim.now - t0, worker=name, start_s=t0
             )
 
-    def worker(self, worker_id: int):
-        """Generator: one producer process."""
+    def _sample(self, workload, name: str):
+        """Generator: neighbor sampling of one batch."""
         sim = self.runtime.sim
+        t0 = sim.now
+        yield from self.system.sampling_engine.batch_process(
+            self.runtime, workload
+        )
+        self.phases.record(
+            "neighbor_sampling", sim.now - t0, worker=name, start_s=t0
+        )
+
+    def _lookup(self, workload, name: str):
+        """Generator: feature lookup of one batch."""
+        sim = self.runtime.sim
+        t0 = sim.now
+        yield from self.system.feature_engine.batch_process(
+            self.runtime, workload.input_nodes
+        )
+        self.phases.record(
+            "feature_lookup", sim.now - t0, worker=name, start_s=t0
+        )
+
+    def _claim(self):
+        """The next unclaimed batch id and its workload."""
+        idx = self.batch_ids[self._next]
+        self._next += 1
+        return idx, self.workloads[idx % len(self.workloads)]
+
+    def worker(self, worker_id: int):
+        """Generator: one single-stage producer process."""
         name = f"producer-{worker_id}"
-        while True:
-            pos = self._next
-            if pos >= len(self.batch_ids):
-                return
-            self._next += 1
-            idx = self.batch_ids[pos]
-            workload = self.workloads[idx % len(self.workloads)]
-            t0 = sim.now
-            yield from self.system.sampling_engine.batch_process(
-                self.runtime, workload
-            )
-            t1 = sim.now
-            self.phases.record(
-                "neighbor_sampling", t1 - t0, worker=name, start_s=t0
-            )
-            yield from self.system.feature_engine.batch_process(
-                self.runtime, workload.input_nodes
-            )
-            t2 = sim.now
-            self.phases.record(
-                "feature_lookup", t2 - t1, worker=name, start_s=t1
-            )
+        while self._next < len(self.batch_ids):
+            idx, workload = self._claim()
+            yield from self._sample(workload, name)
+            yield from self._lookup(workload, name)
             yield from self._settle_remote(idx, name)
             yield from self.queue.put(WorkItem(idx, workload))
 
+    def sampler(self, worker_id: int):
+        """Generator: a first-stage process, sampling batches into the
+        prefetch queue under one credit each."""
+        name = f"sampler-{worker_id}"
+        while self._next < len(self.batch_ids):
+            yield self.credits.acquire()
+            if self._next >= len(self.batch_ids):
+                self.credits.release()
+                return
+            idx, workload = self._claim()
+            yield from self._sample(workload, name)
+            yield from self.prefetch.put(WorkItem(idx, workload))
+
+    def feature_worker(self, worker_id: int):
+        """Generator: a second-stage process, draining the prefetch
+        queue into the GPU queue.  It claims a batch before waiting on
+        the queue, so the stage pops exactly one item per batch and
+        every worker terminates."""
+        name = f"feature-{worker_id}"
+        while self._fetched < len(self.batch_ids):
+            self._fetched += 1
+            item = yield from self.prefetch.get()
+            yield from self._lookup(item.workload, name)
+            self.credits.release()
+            yield from self._settle_remote(item.batch_index, name)
+            yield from self.queue.put(item)
+
     def spawn_all(self, n_workers: int):
+        """Start ``n_workers`` producers -- or, with a prefetch window,
+        ``n_workers`` samplers followed by ``n_workers`` feature
+        workers."""
         sim = self.runtime.sim
+        if self.prefetch is None:
+            return [
+                sim.process(self.worker(i), name=f"producer-{i}")
+                for i in range(n_workers)
+            ]
         return [
-            sim.process(self.worker(i), name=f"producer-{i}")
+            sim.process(self.sampler(i), name=f"sampler-{i}")
+            for i in range(n_workers)
+        ] + [
+            sim.process(self.feature_worker(i), name=f"feature-{i}")
             for i in range(n_workers)
         ]

@@ -10,9 +10,8 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.pipeline.backends import (
-    ExecutionBackend,
     available_backends,
     backend_entry,
     register_backend,
@@ -49,6 +48,7 @@ def test_builtin_backends_registered():
         assert mode in names
     assert backend_entry("sharded").needs_graph
     assert not backend_entry("event").needs_graph
+    assert backend_entry("async").needs_graph is False
 
 
 def test_register_backend_round_trip():
@@ -71,37 +71,16 @@ def test_register_backend_round_trip():
     assert "null-test" not in available_backends()
 
 
-def test_register_backend_class_style(setup):
-    ds, workloads, gpu = setup
-
-    class _Fixed(ExecutionBackend):
-        def plan(self, request):
-            return PipelineResult(
-                design=request.system.design, mode="fixed",
-                n_batches=request.n_batches,
-                n_workers=request.n_workers,
-                elapsed_s=2.0, gpu_busy_s=1.0, gpu_idle_fraction=0.5,
-            )
-
-    register_backend("fixed-test")(_Fixed)
-    try:
-        system = build("dram", ds, workloads)
-        result = run_pipeline(
-            system, gpu, workloads[2:], n_batches=4, n_workers=1,
-            mode="fixed-test",
-        )
-        assert result.elapsed_s == 2.0
-    finally:
-        unregister_backend("fixed-test")
-
-
 def test_unknown_mode_lists_registered_backends(setup):
     ds, workloads, gpu = setup
     system = build("dram", ds, workloads)
     with pytest.raises(ConfigError, match="event"):
         run_pipeline(
-            system, gpu, workloads, n_batches=4, n_workers=1,
-            mode="quantum",
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads, n_batches=4, n_workers=1,
+                mode="quantum",
+            ),
+            system=system,
         )
 
 
@@ -117,12 +96,13 @@ def test_bad_backend_name_rejected():
 
 def test_event_dispatch_matches_direct_backend_call(setup):
     """run_pipeline(mode='event') is exactly the registered backend."""
-    from repro.pipeline.backends.base import ExecutionRequest
-
     ds, workloads, gpu = setup
     via_dispatch = run_pipeline(
-        build("ssd-mmap", ds, workloads), gpu, workloads[2:],
-        n_batches=12, n_workers=4, mode="event",
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=12, n_workers=4,
+            mode="event",
+        ),
+        system=build("ssd-mmap", ds, workloads),
     )
     request = ExecutionRequest(
         system=build("ssd-mmap", ds, workloads), gpu=gpu,
@@ -135,8 +115,11 @@ def test_event_dispatch_matches_direct_backend_call(setup):
 def test_analytic_dispatches_through_registry(setup):
     ds, workloads, gpu = setup
     result = run_pipeline(
-        build("dram", ds, workloads), gpu, workloads[2:],
-        n_batches=8, n_workers=2, mode="analytic",
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
+            mode="analytic",
+        ),
+        system=build("dram", ds, workloads),
     )
     assert result.mode == "analytic"
     assert result.elapsed_s > 0
@@ -150,12 +133,18 @@ def test_sharded_k1_equals_event(setup):
     ds, workloads, gpu = setup
     for design in ("ssd-mmap", "smartsage-hwsw"):
         event = run_pipeline(
-            build(design, ds, workloads), gpu, workloads[2:],
-            n_batches=12, n_workers=4, mode="event",
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=12, n_workers=4,
+                mode="event",
+            ),
+            system=build(design, ds, workloads),
         )
         sharded = run_pipeline(
-            build(design, ds, workloads), gpu, workloads[2:],
-            n_batches=12, n_workers=4, mode="sharded", n_shards=1,
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=12, n_workers=4,
+                mode="sharded", n_shards=1,
+            ),
+            system=build(design, ds, workloads),
         )
         assert sharded.elapsed_s == event.elapsed_s
         assert sharded.phase_means == event.phase_means
@@ -168,9 +157,11 @@ def test_sharded_scales_sublinearly(setup):
 
     def tput(k):
         result = run_pipeline(
-            build("smartsage-sharded", ds, workloads, n_shards=k),
-            gpu, workloads[2:], n_batches=16, n_workers=4,
-            mode="sharded", n_shards=k, graph=ds.graph,
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=16, n_workers=4,
+                mode="sharded", n_shards=k, graph=ds.graph,
+            ),
+            system=build("smartsage-sharded", ds, workloads, n_shards=k),
         )
         return result.throughput_batches_per_s, result
 
@@ -191,8 +182,11 @@ def test_sharded_multi_shard_needs_graph(setup):
     ds, workloads, gpu = setup
     with pytest.raises(ConfigError, match="graph"):
         run_pipeline(
-            build("ssd-mmap", ds, workloads), gpu, workloads[2:],
-            n_batches=8, n_workers=2, mode="sharded", n_shards=2,
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
+                mode="sharded", n_shards=2,
+            ),
+            system=build("ssd-mmap", ds, workloads),
         )
 
 
@@ -200,9 +194,11 @@ def test_sharded_more_shards_than_batches(setup):
     """Empty groups are skipped; every batch still completes."""
     ds, workloads, gpu = setup
     result = run_pipeline(
-        build("ssd-mmap", ds, workloads), gpu, workloads[2:],
-        n_batches=3, n_workers=2, mode="sharded", n_shards=8,
-        graph=ds.graph,
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=3, n_workers=2,
+            mode="sharded", n_shards=8, graph=ds.graph,
+        ),
+        system=build("ssd-mmap", ds, workloads),
     )
     assert result.n_batches == 3
     assert result.backend_stats["n_groups"] == 3.0
@@ -217,9 +213,11 @@ def test_async_prefetch_depth_monotonicity(setup):
     elapsed = []
     for depth in (1, 2, 4, 8):
         result = run_pipeline(
-            build("ssd-mmap", ds, workloads), gpu, workloads[2:],
-            n_batches=16, n_workers=4, mode="async",
-            prefetch_depth=depth,
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=16, n_workers=4,
+                mode="async", prefetch_depth=depth,
+            ),
+            system=build("ssd-mmap", ds, workloads),
         )
         assert result.mode == "async"
         assert result.backend_stats["prefetch_depth"] == float(depth)
@@ -233,8 +231,11 @@ def test_async_prefetch_depth_monotonicity(setup):
 def test_async_completes_all_batches(setup):
     ds, workloads, gpu = setup
     result = run_pipeline(
-        build("dram", ds, workloads), gpu, workloads[2:],
-        n_batches=9, n_workers=3, mode="async", prefetch_depth=2,
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=9, n_workers=3,
+            mode="async", prefetch_depth=2,
+        ),
+        system=build("dram", ds, workloads),
     )
     assert result.n_batches == 9
     assert set(result.phase_means) >= {
@@ -309,3 +310,87 @@ def test_session_runs_async_mode():
     result = Session(spec).run()
     assert result.mode == "async"
     assert result.n_batches == 8
+
+
+def test_async_is_the_engine_prefetch_preset():
+    from repro.pipeline import engine
+
+    assert engine.PRESETS["async"] == (engine.PREFETCH,)
+    assert backend_entry("async").plan.__module__ == "repro.pipeline.engine"
+
+
+def test_session_request_is_built_once_from_the_spec():
+    from repro.pipeline import ExecutionRequest
+
+    session = Session(small_spec(
+        mode="async", prefetch_depth=3, qp_depth=8,
+        system=SystemSpec(n_shards=2, fabric="flat"),
+    ))
+    request = session.request
+    assert isinstance(request, ExecutionRequest)
+    assert session.request is request
+    assert (request.mode, request.prefetch_depth, request.qp_depth) == (
+        "async", 3, 8
+    )
+    assert (request.n_shards, request.fabric) == (2, "flat")
+    assert request.graph is session.dataset.graph
+    assert request.workloads == session.workloads[2:]
+    assert request.system is None
+    session.run("dram")
+    assert request.system is None  # each run binds a copy
+
+
+# -- crashed simulated processes --------------------------------------------
+
+
+def test_drive_reraises_a_failed_process():
+    from repro.pipeline.backends.base import drive
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+
+    def healthy():
+        yield sim.timeout(2.0)
+
+    def crashing():
+        yield sim.timeout(1.0)
+        raise RuntimeError("worker crashed")
+
+    procs = [sim.process(healthy()), sim.process(crashing())]
+    with pytest.raises(RuntimeError, match="worker crashed"):
+        drive(sim, procs)
+
+
+def _crash_on_third_sample(monkeypatch):
+    """Make every session-built system's 3rd sampling call raise."""
+    build_system_ = Session.build
+    calls = []
+
+    def build(self, design=None):
+        system = build_system_(self, design)
+        engine = system.sampling_engine
+        batch_process = engine.batch_process
+
+        def crashing(runtime, workload):
+            calls.append(workload)
+            if len(calls) == 3:
+                raise RuntimeError("sampler crashed")
+            yield from batch_process(runtime, workload)
+
+        engine.batch_process = crashing
+        return system
+
+    monkeypatch.setattr(Session, "build", build)
+
+
+@pytest.mark.parametrize("mode", ["event", "async"])
+def test_session_run_fails_when_a_producer_crashes(monkeypatch, mode):
+    _crash_on_third_sample(monkeypatch)
+    with pytest.raises(RuntimeError, match="sampler crashed"):
+        Session(small_spec(mode=mode)).run()
+
+
+def test_sampling_throughput_fails_when_a_sampler_crashes(monkeypatch):
+    _crash_on_third_sample(monkeypatch)
+    with pytest.raises(RuntimeError, match="sampler crashed"):
+        Session(small_spec()).sampling_throughput(n_batches=8)

@@ -9,7 +9,7 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import ExecutionRequest, run_pipeline
 
 CFG = ExperimentConfig(edge_budget=2.5e5, batch_size=24, n_workloads=5)
 
@@ -30,9 +30,12 @@ def test_checkpointing_writes_and_costs_time(setup):
             "smartsage-hwsw", ds, hw=CFG.hw, fanouts=CFG.fanouts
         )
         return run_pipeline(
-            system, gpu, workloads, n_batches=12, n_workers=4,
-            mode="event", checkpoint_every=checkpoint_every,
-            checkpoint_bytes=4 << 20,
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads, n_batches=12, n_workers=4,
+                mode="event", checkpoint_every=checkpoint_every,
+                checkpoint_bytes=4 << 20,
+            ),
+            system=system,
         )
 
     without = run(0)
@@ -46,8 +49,11 @@ def test_checkpointing_ignored_for_dram_design(setup):
     ds, workloads, gpu = setup
     system = build_system("dram", ds, hw=CFG.hw, fanouts=CFG.fanouts)
     result = run_pipeline(
-        system, gpu, workloads, n_batches=6, n_workers=2,
-        mode="event", checkpoint_every=2, checkpoint_bytes=1 << 20,
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads, n_batches=6, n_workers=2,
+            mode="event", checkpoint_every=2, checkpoint_bytes=1 << 20,
+        ),
+        system=system,
     )
     # dram design has no SSD; checkpointing silently disabled
     assert result.phase_means.get("else", 0.0) == 0.0

@@ -175,7 +175,7 @@ def test_spec_validation_names_offending_field():
 
 
 def test_request_validation_rejects_non_integral_counts(setup):
-    from repro.pipeline import run_pipeline
+    from repro.pipeline import ExecutionRequest, run_pipeline
 
     ds, workloads = setup
     gpu = build_gpu_model(ds, CFG.hw)
@@ -192,13 +192,19 @@ def test_request_validation_rejects_non_integral_counts(setup):
     ]:
         with pytest.raises(ConfigError, match=field):
             run_pipeline(
-                system, gpu, workloads, n_batches=4, n_workers=2,
-                mode="event", **bad,
+                ExecutionRequest(
+                    gpu=gpu, workloads=workloads, n_batches=4, n_workers=2,
+                    mode="event", **bad,
+                ),
+                system=system,
             )
     # numpy integers are fine
     result = run_pipeline(
-        system, gpu, workloads, n_batches=4, n_workers=2,
-        mode="event", n_shards=np.int64(1), n_hosts=np.int64(1),
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads, n_batches=4, n_workers=2,
+            mode="event", n_shards=np.int64(1), n_hosts=np.int64(1),
+        ),
+        system=system,
     )
     assert result.n_batches == 4
 

@@ -14,7 +14,7 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.pipeline.backends import available_backends, backend_entry
 from repro.storage.gids import (
     BARTraffic,
@@ -161,16 +161,22 @@ def test_gids_mode_requires_gids_design(setup):
     ds, workloads, gpu = setup
     with pytest.raises(ConfigError, match="gids-baseline"):
         run_pipeline(
-            build("ssd-mmap", ds, workloads), gpu, workloads[2:],
-            n_batches=4, n_workers=2, mode="gids",
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=4, n_workers=2,
+                mode="gids",
+            ),
+            system=build("ssd-mmap", ds, workloads),
         )
 
 
 def test_gids_backend_end_to_end(setup):
     ds, workloads, gpu = setup
     result = run_pipeline(
-        build("gids-cached", ds, workloads), gpu, workloads[2:],
-        n_batches=8, n_workers=2, mode="gids",
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
+            mode="gids",
+        ),
+        system=build("gids-cached", ds, workloads),
     )
     assert result.mode == "gids"
     assert result.design == "gids-cached"
@@ -189,8 +195,11 @@ def test_gids_backend_end_to_end(setup):
     # features arrive over the BAR: only subgraph structure crosses the
     # host->GPU link, so the copy phase is far below the event backend's
     event = run_pipeline(
-        build("gids-cached", ds, workloads), gpu, workloads[2:],
-        n_batches=8, n_workers=2, mode="event",
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
+            mode="event",
+        ),
+        system=build("gids-cached", ds, workloads),
     )
     assert (
         result.phase_means["cpu_to_gpu"]
@@ -203,8 +212,11 @@ def test_gids_cache_speeds_up_feature_path(setup):
 
     def elapsed(design):
         return run_pipeline(
-            build(design, ds, workloads), gpu, workloads[2:],
-            n_batches=8, n_workers=2, mode="gids",
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
+                mode="gids",
+            ),
+            system=build(design, ds, workloads),
         ).elapsed_s
 
     assert elapsed("gids-cached") < elapsed("gids-baseline")
@@ -215,8 +227,11 @@ def test_gids_qp_depth_throttles(setup):
 
     def elapsed(depth):
         return run_pipeline(
-            build("gids-baseline", ds, workloads), gpu, workloads[2:],
-            n_batches=8, n_workers=4, mode="gids", qp_depth=depth,
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=4,
+                mode="gids", qp_depth=depth,
+            ),
+            system=build("gids-baseline", ds, workloads),
         ).elapsed_s
 
     shallow, deep = elapsed(1), elapsed(16)

@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     DESIGNS,
+    ExecutionRequest,
     SamplingWorkload,
     build_gpu_model,
     build_system,
@@ -52,8 +53,11 @@ def test_every_design_completes_a_pipeline(setup):
     for design in DESIGNS:
         system = build_system(design, ds, hw=CFG.hw, fanouts=CFG.fanouts)
         result = run_pipeline(
-            system, gpu, workloads, n_batches=6, n_workers=3,
-            mode="event",
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads, n_batches=6, n_workers=3,
+                mode="event",
+            ),
+            system=system,
         )
         assert result.n_batches == 6, design
         assert result.elapsed_s > 0, design
@@ -69,8 +73,11 @@ def test_pipeline_deterministic(setup):
             "ssd-mmap", ds, hw=CFG.hw, fanouts=CFG.fanouts
         )
         return run_pipeline(
-            system, gpu, workloads, n_batches=8, n_workers=4,
-            mode="event",
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads, n_batches=8, n_workers=4,
+                mode="event",
+            ),
+            system=system,
         ).elapsed_s
 
     assert once() == pytest.approx(once(), rel=1e-12)

@@ -9,7 +9,7 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import ExecutionRequest, run_pipeline
 
 CFG = ExperimentConfig(edge_budget=3e5, batch_size=24, n_workloads=5)
 
@@ -27,8 +27,11 @@ def run(design, ds, workloads, gpu, mode="event", workers=4, batches=12):
     for w in workloads[:2]:
         system.sampling_engine.batch_cost(w)
     return run_pipeline(
-        system, gpu, workloads[2:], n_batches=batches,
-        n_workers=workers, mode=mode,
+        ExecutionRequest(
+            gpu=gpu, workloads=workloads[2:], n_batches=batches,
+            n_workers=workers, mode=mode,
+        ),
+        system=system,
     )
 
 
@@ -108,13 +111,26 @@ def test_pipeline_validation(setup):
     ds, workloads, gpu = setup
     system = build_system("dram", ds)
     with pytest.raises(ConfigError):
-        run_pipeline(system, gpu, workloads, n_batches=0, n_workers=1)
-    with pytest.raises(ConfigError):
-        run_pipeline(system, gpu, [], n_batches=4, n_workers=1)
+        run_pipeline(
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads, n_batches=0, n_workers=1,
+            ),
+            system=system,
+        )
     with pytest.raises(ConfigError):
         run_pipeline(
-            system, gpu, workloads, n_batches=4, n_workers=1,
-            mode="quantum",
+            ExecutionRequest(
+                gpu=gpu, workloads=[], n_batches=4, n_workers=1,
+            ),
+            system=system,
+        )
+    with pytest.raises(ConfigError):
+        run_pipeline(
+            ExecutionRequest(
+                gpu=gpu, workloads=workloads, n_batches=4, n_workers=1,
+                mode="quantum",
+            ),
+            system=system,
         )
 
 

@@ -1,16 +1,17 @@
 """The event-driven presets replay their pre-engine records byte for byte.
 
-``event``, ``sharded``, ``distributed`` and ``gids`` all run on one
-topology engine that differs only in which scale-out axes a mode
-exposes.  ``tests/data/pre_engine_records.json`` holds the serialized
-result of every spec below, captured while each preset still had its
-own backend module; the engine must reproduce every byte.
+``event``, ``sharded``, ``distributed``, ``async`` and ``gids`` all run
+on one topology engine that differs only in which axes a mode exposes.
+``tests/data/pre_engine_records.json`` holds the serialized result of
+every spec below, captured while each preset still had its own backend
+module; the engine must reproduce every byte.
 
 The matrix targets the places an engine can leak one preset's behavior
 into another: host-failure and link-flap draws on modes without a
 hosts axis, static front caches on the shard and host axes,
-checkpointing, a tiered GIDS cache stack, and the GIDS queue-pair
-depth.
+checkpointing, a tiered GIDS cache stack, the GIDS queue-pair depth,
+and the prefetch axis's window, worker count, storage faults and a
+GIDS design behind it.
 """
 
 import json
@@ -28,6 +29,8 @@ FIXTURE = pathlib.Path(__file__).parent / "data" / "pre_engine_records.json"
 
 _HOST_FAULTS = {"seed": 3, "host_fail_rate": 1.0, "link_flap_rate": 0.5,
                 "flash_read_error_rate": 0.01}
+_IO_FAULTS = {"seed": 5, "flash_read_error_rate": 0.02,
+              "nvme_timeout_rate": 0.05}
 _STATIC_STACK = {"cache_tiers": ("hbm", "uva"), "cache_policy": "static"}
 
 
@@ -78,6 +81,11 @@ SPECS = {
     "async-ckpt": _spec(
         "async", checkpoint_every=3, checkpoint_bytes=1 << 20
     ),
+    "async-io-faults": _spec("async", {"faults": _IO_FAULTS}),
+    "async-depth1": _spec("async", prefetch_depth=1),
+    "async-depth4": _spec("async", prefetch_depth=4),
+    "async-w3": _spec("async", n_workers=3),
+    "async-gids-cached": _spec("async", {"design": "gids-cached"}),
 }
 
 
