@@ -45,7 +45,7 @@ class FeatureEngineBase:
 
     def batch_process(self, runtime, nodes: np.ndarray):
         cost = self.batch_cost(nodes)
-        yield runtime.sim.timeout(cost.total_s)
+        yield cost.total_s
 
 
 class DRAMFeatureEngine(FeatureEngineBase):
@@ -126,7 +126,6 @@ class MmapFeatureEngine(FeatureEngineBase):
         return cost
 
     def batch_process(self, runtime, nodes: np.ndarray):
-        sim = runtime.sim
         params = self.sw.params
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
@@ -134,7 +133,7 @@ class MmapFeatureEngine(FeatureEngineBase):
         first, counts = self.layout.row_blocks(nodes)
         hits, windows = self.reader.plan_extents(first, counts)
         if hits:
-            yield sim.timeout(self.sw.minor_lookup_cost(hits))
+            yield self.sw.minor_lookup_cost(hits)
         majors = int(windows.size)
         if majors == 0:
             return
@@ -147,10 +146,10 @@ class MmapFeatureEngine(FeatureEngineBase):
             if not runtime.pagecache_lock.try_acquire():
                 yield runtime.pagecache_lock.acquire()
             try:
-                yield sim.timeout(k * params.pagecache_lock_s)
+                yield k * params.pagecache_lock_s
             finally:
                 runtime.pagecache_lock.release()
-            yield sim.timeout(k * params.mmap_fault_s)
+            yield k * params.mmap_fault_s
             yield from runtime.ssd_state.host_read_sequence(
                 k, mean_window_bytes
             )
@@ -206,14 +205,13 @@ class DirectIOFeatureEngine(FeatureEngineBase):
         return cost
 
     def batch_process(self, runtime, nodes: np.ndarray):
-        sim = runtime.sim
         misses, hits = self._misses(nodes)
         sw_time = (
             self.sw.syscall_cost(misses)
             + hits * self.sw.params.scratchpad_hit_s
         )
         if sw_time:
-            yield sim.timeout(sw_time)
+            yield sw_time
         if misses:
             yield from runtime.ssd_state.host_read_sequence(
                 misses, self.read_bytes

@@ -66,11 +66,11 @@ class ISPControlUnit:
         if not state.cores.try_acquire():
             yield state.cores.acquire()
         try:
-            yield sim.timeout(self.ssd.hw.ssd.firmware_io_s)
+            yield self.ssd.hw.ssd.firmware_io_s
         finally:
             state.cores.release()
         # NSconfig DMA down
-        yield sim.timeout(self.ssd.nvme.dma_setup_s())
+        yield self.ssd.nvme.dma_setup_s()
         yield from state.host_link.transfer(nsconfig_bytes)
         # flash reads and sampling compute proceed concurrently
         flash_proc = sim.process(

@@ -58,7 +58,7 @@ class SamplingEngineBase:
 
     def batch_process(self, runtime, workload: SamplingWorkload):
         cost = self.batch_cost(workload)
-        yield runtime.sim.timeout(cost.total_s)
+        yield cost.total_s
 
 
 class DRAMSamplingEngine(SamplingEngineBase):
@@ -137,13 +137,12 @@ class MmapSamplingEngine(SamplingEngineBase):
         return cost
 
     def batch_process(self, runtime, workload: SamplingWorkload):
-        sim = runtime.sim
         params = self.sw.params
         for targets in workload.hop_targets:
             first, counts = self.layout.node_blocks(targets)
             hits, windows = self.reader.plan_extents(first, counts)
             if hits:
-                yield sim.timeout(self.sw.minor_lookup_cost(hits))
+                yield self.sw.minor_lookup_cost(hits)
             majors = int(windows.size)
             if majors == 0:
                 continue
@@ -157,11 +156,11 @@ class MmapSamplingEngine(SamplingEngineBase):
                 if not runtime.pagecache_lock.try_acquire():
                     yield runtime.pagecache_lock.acquire()
                 try:
-                    yield sim.timeout(k * params.pagecache_lock_s)
+                    yield k * params.pagecache_lock_s
                 finally:
                     runtime.pagecache_lock.release()
                 # parallel kernel fault work
-                yield sim.timeout(k * params.mmap_fault_s)
+                yield k * params.mmap_fault_s
                 # one device read per fault-around window
                 yield from runtime.ssd_state.host_read_sequence(
                     k, mean_window_bytes
@@ -221,7 +220,6 @@ class DirectIOSamplingEngine(SamplingEngineBase):
         return cost
 
     def batch_process(self, runtime, workload: SamplingWorkload):
-        sim = runtime.sim
         for targets in workload.hop_targets:
             miss_bytes, hits = self._hop_misses(targets)
             sw_time = (
@@ -229,7 +227,7 @@ class DirectIOSamplingEngine(SamplingEngineBase):
                 + hits * self.sw.params.scratchpad_hit_s
             )
             if sw_time:
-                yield sim.timeout(sw_time)
+                yield sw_time
             if miss_bytes.size:
                 mean_bytes = float(miss_bytes.mean())
                 yield from runtime.ssd_state.host_read_sequence(
@@ -285,7 +283,7 @@ class ISPSamplingEngine(SamplingEngineBase):
         sim = runtime.sim
         g = self.granularity or workload.num_seeds
         plan = self.driver.plan_sampling(workload.num_seeds, g)
-        yield sim.timeout(plan.host_time_s)
+        yield plan.host_time_s
         for start, end, wire_bytes in self._command_spans(workload):
             device_plan = self.generator.plan_span(workload, start, end)
             yield from self.control.execute_process(

@@ -72,15 +72,14 @@ class RpcChannel:
         if src == dst:
             return
         self.calls += 1
-        sim = self.state.sim
         # request: marshal at the caller, ship to the owner
-        yield sim.timeout(self.serialize_s(req_bytes))
+        yield self.serialize_s(req_bytes)
         if req_bytes:
             yield from self.state.transfer(src, dst, req_bytes, cls)
         else:
             self.state.account.add(cls, 0)
         # response: marshal at the owner, ship back
-        yield sim.timeout(self.serialize_s(resp_bytes))
+        yield self.serialize_s(resp_bytes)
         if resp_bytes:
             yield from self.state.transfer(dst, src, resp_bytes, cls)
         else:

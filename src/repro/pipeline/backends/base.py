@@ -42,9 +42,8 @@ def drive(sim, procs, what: str = "pipeline") -> float:
     from repro.sim.engine import all_of
 
     done = all_of(sim, procs)
-    while not done.triggered:
-        if not sim.step():
-            raise ConfigError(f"{what} deadlocked")
+    if not sim.run_until_triggered(done):
+        raise ConfigError(f"{what} deadlocked")
     if done._failed:
         raise done.value
     return sim.now

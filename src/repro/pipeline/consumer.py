@@ -67,12 +67,12 @@ class GPUConsumer:
             item = yield from self.queue.get()
             self.utilization.set_busy(sim.now)
             t0 = sim.now
-            yield sim.timeout(self.gpu.transfer_time(item.workload))
+            yield self.gpu.transfer_time(item.workload)
             t1 = sim.now
             self.phases.record(
                 "cpu_to_gpu", t1 - t0, worker="gpu", start_s=t0
             )
-            yield sim.timeout(self.gpu.train_time(item.workload))
+            yield self.gpu.train_time(item.workload)
             t2 = sim.now
             self.phases.record(
                 "gnn_training", t2 - t1, worker="gpu", start_s=t1
@@ -85,13 +85,13 @@ class GPUConsumer:
                 and self.batches_done - 1 == self.recovery_at
             ):
                 t3 = sim.now
-                yield sim.timeout(self.recovery_s)
+                yield self.recovery_s
                 self.phases.record(
                     "host_recovery", sim.now - t3, worker="gpu", start_s=t3
                 )
             if self.allreduce_s > 0.0:
                 t3 = sim.now
-                yield sim.timeout(self.allreduce_s)
+                yield self.allreduce_s
                 if self.on_allreduce is not None:
                     self.on_allreduce()
                 self.phases.record(
@@ -103,10 +103,8 @@ class GPUConsumer:
                 and self.batches_done % self.checkpoint_every == 0
             ):
                 t3 = sim.now
-                yield sim.timeout(
-                    self.ssd.host_write_latency(
-                        max(4096, self.checkpoint_bytes)
-                    )
+                yield self.ssd.host_write_latency(
+                    max(4096, self.checkpoint_bytes)
                 )
                 self.phases.record(
                     "else", sim.now - t3, worker="gpu", start_s=t3

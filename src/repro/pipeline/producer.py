@@ -81,7 +81,7 @@ class ProducerPool:
         cost_s = self.remote_cost.get(idx, 0.0)
         if cost_s > 0.0:
             t0 = sim.now
-            yield sim.timeout(cost_s)
+            yield cost_s
             self.phases.record(
                 "remote_cache", sim.now - t0, worker=name, start_s=t0
             )

@@ -2,8 +2,26 @@
 
 The engine follows the familiar process-interaction style (as popularized by
 SimPy): simulation logic is written as Python generators that ``yield``
-*events* -- timeouts, resource acquisitions, queue operations -- and the
-engine resumes each process when the event it waits on fires.
+what they wait for, and the engine resumes each process when that fires.
+A process may yield:
+
+* a :class:`SimEvent` (a :class:`Timeout`, another :class:`Process`, a
+  resource grant, an :func:`all_of` barrier) -- the process resumes with
+  the event's value when it fires, or has the event's exception thrown
+  into it if the event failed.  Yielding an event that already fired
+  resumes the process at the current time;
+* ``None`` -- resume at the same simulation time, after the work already
+  scheduled for that time;
+* a non-negative number (``int``, ``float`` or a numpy integer/floating
+  scalar) -- a plain delay: resume that many simulated seconds later, in
+  exactly the queue slot ``sim.timeout(delay)`` would have taken, but
+  without allocating the :class:`Timeout`.
+
+The event queue holds zero-argument callables -- *hops*.  An event firing,
+a process starting or resuming after ``None`` or a delay, and a
+:meth:`Simulator.call_at` callback are one hop each, dispatched in
+(time, sequence) order; :attr:`Simulator.processed_events` counts
+dispatched hops.
 
 Only the features the SmartSAGE models need are implemented, which keeps the
 engine small enough to reason about and test exhaustively:
@@ -23,9 +41,26 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 __all__ = ["Simulator", "SimEvent", "Timeout", "Process", "all_of"]
+
+#: types a delay may have (``bool`` is excluded explicitly: it is an int)
+_DELAY_TYPES = (int, float, np.integer, np.floating)
+
+
+def _check_delay(delay: Any, owner: str) -> Any:
+    """The one delay check shared by :class:`Timeout` and plain-delay
+    yields: ``delay`` must be a non-negative, non-NaN number."""
+    if type(delay) is bool or not isinstance(delay, _DELAY_TYPES):
+        raise SimulationError(
+            f"{owner}: delay must be a number, got {delay!r}"
+        )
+    if not delay >= 0:   # also rejects NaN
+        raise SimulationError(f"{owner}: invalid delay {delay!r}")
+    return delay
 
 
 class SimEvent:
@@ -40,7 +75,8 @@ class SimEvent:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self._callbacks: List[Callable[["SimEvent"], None]] = []
+        #: waiters; ``None`` once the event has been dispatched
+        self._callbacks: Optional[List[Callable[["SimEvent"], None]]] = []
         self._triggered = False
         self._value: Any = None
         self._failed = False
@@ -59,7 +95,8 @@ class SimEvent:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule_event(self)
+        sim = self.sim
+        sim.call_at(sim.now, self._dispatch)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -69,18 +106,22 @@ class SimEvent:
         self._triggered = True
         self._failed = True
         self._value = exc
-        self.sim._schedule_event(self)
+        sim = self.sim
+        sim.call_at(sim.now, self._dispatch)
         return self
 
     def add_callback(self, fn: Callable[["SimEvent"], None]) -> None:
-        if self._triggered and self._callbacks is None:
-            # Already dispatched: run immediately (same sim time).
-            fn(self)
+        callbacks = self._callbacks
+        if callbacks is None:
+            # Already dispatched: run it as a hop at the current time.
+            sim = self.sim
+            sim.call_at(sim.now, lambda: fn(self))
         else:
-            self._callbacks.append(fn)
+            callbacks.append(fn)
 
     def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks = self._callbacks
+        self._callbacks = None
         for fn in callbacks:
             fn(self)
 
@@ -91,23 +132,20 @@ class Timeout(SimEvent):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if type(delay) is not float or not delay >= 0.0:
+            _check_delay(delay, "timeout")
         super().__init__(sim)
         self.delay = delay
         self._triggered = True  # scheduled immediately, fires later
-        sim._schedule_at(sim.now + delay, self)
+        sim.call_at(sim.now + delay, self._dispatch)
 
 
 class Process(SimEvent):
     """A running generator; also an event that fires when it returns.
 
-    The generator may yield:
-
-    * a :class:`SimEvent` (including :class:`Timeout` or another process),
-    * ``None`` to simply yield control at the same simulation time.
-
-    The value sent back into the generator is the fired event's value.
+    The generator yields events, ``None`` or plain delays (see the module
+    docstring); the value sent back is the fired event's value, or
+    ``None`` after ``None`` or a delay.
     """
 
     __slots__ = ("_gen", "name")
@@ -116,61 +154,69 @@ class Process(SimEvent):
         super().__init__(sim)
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        # Kick off on the next event-loop iteration at current time.
-        kick = SimEvent(sim)
-        kick.add_callback(self._resume)
-        kick.succeed()
+        # Start on the next event-loop iteration at the current time.
+        sim.call_at(sim.now, self._advance)
+
+    def _advance(self) -> None:
+        """Resume with ``None``: the start, ``yield None`` and delays."""
+        try:
+            target = self._gen.send(None)
+        except Exception as exc:
+            self._stopped(exc)
+            return
+        self._wait_on(target)
 
     def _resume(self, event: SimEvent) -> None:
         if event._failed:
-            self._throw(event.value)
+            self._throw(event._value)
             return
         try:
-            target = self._gen.send(event.value)
-        except StopIteration as stop:
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
+            target = self._gen.send(event._value)
         except Exception as exc:
-            if not self._triggered:
-                self.fail(exc)
-                return
-            raise
+            self._stopped(exc)
+            return
         self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:
         try:
             target = self._gen.throw(exc)
-        except StopIteration as stop:
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
         except Exception as err:
-            if not self._triggered:
-                self.fail(err)
-                return
-            raise
+            self._stopped(err)
+            return
         self._wait_on(target)
 
+    def _stopped(self, exc: Exception) -> None:
+        """The generator returned (``StopIteration``) or raised."""
+        if isinstance(exc, StopIteration):
+            if not self._triggered:
+                self.succeed(exc.value)
+        elif not self._triggered:
+            self.fail(exc)
+        else:
+            raise exc
+
     def _wait_on(self, target: Any) -> None:
-        if target is None:
-            immediate = SimEvent(self.sim)
-            immediate.add_callback(self._resume)
-            immediate.succeed()
-            return
-        if not isinstance(target, SimEvent):
+        sim = self.sim
+        if type(target) is float and target >= 0.0:
+            sim.call_at(sim.now + target, self._advance)
+        elif isinstance(target, SimEvent):
+            target.add_callback(self._resume)
+        elif target is None:
+            sim.call_at(sim.now, self._advance)
+        elif type(target) is bool or not isinstance(target, _DELAY_TYPES):
             raise SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"
             )
-        target.add_callback(self._resume)
+        else:
+            delay = _check_delay(target, f"process {self.name!r}")
+            sim.call_at(sim.now + delay, self._advance)
 
     def interrupt(self, reason: str = "interrupted") -> None:
         """Raise :class:`SimulationError` inside the process."""
-        immediate = SimEvent(self.sim)
-        immediate.add_callback(
-            lambda _ev: self._throw(SimulationError(reason))
+        sim = self.sim
+        sim.call_at(
+            sim.now, lambda: self._throw(SimulationError(reason))
         )
-        immediate.succeed()
 
 
 class _AllOf(SimEvent):
@@ -209,25 +255,25 @@ def all_of(sim: "Simulator", events: Iterable[SimEvent]) -> SimEvent:
 
 
 class Simulator:
-    """The event loop: a clock plus a priority queue of pending events.
+    """The event loop: a clock plus a priority queue of pending hops.
 
-    With ``coalesce=True`` (the default) events scheduled for the same
+    With ``coalesce=True`` (the default) hops scheduled for the same
     timestamp share one heap entry -- a *bucket* list appended to in
-    O(1) -- instead of each paying a ``heappush``.  Nearly every event a
-    process model fires is scheduled at the current time (``succeed``,
+    O(1) -- instead of each paying a ``heappush``.  Nearly every hop a
+    process model schedules is at the current time (``succeed``,
     immediate resumes), so bucketing removes most of the heap traffic
     while dispatching in exactly the legacy (time, sequence) order.
-    ``coalesce=False`` keeps the one-entry-per-event heap as the scalar
+    ``coalesce=False`` keeps the one-entry-per-hop heap as the scalar
     reference implementation for parity tests and benchmarks.
     """
 
     def __init__(self, coalesce: bool = True):
         self.now: float = 0.0
-        self._queue: List = []   # (time, seq, event-or-bucket)
+        self._queue: List = []   # (time, seq, hop-or-bucket)
         self._seq = 0
         self._event_count = 0
         self._coalesce = coalesce
-        self._buckets = {}       # open buckets: time -> list of events
+        self._buckets = {}       # open buckets: time -> list of hops
         self._ready = deque()    # current-time bucket being drained
 
     # -- event construction helpers ------------------------------------
@@ -250,24 +296,26 @@ class Simulator:
         ev.add_callback(lambda _ev: fn())
         return ev
 
-    # -- scheduling internals -------------------------------------------
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Schedule the zero-argument ``fn`` as one hop at time ``when``.
 
-    def _schedule_at(self, when: float, event: SimEvent) -> None:
+        The allocation-free primitive under events, process resumes and
+        callback chains: no event object is built.  ``when`` must not be
+        earlier than :attr:`now` (the loop raises if time goes
+        backwards).
+        """
         if self._coalesce:
             bucket = self._buckets.get(when)
             if bucket is not None:
-                bucket.append(event)
+                bucket.append(fn)
                 return
             self._seq += 1
-            bucket = [event]
+            bucket = [fn]
             self._buckets[when] = bucket
             heapq.heappush(self._queue, (when, self._seq, bucket))
             return
         self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, event))
-
-    def _schedule_event(self, event: SimEvent) -> None:
-        self._schedule_at(self.now, event)
+        heapq.heappush(self._queue, (when, self._seq, fn))
 
     # -- execution --------------------------------------------------------
 
@@ -275,35 +323,73 @@ class Simulator:
         return bool(self._ready) or bool(self._queue)
 
     def _next_time(self) -> float:
-        """Timestamp of the next event to dispatch (queue must be non-empty)."""
+        """Timestamp of the next hop to dispatch (queue must be non-empty)."""
         return self.now if self._ready else self._queue[0][0]
 
-    def step(self) -> bool:
-        """Dispatch the next event; returns False when the queue is empty."""
-        if self._ready:
-            event = self._ready.popleft()
-            self._event_count += 1
-            event._dispatch()
-            return True
-        if not self._queue:
-            return False
+    def _pop_time(self):
+        """Advance the clock to the earliest queue entry and return it."""
         when, _seq, entry = heapq.heappop(self._queue)
         if when < self.now - 1e-18:
             raise SimulationError("time went backwards")
         self.now = when
-        if self._coalesce:
-            # Close the bucket: same-time events scheduled from now on
+        if self._coalesce and self._buckets.get(when) is entry:
+            # Close the bucket: same-time hops scheduled from now on
             # open a fresh bucket, dispatched after this one drains --
             # exactly the legacy sequence order.
-            if self._buckets.get(when) is entry:
-                del self._buckets[when]
-            self._ready.extend(entry)
-            event = self._ready.popleft()
+            del self._buckets[when]
+        return entry
+
+    def step(self) -> bool:
+        """Dispatch the next hop; returns False when the queue is empty."""
+        if self._ready:
+            fn = self._ready.popleft()
+        elif not self._queue:
+            return False
+        elif self._coalesce:
+            self._ready.extend(self._pop_time())
+            fn = self._ready.popleft()
         else:
-            event = entry
+            fn = self._pop_time()
         self._event_count += 1
-        event._dispatch()
+        fn()
         return True
+
+    def run_until_triggered(self, event: SimEvent) -> bool:
+        """Dispatch hops until ``event`` is triggered.
+
+        Returns ``True`` once it is, ``False`` if the queue drains first.
+        Equivalent to looping on :meth:`step` (same clock, same
+        :attr:`processed_events`), inlined with local bindings and one
+        batched counter update.
+        """
+        ready = self._ready
+        popleft = ready.popleft
+        queue = self._queue
+        buckets = self._buckets
+        heappop = heapq.heappop
+        coalesce = self._coalesce
+        count = 0
+        try:
+            while not event._triggered:
+                if ready:
+                    fn = popleft()
+                elif queue:
+                    when, _seq, fn = heappop(queue)
+                    if when < self.now - 1e-18:
+                        raise SimulationError("time went backwards")
+                    self.now = when
+                    if coalesce:
+                        if buckets.get(when) is fn:
+                            del buckets[when]
+                        ready.extend(fn)
+                        fn = popleft()
+                else:
+                    return False
+                count += 1
+                fn()
+            return True
+        finally:
+            self._event_count += count
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
@@ -311,8 +397,8 @@ class Simulator:
         Returns the final simulation time.
         """
         if until is None:
-            while self.step():
-                pass
+            # a fresh event never triggers, so this drains the queue
+            self.run_until_triggered(SimEvent(self))
             return self.now
         while self._has_pending() and self._next_time() <= until:
             self.step()
@@ -321,10 +407,13 @@ class Simulator:
 
     def run_until_complete(self, proc: Process) -> Any:
         """Run until ``proc`` finishes; return its value or raise its error."""
-        while not proc.triggered or proc._callbacks:
+        self.run_until_triggered(proc)
+        # Triggered is not dispatched: wake the waiters still queued on
+        # it (``_callbacks`` is None once dispatched, [] if none waited).
+        while proc._callbacks:
             if not self.step():
                 break
-        if not proc.triggered:
+        if not proc._triggered:
             raise SimulationError(
                 f"deadlock: process {proc.name!r} never completed"
             )
@@ -334,5 +423,5 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events dispatched so far (for efficiency tests)."""
+        """Number of hops dispatched so far (for efficiency tests)."""
         return self._event_count

@@ -33,7 +33,7 @@ class Resource:
         if not resource.try_acquire():
             yield resource.acquire()
         try:
-            yield sim.timeout(service_time)
+            yield service_time
         finally:
             resource.release()
 
@@ -247,7 +247,7 @@ class BandwidthLink:
         if not self._slots.try_acquire():
             yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.transfer_time(nbytes))
+            yield self.transfer_time(nbytes)
             self.bytes_moved += nbytes
         finally:
             self._slots.release()

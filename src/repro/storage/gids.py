@@ -306,7 +306,7 @@ class GIDSState:
                 yield self.qp_slots.acquire()
             try:
                 # warp-parallel SQ build + doorbell + completion poll
-                yield self.sim.timeout(ctl.submission_cost(k))
+                yield ctl.submission_cost(k)
                 if self.faults is not None:
                     # a timed-out command stalls the whole warp (it
                     # polls one completion) before the reissue
@@ -315,9 +315,8 @@ class GIDSState:
                 if not ssd_state.cores.try_acquire():
                     yield ssd_state.cores.acquire()
                 try:
-                    yield self.sim.timeout(
-                        k * (ssd_state.firmware_io_s
-                             + ssd_state.translate_s)
+                    yield k * (
+                        ssd_state.firmware_io_s + ssd_state.translate_s
                     )
                 finally:
                     ssd_state.cores.release()
@@ -330,7 +329,7 @@ class GIDSState:
                 if not ssd_state.flash.try_acquire():
                     yield ssd_state.flash.acquire()
                 try:
-                    yield self.sim.timeout(flash_s)
+                    yield flash_s
                 finally:
                     ssd_state.flash.release()
                 ssd_state.flash_pages_read += k * pages
@@ -345,7 +344,7 @@ class GIDSState:
     def gpu_cache_hits(self, n_hits: int):
         """Generator: GPU software-cache hit service (no device I/O)."""
         if n_hits > 0:
-            yield self.sim.timeout(self.controller.cache_hit_cost(n_hits))
+            yield self.controller.cache_hit_cost(n_hits)
 
     def cache_service(self, hit_costs):
         """Generator: tiered cache-hit service, one event per tier hit.
@@ -356,4 +355,4 @@ class GIDSState:
         schedule :meth:`gpu_cache_hits` produced before the refactor.
         """
         for _component, _n_hits, cost_s in hit_costs:
-            yield self.sim.timeout(cost_s)
+            yield cost_s

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.config import HardwareParams
 from repro.errors import StorageError
-from repro.sim.engine import Simulator, all_of
+from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthLink, Resource
 from repro.storage.controller import FlashController
 from repro.storage.embedded import EmbeddedCores
@@ -231,7 +231,7 @@ class SSDState:
             site, inj.plan.nvme_timeout_rate
         ):
             inj.charge("nvme_timeouts", 1)
-            yield self.sim.timeout(inj.plan.nvme_timeout_s)
+            yield inj.plan.nvme_timeout_s
 
     # -- host (mmap / direct I/O) path ---------------------------------
 
@@ -267,9 +267,7 @@ class SSDState:
             if not self.cores.try_acquire():
                 yield self.cores.acquire()
             try:
-                yield self.sim.timeout(
-                    k * (self.firmware_io_s + self.translate_s)
-                )
+                yield k * (self.firmware_io_s + self.translate_s)
             finally:
                 self.cores.release()
             # flash array (only the page-buffer misses)
@@ -282,12 +280,12 @@ class SSDState:
                 if not self.flash.try_acquire():
                     yield self.flash.acquire()
                 try:
-                    yield self.sim.timeout(flash_s)
+                    yield flash_s
                 finally:
                     self.flash.release()
                 self.flash_pages_read += int(round(misses * pages))
             if buffered_frac > 0:
-                yield self.sim.timeout((k - misses) * buf_t)
+                yield (k - misses) * buf_t
             # DMA each request's payload back over the shared link
             yield from self.host_link.transfer(
                 int(k * bytes_per_request)
@@ -299,9 +297,19 @@ class SSDState:
     def isp_flash_read(self, n_pages: int, lanes: Optional[int] = None):
         """Generator: batch flash reads with device-internal parallelism.
 
-        Spawns up to ``lanes`` concurrent lane processes, each draining
-        page quanta through the shared flash resource, so host I/O and
-        ISP reads contend for the same flash lanes.
+        Splits the batch into page quanta drained by up to ``lanes``
+        concurrent lanes through the shared flash resource, so host I/O
+        and ISP reads contend for the same flash lanes.  A lane is a
+        chain of callbacks, not a process: it pops a quantum, takes a
+        flash slot (``try_acquire``, or waits on ``acquire()``),
+        schedules its own completion after the quantum's flash time,
+        releases, and repeats until the work list is empty.  It
+        schedules one start hop per lane, one hop per served quantum,
+        one finish hop per lane, then one barrier hop that wakes the
+        caller -- the hops of one process per lane joined by
+        :func:`~repro.sim.engine.all_of`, so the (time, sequence)
+        order matches that formulation exactly.  A lane that raises
+        fails the barrier, so the error surfaces in the caller.
         """
         if n_pages <= 0:
             return
@@ -322,27 +330,58 @@ class SSDState:
         self.flash_pages_read += n_pages
 
         # Shared work list (seconds of flash time per quantum) drained
-        # by lane processes.  ECC re-reads ride on the last quantum so
-        # the zero-fault schedule is untouched.
+        # by the lanes.  ECC re-reads ride on the last quantum so the
+        # zero-fault schedule is untouched.
         work = [q * page_t for q in reversed(quanta)]
         if self.faults is not None:
             reread_s = self.flash_reread_s(n_pages, "ssd.isp_flash")
             if reread_s > 0.0:
                 work[0] += reread_s
 
-        def lane(sim):
-            while work:
-                q_s = work.pop()
-                if not self.flash.try_acquire():
-                    yield self.flash.acquire()
-                try:
-                    yield sim.timeout(q_s)
-                finally:
-                    self.flash.release()
-
+        sim = self.sim
+        call_at = sim.call_at
+        flash = self.flash
+        done = sim.event()
         n_lanes = min(lanes, len(quanta))
-        procs = [self.sim.process(lane(self.sim)) for _ in range(n_lanes)]
-        yield all_of(self.sim, procs)
+        live = n_lanes
+
+        def abort(exc):
+            if not done.triggered:
+                done.fail(exc)
+
+        def serve():
+            # a lane's next step: take a quantum, or finish the lane
+            try:
+                if not work:
+                    call_at(sim.now, finish)
+                    return
+                q_s = work.pop()
+                if flash.try_acquire():
+                    call_at(sim.now + q_s, served)
+                else:
+                    flash.acquire().add_callback(
+                        lambda _ev: call_at(sim.now + q_s, served)
+                    )
+            except Exception as exc:
+                abort(exc)
+
+        def served():
+            try:
+                flash.release()
+            except Exception as exc:
+                abort(exc)
+                return
+            serve()
+
+        def finish():
+            nonlocal live
+            live -= 1
+            if live == 0 and not done.triggered:
+                done.succeed()
+
+        for _ in range(n_lanes):
+            call_at(sim.now, serve)
+        yield done
 
     def isp_compute(self, core_seconds: float, slice_s: float = 200e-6):
         """Generator: ISP sampling work on the shared embedded cores.
@@ -358,12 +397,12 @@ class SSDState:
             if not self.cores.try_acquire():
                 yield self.cores.acquire()
             try:
-                yield self.sim.timeout(piece)
+                yield piece
             finally:
                 self.cores.release()
 
     def isp_return_dma(self, nbytes: int):
         """Generator: DMA the dense subgraph back to host memory."""
-        yield self.sim.timeout(self.ssd.nvme.dma_setup_s())
+        yield self.ssd.nvme.dma_setup_s()
         yield from self.host_link.transfer(nbytes)
         self.host_bytes_out += nbytes

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
+from repro.pipeline.backends.base import drive
 from repro.sim import Simulator, all_of
+from repro.sim.resources import Resource
 
 
 def test_clock_starts_at_zero():
@@ -260,3 +263,182 @@ def test_processed_events_counter_increases():
     sim.process(proc(sim))
     sim.run()
     assert sim.processed_events >= 5
+
+
+# -- events that already fired -------------------------------------------
+
+
+def _yields(*targets):
+    """A process body that yields ``targets`` in order."""
+    for target in targets:
+        yield target
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_waiting_on_finished_process_resumes(coalesce):
+    sim = Simulator(coalesce=coalesce)
+
+    def child(sim):
+        yield sim.timeout(1.0)
+        return "done"
+
+    c = sim.process(child(sim))
+
+    def late(sim):
+        yield sim.timeout(2.0)   # c fired and was dispatched at t=1
+        value = yield c
+        return (value, sim.now)
+
+    p = sim.process(late(sim))
+    assert sim.run_until_complete(p) == ("done", 2.0)
+
+
+def test_waiting_on_dispatched_failed_event_raises_inside():
+    sim = Simulator()
+    ev = sim.event()
+    ev.fail(ValueError("early"))
+    sim.run()   # dispatches ev with no waiters
+    caught = []
+
+    def late(sim):
+        try:
+            yield ev
+        except ValueError as exc:
+            caught.append((str(exc), sim.now))
+
+    sim.run_until_complete(sim.process(late(sim)))
+    assert caught == [("early", 0.0)]
+
+
+def test_all_of_over_finished_processes():
+    sim = Simulator()
+    procs = [sim.process(_yields(None)) for _ in range(3)]
+    sim.run()
+
+    def join(sim):
+        values = yield all_of(sim, procs)
+        return values
+
+    assert sim.run_until_complete(sim.process(join(sim))) == [None] * 3
+
+
+# -- plain-delay yields and the delay check --------------------------------
+
+
+def _delay_workload(sim, log, plain):
+    resource = Resource(sim, capacity=2, name="r")
+
+    def wait(delay):
+        return delay if plain else sim.timeout(delay)
+
+    def proc(pid):
+        for k in range(6):
+            yield wait((pid + k) % 3 * 1e-6)
+            if not resource.try_acquire():
+                yield resource.acquire()
+            try:
+                yield wait(2e-6)
+            finally:
+                resource.release()
+            log.append((pid, k, sim.now))
+            if k % 2:
+                yield None
+
+    return all_of(sim, [sim.process(proc(i)) for i in range(5)])
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_plain_delay_takes_the_timeout_slot(coalesce):
+    runs = {}
+    for plain in (False, True):
+        sim = Simulator(coalesce=coalesce)
+        log = []
+        _delay_workload(sim, log, plain)
+        sim.run()
+        runs[plain] = (log, sim.now, sim.processed_events)
+    assert runs[True] == runs[False]
+
+
+@pytest.mark.parametrize(
+    "delay",
+    [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1), np.int32(1)],
+)
+def test_numeric_delays_accepted(delay):
+    sim = Simulator()
+
+    def proc(sim):
+        yield delay
+        yield sim.timeout(delay)
+
+    sim.run_until_complete(sim.process(proc(sim)))
+    assert sim.now == 2.0
+
+
+BAD_DELAYS = [
+    -1.0, -1, float("nan"), np.float64("nan"), np.float64(-1e-9),
+    True, False, np.bool_(True),
+]
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS)
+def test_bad_yielded_delay_names_the_process(delay):
+    sim = Simulator()
+
+    def proc(sim):
+        yield delay
+
+    p = sim.process(proc(sim), name="sleeper")
+    with pytest.raises(SimulationError, match="'sleeper'"):
+        sim.run_until_complete(p)
+    assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS)
+def test_bad_timeout_delay_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="timeout"):
+        sim.timeout(delay)
+
+
+# -- the inlined run loop ----------------------------------------------------
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_run_until_triggered_matches_step_loop(coalesce):
+    results = []
+    for inlined in (True, False):
+        sim = Simulator(coalesce=coalesce)
+        log = []
+        done = _delay_workload(sim, log, plain=True)
+        first = sim.process(_yields(3e-6, None))
+        checkpoints = []
+        for target in (first, done):
+            if inlined:
+                assert sim.run_until_triggered(target) is True
+            else:
+                while not target.triggered:
+                    assert sim.step()
+            checkpoints.append((sim.now, sim.processed_events))
+        results.append((log, checkpoints))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_run_until_triggered_false_when_queue_drains(coalesce):
+    sim = Simulator(coalesce=coalesce)
+    sim.process(_yields(1.0, 2.0))
+    never = sim.event()
+    assert sim.run_until_triggered(never) is False
+    assert sim.now == 3.0
+    # start, two delay resumes, and the finished process firing
+    assert sim.processed_events == 4
+
+
+def test_drive_reports_a_drained_queue_as_deadlock():
+    sim = Simulator()
+
+    def stuck(sim):
+        yield sim.event()   # never triggered
+
+    with pytest.raises(ConfigError, match="probe deadlocked"):
+        drive(sim, [sim.process(stuck(sim))], what="probe")
