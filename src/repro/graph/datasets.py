@@ -95,6 +95,9 @@ class DatasetSpec:
         ``scale`` multiplies the paper's node count; the paper's average
         degree is preserved exactly (as a multigraph when necessary), so
         per-target edge-list chunk sizes match the paper's at any scale.
+        The node count is floored at ``min_nodes``, and the edge count
+        follows the node count, so a small enough ``scale`` yields more
+        edges than it asks for: ``min_nodes`` nodes at the true degree.
         """
         _check_variant(variant)
         if scale <= 0:

@@ -8,8 +8,12 @@ recursion.  The generators are all seedable and vectorized.
 
 from __future__ import annotations
 
+import copy
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
+from repro.affinity import allowed_cpu_count, place_on_cpu
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
@@ -46,44 +50,152 @@ def rmat_graph(
     from its name, so a fixed stream keeps each materialized graph --
     and every run key, stored record and figure built on it --
     byte-identical across versions.
+
+    The draws are not made in that order, though.  Number the streams
+    ``s = 2 * level + (0 right, 1 down)``; draw ``k`` of stream ``s`` is
+    then the stream's ``s * num_edges + k``-th double.  ``rng.random``
+    turns one 64-bit PCG64 output into one double, and PCG64 can jump to
+    any position of its stream, so a copy of the bit generator advanced
+    to ``s * num_edges + lo`` yields stream ``s``'s draws for edges
+    ``lo`` onward.  That frees the descent to walk the edges in blocks
+    small enough for the CPU cache, and to split them into contiguous
+    parts that helper threads descend at the same time, one per allowed
+    CPU: every edge still gets the very doubles the sequential order
+    would give it.  Afterwards the caller's generator is moved past all
+    ``2 * scale * num_edges`` draws, as the sequential draws would have
+    left it.  ``rng`` must therefore be a PCG64 generator, as
+    ``np.random.default_rng`` builds.
     """
     if num_nodes < 2:
         raise GraphError("rmat_graph needs at least 2 nodes")
+    if (
+        isinstance(num_edges, bool)
+        or not isinstance(num_edges, (int, np.integer))
+        or num_edges < 0
+    ):
+        raise GraphError(f"num_edges must be an int >= 0, got {num_edges!r}")
+    num_edges = int(num_edges)
     d = 1.0 - a - b - c
-    if d < 0:
-        raise GraphError("rmat probabilities exceed 1")
+    for name, p in (("a", a), ("b", b), ("c", c), ("d = 1 - a - b - c", d)):
+        if not 0.0 <= p <= 1.0:
+            raise GraphError(
+                f"rmat probability {name} is {p!r}, not in [0, 1]"
+            )
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise GraphError(
+            "rmat_graph needs a PCG64 generator (np.random.default_rng), "
+            f"got {type(bit_generator).__name__}"
+        )
     scale = _next_pow2_exponent(num_nodes)
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    # Descend one quadrant per bit, vectorized over all edges, in
-    # buffers allocated once.  Quadrant probabilities: a=(0,0),
-    # b=(0,1), c=(1,0), d=(1,1).
+    # Quadrant probabilities: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
     p_right = b + d
-    p_down_given_right = d / p_right if p_right > 0 else 0.0
-    p_down_given_left = c / (a + c) if (a + c) > 0 else 0.0
-    u = np.empty(num_edges, dtype=np.float64)
-    right = np.empty(num_edges, dtype=bool)
-    down = np.empty(num_edges, dtype=bool)
-    alt = np.empty(num_edges, dtype=bool)
-    for _level in range(scale):
-        rng.random(out=u)
-        np.less(u, p_right, out=right)
-        rng.random(out=u)
-        np.less(u, p_down_given_left, out=down)
-        np.less(u, p_down_given_right, out=alt)
-        # down = alt where right else down, as three branch-free bool
-        # ops (a masked copy is an order of magnitude slower).
-        np.bitwise_xor(down, alt, out=alt)
-        np.bitwise_and(alt, right, out=alt)
-        np.bitwise_xor(down, alt, out=down)
-        np.left_shift(src, 1, out=src)
-        np.bitwise_or(src, down, out=src)
-        np.left_shift(dst, 1, out=dst)
-        np.bitwise_or(dst, right, out=dst)
+    probs = (
+        p_right,
+        d / p_right if p_right > 0 else 0.0,  # down, given right
+        c / (a + c) if (a + c) > 0 else 0.0,  # down, given left
+    )
+    ids = np.min_scalar_type((1 << scale) - 1)
+    src = np.zeros(num_edges, dtype=ids)
+    dst = np.zeros(num_edges, dtype=ids)
+    n_parts = max(1, min(allowed_cpu_count(), num_edges // _MIN_PART_EDGES))
+    bounds = [num_edges * i // n_parts for i in range(n_parts + 1)]
+    parts = [
+        (copy.deepcopy(bit_generator), src, dst, lo, hi, num_edges, scale,
+         probs)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    if n_parts == 1:
+        _descend(*parts[0])
+    else:
+        with ThreadPoolExecutor(max_workers=n_parts) as pool:
+            futures = [
+                pool.submit(_descend_on_cpu, i, *part)
+                for i, part in enumerate(parts)
+            ]
+            for future in futures:
+                future.result()
+    # Skip the caller past the descent's draws.  ``advance`` drops the
+    # buffered 32-bit half, which double draws leave alone: restore it.
+    state = bit_generator.state
+    bit_generator.advance(2 * scale * num_edges)
+    advanced = bit_generator.state
+    advanced["has_uint32"] = state["has_uint32"]
+    advanced["uinteger"] = state["uinteger"]
+    bit_generator.state = advanced
     # Random relabeling folded into [0, num_nodes): the modulo runs over
     # the 2**scale-entry table once instead of over every edge.
     label = rng.permutation(1 << scale) % num_nodes
     return CSRGraph.from_edges(label[src], label[dst], num_nodes=num_nodes)
+
+
+#: edges per descent block: the float64 draw buffer (128 KiB) and the
+#: block's IDs and flags stay in the L2 cache across all levels
+_BLOCK_EDGES = 1 << 14
+
+#: fewest edges worth a helper thread of their own
+_MIN_PART_EDGES = 1 << 16
+
+#: PCG64's period: an ``advance`` by ``delta % _PERIOD`` moves a
+#: generator by ``delta`` draws, backwards included
+_PERIOD = 1 << 128
+
+
+def _descend_on_cpu(part: int, *args) -> None:
+    """:func:`_descend` in a helper thread, on the ``part``-th CPU."""
+    place_on_cpu(part)
+    _descend(*args)
+
+
+def _descend(
+    cursor: np.random.PCG64,
+    src: np.ndarray,
+    dst: np.ndarray,
+    lo: int,
+    hi: int,
+    num_edges: int,
+    scale: int,
+    probs: tuple,
+) -> None:
+    """Descend edges ``[lo, hi)`` into ``src``/``dst``, block by block.
+
+    ``cursor`` is a private copy of the caller's bit generator, still at
+    the caller's position; it hops to each stream's draws for the block.
+    """
+    p_right, p_down_given_right, p_down_given_left = probs
+    draw = np.random.Generator(cursor).random
+    pos = 0  # draws the cursor has moved past the caller's position
+    size = min(_BLOCK_EDGES, hi - lo)
+    u_buf = np.empty(size, dtype=np.float64)
+    right_buf = np.empty(size, dtype=bool)
+    down_buf = np.empty(size, dtype=bool)
+    alt_buf = np.empty(size, dtype=bool)
+    for start in range(lo, hi, _BLOCK_EDGES):
+        stop = min(start + _BLOCK_EDGES, hi)
+        n = stop - start
+        u, right, down, alt = (
+            u_buf[:n], right_buf[:n], down_buf[:n], alt_buf[:n]
+        )
+        src_block = src[start:stop]
+        dst_block = dst[start:stop]
+        for stream in range(0, 2 * scale, 2):
+            cursor.advance((stream * num_edges + start - pos) % _PERIOD)
+            draw(out=u)
+            np.less(u, p_right, out=right)
+            cursor.advance(num_edges - n)
+            draw(out=u)
+            pos = (stream + 1) * num_edges + stop
+            np.less(u, p_down_given_left, out=down)
+            np.less(u, p_down_given_right, out=alt)
+            # down = alt where right else down, as three branch-free
+            # bool ops (a masked copy is an order of magnitude slower).
+            np.bitwise_xor(down, alt, out=alt)
+            np.bitwise_and(alt, right, out=alt)
+            np.bitwise_xor(down, alt, out=down)
+            np.left_shift(src_block, 1, out=src_block)
+            np.bitwise_or(src_block, down, out=src_block)
+            np.left_shift(dst_block, 1, out=dst_block)
+            np.bitwise_or(dst_block, right, out=dst_block)
 
 
 def powerlaw_graph(

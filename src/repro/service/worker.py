@@ -17,8 +17,9 @@ change the record that lands in the result store.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from repro.affinity import place_on_cpu
 
 __all__ = [
     "place_worker",
@@ -31,22 +32,15 @@ __all__ = [
 def place_worker(ordinals) -> None:
     """Process-pool initializer: start each worker on its own CPU.
 
-    A forked worker starts on its parent's CPU.  Where the kernel does
-    not balance load across CPUs (a cpuset with ``sched_load_balance``
-    off, as some container sandboxes set it), it never leaves that CPU,
-    so every worker of the pool would queue on one CPU while the others
-    idle.  ``ordinals`` is a shared counter: worker ``i`` moves to the
-    ``i``-th allowed CPU, round robin, and then gets its whole allowed
-    set back, so a kernel that does balance stays free to move it.
+    A forked worker starts on its parent's CPU and, on a kernel that
+    does not balance load, never leaves it (see :mod:`repro.affinity`).
+    ``ordinals`` is a shared counter: worker ``i`` moves to the ``i``-th
+    allowed CPU, round robin, and then gets its whole allowed set back.
     """
-    if not hasattr(os, "sched_setaffinity"):
-        return
     with ordinals.get_lock():
         ordinal = ordinals.value
         ordinals.value += 1
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {sorted(allowed)[ordinal % len(allowed)]})
-    os.sched_setaffinity(0, allowed)
+    place_on_cpu(ordinal)
 
 
 def evaluate_spec_dict(spec_dict: dict) -> dict:

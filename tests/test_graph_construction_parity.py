@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import CSRGraph
+from repro.graph import CSRGraph, generators
 from repro.graph.generators import (
     complete_graph,
     powerlaw_graph,
@@ -136,6 +136,80 @@ def test_rmat_without_edges_matches_reference():
     assert graph.num_edges == 0
     assert_same_csr(graph, reference_rmat(100, 0, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+#: a graph wide enough for five parts whose bounds fall inside blocks
+#: (5 * 65_536 + 12_345 edges), one smaller than a block, and no edges
+PART_SIZES = [(300, 340_025), (1000, 5000), (100, 0)]
+
+
+def spy_parts(monkeypatch, cpus):
+    """Pretend ``cpus`` CPUs are allowed; returns the descended ranges."""
+    ranges = []
+    descend = generators._descend
+
+    def spy(cursor, src, dst, lo, hi, *rest):
+        ranges.append((lo, hi))
+        descend(cursor, src, dst, lo, hi, *rest)
+
+    monkeypatch.setattr(generators, "allowed_cpu_count", lambda: cpus)
+    monkeypatch.setattr(generators, "_descend", spy)
+    return ranges
+
+
+@pytest.mark.parametrize("num_nodes,num_edges", PART_SIZES)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_rmat_does_not_depend_on_part_count(
+    monkeypatch, cpus, num_nodes, num_edges
+):
+    ranges = spy_parts(monkeypatch, cpus)
+    rng = np.random.default_rng(cpus)
+    ref_rng = np.random.default_rng(cpus)
+    graph = rmat_graph(num_nodes, num_edges, rng)
+    assert_same_csr(graph, reference_rmat(num_nodes, num_edges, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    n_parts = cpus if num_edges > 65_536 else 1
+    assert len(ranges) == n_parts
+    bounds = sorted(ranges)
+    assert bounds[0][0] == 0 and bounds[-1][1] == num_edges
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rmat_keeps_a_buffered_32bit_half(monkeypatch, cpus):
+    spy_parts(monkeypatch, cpus)
+    rng = np.random.default_rng(8)
+    ref_rng = np.random.default_rng(8)
+    for r in (rng, ref_rng):
+        r.integers(0, 2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    graph = rmat_graph(277, 150_000, rng)
+    assert_same_csr(graph, reference_rmat(277, 150_000, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # and the buffered half is the next 32-bit draw on both
+    assert rng.integers(0, 2**32, dtype=np.uint32) == ref_rng.integers(
+        0, 2**32, dtype=np.uint32
+    )
+
+
+def test_rmat_reraises_a_helper_failure(monkeypatch):
+    descend = generators._descend
+
+    def failing(cursor, src, dst, lo, hi, *rest):
+        if lo > 0:
+            raise RuntimeError(f"part at {lo} failed")
+        descend(cursor, src, dst, lo, hi, *rest)
+
+    monkeypatch.setattr(generators, "allowed_cpu_count", lambda: 2)
+    monkeypatch.setattr(generators, "_descend", failing)
+    with pytest.raises(RuntimeError, match="part at 75000 failed"):
+        rmat_graph(277, 150_000, np.random.default_rng(0))
+
+
+def test_rmat_needs_a_pcg64_generator():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(GraphError, match="PCG64"):
+        rmat_graph(100, 1000, rng)
 
 
 # -- other generators and transforms -------------------------------------------

@@ -49,6 +49,32 @@ def test_rmat_rejects_bad_probabilities():
         rmat_graph(10, 10, np.random.default_rng(0), a=0.6, b=0.3, c=0.3)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [
+        dict(a=-0.1, b=0.5, c=0.5),
+        dict(a=0.5, b=-0.1, c=0.5),
+        dict(a=0.5, b=0.5, c=-0.1),
+        dict(a=1.5, b=-0.3, c=-0.3),
+        dict(a=float("nan")),
+    ],
+)
+def test_rmat_rejects_probabilities_outside_unit_interval(probs):
+    with pytest.raises(GraphError, match="not in \\[0, 1\\]"):
+        rmat_graph(10, 10, np.random.default_rng(0), **probs)
+
+
+@pytest.mark.parametrize("num_edges", [-1, 2.5, "10", True, None])
+def test_rmat_rejects_bad_edge_counts(num_edges):
+    with pytest.raises(GraphError, match="num_edges"):
+        rmat_graph(10, num_edges, np.random.default_rng(0))
+
+
+def test_rmat_accepts_numpy_edge_counts():
+    g = rmat_graph(10, np.int64(40), np.random.default_rng(0))
+    assert g.num_edges == 40
+
+
 def test_powerlaw_graph_mean_degree():
     rng = np.random.default_rng(2)
     g = powerlaw_graph(5000, avg_degree=20.0, rng=rng)
