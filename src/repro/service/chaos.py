@@ -158,46 +158,32 @@ def chaos_drain(
 ):
     """Drain ``service`` while killing up to ``kills`` in-flight workers.
 
-    Runs the service's own three moves (ingest, dispatch, harvest) so
-    recovery flows through the production crash handler, inserting a
-    SIGKILL between dispatch and harvest whenever work is in flight and
-    the previous kill is at least ``kill_min_interval_s`` old (back-
-    to-back kills would land on a pool that is already broken).
-    Returns the :class:`~repro.service.server.ServiceReport` of the
-    drain.
+    Runs the service's own serving loop, so recovery flows through the
+    production crash handler, with a hook between dispatch and harvest
+    that sends a SIGKILL whenever work is in flight and the previous
+    kill is at least ``kill_min_interval_s`` old (back-to-back kills
+    would land on a pool that is already broken).  Returns the
+    :class:`~repro.service.server.ServiceReport` of the drain.
     """
     if kills < 0:
         raise ConfigError(f"kills must be >= 0, got {kills}")
-    service._ensure_pool()
-    start = time.monotonic()
     killed = 0
     last_kill = -float("inf")
-    try:
-        while True:
-            progressed = service._ingest_spool()
-            progressed |= service._dispatch()
-            if (
-                killed < kills
-                and service._running
-                and time.monotonic() - last_kill >= kill_min_interval_s
-            ):
-                if monkey.kill_worker(service) is not None:
-                    killed += 1
-                    last_kill = time.monotonic()
-            progressed |= service._harvest()
-            service._depth_samples.append(
-                service.queue.depth() + len(service._running)
-            )
-            if service.idle():
-                break
-            if time.monotonic() - start > max_wall_s:
-                break
-            if not progressed:
-                time.sleep(service.poll_interval_s)
-    except BaseException:
-        service.shutdown()
-        raise
-    return service.report(time.monotonic() - start)
+
+    def kill_in_flight() -> None:
+        nonlocal killed, last_kill
+        if (
+            killed < kills
+            and service._running
+            and time.monotonic() - last_kill >= kill_min_interval_s
+        ):
+            if monkey.kill_worker(service) is not None:
+                killed += 1
+                last_kill = time.monotonic()
+
+    return service._serve(
+        stop_when_idle=True, max_wall_s=max_wall_s, between=kill_in_flight
+    )
 
 
 def verify_exactly_once(store_root: str, specs) -> Dict[str, object]:

@@ -11,6 +11,11 @@ and drives a single-threaded orchestration loop over three moves --
 ingest the spool, dispatch queued jobs, harvest finished futures --
 with the invariants the campaign-as-a-service design asks for:
 
+* **event-driven**: an in-process :meth:`~CampaignService.submit` and
+  every settling worker future wake the loop at once, so no job waits
+  out a poll; ``poll_interval_s`` only paces the scans for
+  cross-process spool files and ``job_timeout_s`` overruns;
+
 * **served, not re-run**: a job whose key is already in the store
   completes immediately (``source="store"``); a job whose key is
   currently being computed attaches to that computation
@@ -33,8 +38,10 @@ with the invariants the campaign-as-a-service design asks for:
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import (
     Future,
@@ -75,6 +82,9 @@ class _InlineFuture:
 
     def done(self) -> bool:
         return True
+
+    def add_done_callback(self, fn) -> None:
+        fn(self)
 
     def cancel(self) -> bool:
         return False
@@ -180,6 +190,11 @@ class CampaignService:
     (default :func:`~repro.service.worker.evaluate_and_store`); tests
     inject sleeping/crashing functions through it.  It must be a
     module-level function when ``executor="process"``.
+
+    ``poll_interval_s`` is the period at which an idle loop scans the
+    spool for cross-process submissions and checks ``job_timeout_s``;
+    it is not a wait every job pays, because in-process submissions
+    and finished workers wake the loop directly.
     """
 
     def __init__(
@@ -208,6 +223,16 @@ class CampaignService:
             raise ConfigError(
                 f"max_retries must be an int >= 0, got {max_retries!r}"
             )
+        if (
+            isinstance(poll_interval_s, bool)
+            or not isinstance(poll_interval_s, (int, float))
+            or not math.isfinite(poll_interval_s)
+            or poll_interval_s <= 0
+        ):
+            raise ConfigError(
+                f"poll_interval_s must be a finite number > 0, "
+                f"got {poll_interval_s!r}"
+            )
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self.workers = workers
@@ -224,6 +249,9 @@ class CampaignService:
         self.spool = Spool(os.path.join(state_dir, "spool"))
         self.store = ResultStore(os.path.join(state_dir, "store"))
         self._pool = None
+        #: set by submit() and by every settling future; the loop
+        #: sleeps on it between cycles instead of a fixed poll
+        self._wake = threading.Event()
         #: key -> (primary job, future, monotonic dispatch time,
         #: batched?) -- members of one batch share a single future,
         #: whose result maps run_key -> record
@@ -249,7 +277,9 @@ class CampaignService:
                 f"got {type(spec).__name__}"
             )
         key = run_key(spec)
-        return self.queue.submit(key, spec.to_dict(), priority)
+        job = self.queue.submit(key, spec.to_dict(), priority)
+        self._wake.set()
+        return job
 
     # -- executors ---------------------------------------------------------
 
@@ -266,21 +296,21 @@ class CampaignService:
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def _submit_work(self, job: Job) -> Future:
-        if self.executor == "inline":
-            return _InlineFuture(self.work_fn, job.spec, self.store.root)
-        self._ensure_pool()
-        return self._pool.submit(self.work_fn, job.spec, self.store.root)
+        return self._start(self.work_fn, job.spec, self.store.root)
 
     def _submit_batch(self, jobs: List[Job]) -> Future:
         specs = [job.spec for job in jobs]
+        return self._start(evaluate_batch_and_store, specs, self.store.root)
+
+    def _start(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the executor; its settling wakes the loop."""
         if self.executor == "inline":
-            return _InlineFuture(
-                evaluate_batch_and_store, specs, self.store.root
-            )
-        self._ensure_pool()
-        return self._pool.submit(
-            evaluate_batch_and_store, specs, self.store.root
-        )
+            future = _InlineFuture(fn, *args)
+        else:
+            self._ensure_pool()
+            future = self._pool.submit(fn, *args)
+        future.add_done_callback(lambda _: self._wake.set())
+        return future
 
     def _in_flight(self) -> int:
         """Occupied worker slots: batch members share one future."""
@@ -464,17 +494,39 @@ class CampaignService:
     ) -> ServiceReport:
         """Serve until idle (or ``max_wall_s``); returns the report.
 
-        ``stop_when_idle=False`` keeps polling the spool forever (the
-        ``repro serve`` daemon mode); interrupt to stop.  Interrupts
-        and fatal errors drain gracefully: not-yet-started futures are
-        cancelled and in-flight jobs journaled back to ``queued``.
+        ``stop_when_idle=False`` keeps serving forever (the ``repro
+        serve`` daemon mode); interrupt to stop.  Interrupts and fatal
+        errors drain gracefully: not-yet-started futures are cancelled
+        and in-flight jobs journaled back to ``queued``.
+        """
+        return self._serve(stop_when_idle, max_wall_s)
+
+    def _serve(
+        self,
+        stop_when_idle: bool,
+        max_wall_s: Optional[float],
+        between: Optional[Callable[[], None]] = None,
+    ) -> ServiceReport:
+        """The serving loop behind :meth:`drain` and
+        :func:`~repro.service.chaos.chaos_drain`.
+
+        ``between()`` runs each cycle after dispatch and before harvest
+        (where a chaos drill kills a worker).  A cycle that moved
+        nothing sleeps on ``_wake``, which the next submission or
+        settling future sets; the ``poll_interval_s`` timeout only
+        bounds the spool and job-timeout scans.  The event is cleared
+        before a cycle looks at any state, so a wake-up that lands
+        during the cycle is never lost.
         """
         self._ensure_pool()
         start = time.monotonic()
         try:
             while True:
+                self._wake.clear()
                 progressed = self._ingest_spool()
                 progressed |= self._dispatch()
+                if between is not None:
+                    between()
                 progressed |= self._harvest()
                 self._depth_samples.append(
                     self.queue.depth() + len(self._running)
@@ -487,7 +539,7 @@ class CampaignService:
                 ):
                     break
                 if not progressed:
-                    time.sleep(self.poll_interval_s)
+                    self._wake.wait(self.poll_interval_s)
         except BaseException:
             self.shutdown()
             raise

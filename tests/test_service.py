@@ -222,6 +222,9 @@ def test_service_validates_arguments(tmp_path):
         make_service(tmp_path, job_timeout_s=0)
     with pytest.raises(ConfigError, match="max_retries"):
         make_service(tmp_path, max_retries=-1)
+    for bad in (0, -0.02, float("nan"), float("inf"), True, "0.02"):
+        with pytest.raises(ConfigError, match="poll_interval_s"):
+            make_service(tmp_path, poll_interval_s=bad)
     with make_service(tmp_path) as service:
         with pytest.raises(ConfigError, match="RunSpec"):
             service.submit(42)
@@ -342,6 +345,73 @@ def test_service_job_timeout(tmp_path):
     assert job.state == "failed"
     assert "timeout" in job.error
     assert report.counts["failed"] == 1
+
+
+class RecordingWake(threading.Event):
+    """Stands in for a service's ``_wake`` event: records what each
+    ``wait`` returned (False = it timed out) and signals ``sleeping``
+    each time the loop goes to sleep."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sleeping = threading.Event()
+        self.results = []
+
+    def wait(self, timeout=None) -> bool:
+        self.sleeping.set()
+        woke = super().wait(timeout)
+        self.results.append(woke)
+        return woke
+
+
+def test_idle_drain_wakes_on_submission(tmp_path):
+    # with a 60 s poll, only the submission's wake-up can let the
+    # idle loop serve the job before the join guard gives up
+    svc = make_service(tmp_path, executor="inline", poll_interval_s=60)
+    wake = svc._wake = RecordingWake()
+    reports = []
+    server = threading.Thread(target=lambda: reports.append(
+        svc.drain(stop_when_idle=False, max_wall_s=0.25)
+    ))
+    with svc:
+        server.start()
+        assert wake.sleeping.wait(30.0)
+        # submit past max_wall_s, so the loop stops right after serving
+        time.sleep(0.3)
+        job = svc.submit(POOL[0])
+        server.join(30.0)
+        assert not server.is_alive()
+    assert job.state == "done" and job.source == "computed"
+    assert reports[0].jobs_completed == 1
+    assert wake.results and all(wake.results), wake.results
+
+
+def test_finished_worker_wakes_drain(tmp_path):
+    release = threading.Event()
+
+    def gated(spec_dict, store_root):
+        assert release.wait(30.0)
+        return fake_record(spec_dict)
+
+    svc = make_service(tmp_path, workers=1, work_fn=gated,
+                       poll_interval_s=60)
+    wake = svc._wake = RecordingWake()
+    reports = []
+    with svc:
+        job = svc.submit(POOL[0])
+        server = threading.Thread(target=lambda: reports.append(
+            svc.drain()
+        ))
+        server.start()
+        # the job is in flight and the loop asleep: only the future's
+        # completion can wake it before the 60 s poll
+        assert wake.sleeping.wait(30.0)
+        release.set()
+        server.join(30.0)
+        assert not server.is_alive()
+    assert job.state == "done" and job.source == "computed"
+    assert reports[0].jobs_completed == 1
+    assert wake.results and all(wake.results), wake.results
 
 
 def test_service_graceful_shutdown_requeues_in_flight(tmp_path):
