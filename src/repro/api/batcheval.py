@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.api.cache import spec_key
 from repro.api.spec import RunSpec
+from repro.api.validation import PIPELINE_COUNTS
 from repro.errors import ConfigError
 from repro.pipeline.backends.analytic import combine_batch, phase_costs
 from repro.pipeline.backends.base import PipelineResult
@@ -46,22 +47,12 @@ __all__ = [
 ]
 
 #: RunSpec fields the analytic model either folds in closed form
-#: (``n_batches``/``n_workers``) or ignores outright -- the axes a cost
+#: (``n_batches``/``n_workers``) or ignores outright (the mode and the
+#: other pipeline counts) -- the axes a cost
 #: group is vectorized over.  Everything else (dataset, workload shape,
 #: warm-up, the whole SystemSpec) changes the warmed system or the
 #: workload pool and therefore splits the group.
-FREE_FIELDS = frozenset(
-    {
-        "mode",
-        "n_batches",
-        "n_workers",
-        "queue_depth",
-        "prefetch_depth",
-        "qp_depth",
-        "checkpoint_every",
-        "checkpoint_bytes",
-    }
-)
+FREE_FIELDS = frozenset({"mode", *PIPELINE_COUNTS})
 
 
 def batchable(spec) -> bool:

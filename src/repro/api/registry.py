@@ -13,15 +13,29 @@ rather than branches of an if/elif chain, so new storage architectures
         ssd = ctx.make_ssd()
         return ctx.make_system(
             ssd=ssd,
-            sampling_engine=MySamplingEngine(ssd, ctx.edge_layout),
-            feature_engine=ctx.default_feature_engine(ssd),
+            sampling_engine=MySamplingEngine(
+                ssd, ctx.edge_layout, ctx.fanouts,
+                granularity=ctx.spec.granularity,
+            ),
+            feature_engine=ctx.dram_feature_engine(),
         )
 
-Builders receive a :class:`repro.core.systems.DesignContext` (dataset,
-hardware, layouts, shared cache/scratchpad helpers) and return a fully
-wired :class:`repro.core.systems.TrainingSystem`.  The seven paper
-designs are registered by ``repro.core.systems`` on import; this module
-lazily imports it so ``available_designs()`` is always complete.
+Builders receive a :class:`repro.core.systems.DesignContext`, which
+carries:
+
+* ``spec`` -- the validated :class:`repro.api.spec.SystemSpec`: the
+  design name and every sizing knob (``ctx.spec.host_cache_frac``,
+  ``ctx.spec.granularity``, ...);
+* ``dataset`` and ``hw`` -- the graph dataset and the hardware;
+* ``fanouts`` -- ``spec.fanouts``, or the hardware workload's default;
+* ``edge_layout`` / ``feature_layout`` -- the on-device storage layouts;
+* helpers for shared components (``make_ssd``, ``page_cache``,
+  ``edge_scratchpad``, ``dram_feature_engine``, ``feature_cache``, ...).
+
+They return a fully wired :class:`repro.core.systems.TrainingSystem`.
+The seven paper designs are registered by ``repro.core.systems`` on
+import; this module lazily imports it so ``available_designs()`` is
+always complete.
 """
 
 from __future__ import annotations

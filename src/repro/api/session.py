@@ -433,22 +433,10 @@ class Session:
 
     def build(self, design: Optional[str] = None) -> TrainingSystem:
         """Wire the system for ``design`` (default: the spec's design)."""
-        sys_spec = self.spec.system
-        return build_system(
-            design or sys_spec.design,
-            self.dataset,
-            hw=self.hw,
-            fanouts=self.fanouts,
-            granularity=sys_spec.granularity,
-            host_cache_frac=sys_spec.host_cache_frac,
-            page_buffer_frac=sys_spec.page_buffer_frac,
-            features_in_dram=sys_spec.features_in_dram,
-            n_shards=sys_spec.n_shards,
-            n_hosts=sys_spec.n_hosts,
-            gpu_cache_mb=sys_spec.gpu_cache_mb,
-            cache_tiers=sys_spec.cache_tiers,
-            cache_policy=sys_spec.cache_policy,
-        )
+        system = self.spec.system
+        if design is not None:
+            system = dataclasses.replace(system, design=design)
+        return build_system(system, self.dataset, hw=self.hw)
 
     def run(self, design: Optional[str] = None) -> PipelineResult:
         """Build ``design``, warm its caches, run the training pipeline.

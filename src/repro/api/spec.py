@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.validation import (
+    PIPELINE_COUNTS,
+    TOPOLOGY_COUNTS,
     check_count,
     check_fabric,
     check_faults,
@@ -72,10 +74,20 @@ class SystemSpec:
     """
 
     design: str = "ssd-mmap"
+    #: neighbors sampled per hop (``None`` -> the hardware workload's)
     fanouts: Optional[Tuple[int, ...]] = None
+    #: seeds per ISP sampling command (``None`` -> one command per
+    #: mini-batch); read by the ISP designs
     granularity: Optional[int] = None
+    #: OS page cache / user scratchpads as a fraction of the dataset
+    #: (the paper's 192 GB host against multi-hundred-GB datasets)
     host_cache_frac: float = 0.15
+    #: SSD-internal DRAM page buffer as a fraction of the edge list
+    #: (1 GiB against a 2 TB device)
     page_buffer_frac: float = 0.003
+    #: keep feature tables in host DRAM, as in the paper (only the edge
+    #: list outgrows DRAM); ``False`` exercises the storage-backed
+    #: feature paths.  GIDS designs always read features from storage
     features_in_dram: bool = True
     #: device groups for ``mode="sharded"`` (1 = single device)
     n_shards: int = 1
@@ -85,7 +97,8 @@ class SystemSpec:
     fabric: str = "rack"
     #: graph partitioning method (see repro.graph.partition)
     partition: str = "edge-cut"
-    #: GPU-HBM software feature-cache budget for GIDS designs (MiB)
+    #: GPU-HBM software feature-cache budget for GIDS designs (MiB;
+    #: ignored by every host-mediated design)
     gpu_cache_mb: float = 64.0
     #: feature-cache tier stack, nearest first (see repro.cache);
     #: ``None`` keeps the legacy single-HBM-LRU stack byte-for-byte
@@ -133,8 +146,8 @@ class SystemSpec:
             isinstance(self.features_in_dram, bool),
             f"features_in_dram must be a bool, got {self.features_in_dram!r}",
         )
-        check_count("n_shards", self.n_shards)
-        check_count("n_hosts", self.n_hosts)
+        for name, minimum in TOPOLOGY_COUNTS.items():
+            check_count(name, getattr(self, name), minimum)
         check_positive_real("gpu_cache_mb", self.gpu_cache_mb)
         from repro.cache.tiers import check_cache_config
 
@@ -275,17 +288,8 @@ class RunSpec:
             f"mode must be one of {available_backends()}, "
             f"got {self.mode!r}",
         )
-        check_count("n_batches", self.n_batches)
-        check_count("n_workers", self.n_workers)
-        check_count("queue_depth", self.queue_depth)
-        check_count("prefetch_depth", self.prefetch_depth)
-        check_count("qp_depth", self.qp_depth)
-        check_count(
-            "checkpoint_every", self.checkpoint_every, minimum=0
-        )
-        check_count(
-            "checkpoint_bytes", self.checkpoint_bytes, minimum=0
-        )
+        for name, minimum in PIPELINE_COUNTS.items():
+            check_count(name, getattr(self, name), minimum)
         self.system.validate()
         _require(
             self.system.faults is None

@@ -1,5 +1,5 @@
-"""Small shared validators used by the spec layer, the pipeline request
-and core."""
+"""Small shared validators and count tables used by the spec layer and
+the pipeline request."""
 
 from __future__ import annotations
 
@@ -10,14 +10,30 @@ import operator
 from repro.errors import ConfigError
 
 __all__ = [
+    "PIPELINE_COUNTS",
+    "TOPOLOGY_COUNTS",
     "check_fraction",
-    "check_bool",
     "check_count",
     "check_positive_real",
     "check_fabric",
     "check_partition",
     "check_faults",
 ]
+
+#: pipeline counts -> least accepted value; ``RunSpec.validate`` and
+#: ``ExecutionRequest.validate`` both check exactly these
+PIPELINE_COUNTS = {
+    "n_batches": 1,
+    "n_workers": 1,
+    "queue_depth": 1,
+    "prefetch_depth": 1,
+    "qp_depth": 1,
+    "checkpoint_every": 0,
+    "checkpoint_bytes": 0,
+}
+#: device-group counts -> least accepted value; ``SystemSpec.validate``
+#: and ``ExecutionRequest.validate`` both check exactly these
+TOPOLOGY_COUNTS = {"n_shards": 1, "n_hosts": 1}
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:
@@ -64,12 +80,6 @@ def check_positive_real(name: str, value) -> float:
     if not ok:
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return float(value)
-
-
-def check_bool(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be a bool, got {value!r}")
-    return value
 
 
 def check_fabric(value) -> str:

@@ -274,11 +274,10 @@ def check_cache_config(
 ) -> Tuple[Optional[Tuple[str, ...]], Optional[str]]:
     """Validate the ``(cache_tiers, cache_policy)`` spec pair.
 
-    Shared by ``SystemSpec.validate``, ``ExecutionRequest.validate``
-    and ``build_system`` -- the one copy of this check, as
-    :mod:`repro.api.validation` holds the one copy of the count,
-    fabric, partition and fault-plan checks -- so a bad stack fails at
-    spec time, before any graph is built.  Returns the normalized pair (``tiers`` as a tuple).
+    The one copy of this check, shared by ``SystemSpec.validate`` (which
+    ``build_system`` runs) and ``ExecutionRequest.validate``, so a bad
+    stack fails at spec time, before any graph is built.  Returns the
+    normalized pair (``tiers`` as a tuple).
     """
     if tiers is not None:
         tiers = tuple(tiers)

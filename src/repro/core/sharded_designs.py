@@ -11,7 +11,8 @@ topology engine (:mod:`repro.pipeline.engine`):
     group, the scale-out control arm.
 
 Both size per-shard components (SSD page buffer, OS page cache) against
-the ``1/K`` slice that shard stores, via ``DesignContext.n_shards``.
+the ``1/K`` slice that shard stores, via ``DesignContext.shard_fraction``
+(from the spec's ``n_shards`` and ``n_hosts``).
 They build and run fine under the single-device modes too (``K=1``
 makes them identical to their paper counterparts).
 """
@@ -46,7 +47,7 @@ def _build_smartsage_sharded(ctx: DesignContext) -> TrainingSystem:
         ssd=ssd,
         sampling_engine=ISPSamplingEngine(
             ssd, ctx.edge_layout, driver, ctx.fanouts,
-            granularity=ctx.granularity,
+            granularity=ctx.spec.granularity,
         ),
         feature_engine=_direct_io_feature_engine(ctx, ssd, sw),
     )
@@ -63,7 +64,7 @@ def _build_baseline_sharded(ctx: DesignContext) -> TrainingSystem:
     page_cache = ctx.page_cache(data_fraction=frac)
     feature_engine = (
         ctx.dram_feature_engine()
-        if ctx.features_in_dram
+        if ctx.spec.features_in_dram
         else _direct_io_feature_engine(ctx, ssd, sw)
     )
     return ctx.make_system(

@@ -1,9 +1,10 @@
 """Design-point assembly: wire a full training system per Fig 18 bar.
 
 Each design point is a builder function registered with the pluggable
-registry in :mod:`repro.api.registry`; ``build_system`` is now a thin
-shim that validates its inputs, prepares a :class:`DesignContext`, and
-dispatches to the registered builder.  The seven paper designs:
+registry in :mod:`repro.api.registry`; ``build_system`` validates one
+:class:`~repro.api.spec.SystemSpec`, wraps it in a
+:class:`DesignContext`, and dispatches to the registered builder.  The
+seven paper designs:
 
 ========================  ====================================================
 design                    meaning
@@ -26,15 +27,9 @@ designs live in :mod:`repro.core.sharded_designs`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.api.registry import design_entry, register_design
-from repro.api.validation import (
-    check_bool,
-    check_fraction,
-    check_positive_real,
-)
-from repro.cache.tiers import check_cache_config
 from repro.config import HardwareParams, default_hardware
 from repro.core.feature_engines import (
     DirectIOFeatureEngine,
@@ -62,6 +57,9 @@ from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 from repro.storage.pagebuffer import PageBuffer
 from repro.storage.ssd import SSDevice
+
+if TYPE_CHECKING:
+    from repro.api.spec import SystemSpec
 
 __all__ = [
     "DESIGNS",
@@ -139,39 +137,26 @@ class TrainingSystem:
 class DesignContext:
     """Everything a design builder needs to assemble a system.
 
-    Carries the design name, dataset, hardware, sizing knobs, and the
-    pre-computed storage layouts, plus helpers for the components that
-    several designs share (SSD + page buffer, host software,
-    scratchpads, the in-DRAM feature path).  Builders registered with
+    Carries the validated :class:`~repro.api.spec.SystemSpec` (design
+    name and every sizing knob, read as ``ctx.spec.<knob>``), the
+    dataset, the hardware, the resolved fanouts and the pre-computed
+    storage layouts, plus helpers for the components that several
+    designs share (SSD + page buffer, host software, scratchpads, the
+    in-DRAM feature path).  Builders registered with
     ``@register_design`` receive one of these and return a
     :class:`TrainingSystem`.
     """
 
-    design: str
+    spec: "SystemSpec"
     dataset: GraphDataset
     hw: HardwareParams
-    fanouts: tuple
-    granularity: Optional[int]
-    host_cache_frac: float
-    page_buffer_frac: float
-    features_in_dram: bool
-    #: device groups the run will be sharded across (mode="sharded");
-    #: shard-aware builders size per-shard components against the slice
-    n_shards: int = 1
-    #: host replicas the run spans (mode="distributed"); each host holds
-    #: ``n_shards`` device groups, so per-device slices shrink further
-    n_hosts: int = 1
-    #: GPU-HBM software feature cache budget for GIDS designs (MiB)
-    gpu_cache_mb: float = 64.0
-    #: cache stack for GIDS designs, outermost first (``None`` keeps the
-    #: legacy single-HBM-LRU stack, which replays old results byte-for-byte)
-    cache_tiers: Optional[tuple] = None
-    #: replacement policy name shared by the stack (``None`` -> ``"lru"``)
-    cache_policy: Optional[str] = None
+    #: ``spec.fanouts``, or the hardware workload's when unset
+    fanouts: tuple = field(init=False)
     edge_layout: EdgeListLayout = field(init=False)
     feature_layout: FeatureTableLayout = field(init=False)
 
     def __post_init__(self) -> None:
+        self.fanouts = tuple(self.spec.fanouts or self.hw.workload.fanouts)
         self.edge_layout = EdgeListLayout(
             self.dataset.graph,
             id_bytes=self.hw.workload.edge_id_bytes,
@@ -185,6 +170,10 @@ class DesignContext:
             base_byte=self.edge_layout.end_byte,
         )
 
+    @property
+    def design(self) -> str:
+        return self.spec.design
+
     # -- shared components -------------------------------------------------
 
     @property
@@ -194,14 +183,14 @@ class DesignContext:
     @property
     def shard_fraction(self) -> float:
         """Fraction of the dataset one shard-local device stores."""
-        return 1.0 / max(1, self.n_shards * self.n_hosts)
+        return 1.0 / max(1, self.spec.n_shards * self.spec.n_hosts)
 
     def make_ssd(
         self,
         dedicated_isp_cores: bool = False,
         data_fraction: float = 1.0,
     ) -> SSDevice:
-        """An SSD with its page buffer sized to ``page_buffer_frac``.
+        """An SSD with its page buffer sized to ``spec.page_buffer_frac``.
 
         ``data_fraction`` sizes the buffer against a slice of the edge
         list instead of the whole (shard-local SSDs store ``1/K``).
@@ -212,7 +201,7 @@ class DesignContext:
             int(
                 self.edge_layout.total_bytes
                 * data_fraction
-                * self.page_buffer_frac
+                * self.spec.page_buffer_frac
             )
             // ssd.nand.page_bytes,
         )
@@ -223,7 +212,7 @@ class DesignContext:
         return HostSoftware(self.hw.hostsw)
 
     def page_cache(self, data_fraction: float = 1.0) -> OSPageCache:
-        """OS page cache sized as ``host_cache_frac`` of the dataset.
+        """OS page cache sized as ``spec.host_cache_frac`` of the dataset.
 
         ``data_fraction`` scopes the budget to a shard's slice (each
         shard host caches only the data it owns).
@@ -231,7 +220,10 @@ class DesignContext:
         return OSPageCache(
             capacity_bytes=max(
                 self.hw.ssd.lba_bytes,
-                int(self.total_bytes * data_fraction * self.host_cache_frac),
+                int(
+                    self.total_bytes * data_fraction
+                    * self.spec.host_cache_frac
+                ),
             ),
             page_bytes=self.hw.ssd.lba_bytes,
         )
@@ -248,7 +240,10 @@ class DesignContext:
         return Scratchpad(
             capacity_bytes=max(
                 avg_chunk,
-                int(self.edge_layout.total_bytes * self.host_cache_frac),
+                int(
+                    self.edge_layout.total_bytes
+                    * self.spec.host_cache_frac
+                ),
             ),
             avg_entry_bytes=avg_chunk,
         )
@@ -257,7 +252,10 @@ class DesignContext:
         return Scratchpad(
             capacity_bytes=max(
                 self.feature_layout.row_bytes,
-                int(self.feature_layout.total_bytes * self.host_cache_frac),
+                int(
+                    self.feature_layout.total_bytes
+                    * self.spec.host_cache_frac
+                ),
             ),
             avg_entry_bytes=max(
                 self.hw.ssd.lba_bytes, self.feature_layout.row_bytes
@@ -294,15 +292,16 @@ class DesignContext:
         """
         from repro.cache import build_tiered_cache
 
+        spec = self.spec
         priority = None
-        if self.cache_policy == "static":
+        if spec.cache_policy == "static":
             priority = self.feature_page_priority()
         return build_tiered_cache(
             self.hw,
             self.hw.ssd.lba_bytes,
-            tiers=self.cache_tiers,
-            policy=self.cache_policy,
-            gpu_cache_mb=self.gpu_cache_mb,
+            tiers=spec.cache_tiers,
+            policy=spec.cache_policy,
+            gpu_cache_mb=spec.gpu_cache_mb,
             priority_pages=priority,
         )
 
@@ -349,7 +348,7 @@ def _build_ssd_mmap(ctx: DesignContext) -> TrainingSystem:
     page_cache = ctx.page_cache()
     feature_engine = (
         ctx.dram_feature_engine()
-        if ctx.features_in_dram
+        if ctx.spec.features_in_dram
         else MmapFeatureEngine(ssd, ctx.feature_layout, page_cache, sw)
     )
     return ctx.make_system(
@@ -363,7 +362,7 @@ def _build_ssd_mmap(ctx: DesignContext) -> TrainingSystem:
 
 def _direct_io_feature_engine(ctx: DesignContext, ssd: SSDevice, sw):
     """Feature path shared by all direct-I/O designs."""
-    if ctx.features_in_dram:
+    if ctx.spec.features_in_dram:
         return ctx.dram_feature_engine()
     return DirectIOFeatureEngine(
         ssd, ctx.feature_layout, ctx.feature_scratchpad(), sw
@@ -392,7 +391,7 @@ def _build_isp(ctx: DesignContext, dedicated_cores: bool) -> TrainingSystem:
         ssd=ssd,
         sampling_engine=ISPSamplingEngine(
             ssd, ctx.edge_layout, driver, ctx.fanouts,
-            granularity=ctx.granularity,
+            granularity=ctx.spec.granularity,
         ),
         feature_engine=_direct_io_feature_engine(ctx, ssd, sw),
     )
@@ -422,85 +421,39 @@ def _build_fpga_csd(ctx: DesignContext) -> TrainingSystem:
     )
 
 
-# -- the public factory (back-compat shim over the registry) ---------------
+# -- the public factory -----------------------------------------------------
 
 
 def build_system(
-    design: str,
+    system: "SystemSpec",
     dataset: GraphDataset,
     hw: Optional[HardwareParams] = None,
-    fanouts: Optional[Sequence[int]] = None,
-    granularity: Optional[int] = None,
-    host_cache_frac: float = 0.15,
-    page_buffer_frac: float = 0.003,
-    features_in_dram: bool = True,
-    n_shards: int = 1,
-    n_hosts: int = 1,
-    gpu_cache_mb: float = 64.0,
-    cache_tiers: Optional[Sequence[str]] = None,
-    cache_policy: Optional[str] = None,
 ) -> TrainingSystem:
-    """Assemble one design point sized against ``dataset``.
+    """Assemble the design point ``system`` declares, sized against
+    ``dataset``.
 
-    Thin shim over the design registry: validates inputs, builds a
-    :class:`DesignContext`, and dispatches to the builder registered for
-    ``design`` (any name in ``repro.api.available_designs()``, not just
-    the paper's seven).
-
-    ``host_cache_frac`` sizes the OS page cache / user scratchpads as a
-    fraction of the dataset (mirroring the paper's 192 GB host against
-    multi-hundred-GB datasets); ``page_buffer_frac`` sizes the SSD's
-    internal DRAM buffer the same way (1 GiB against a 2 TB device).
-
-    ``features_in_dram`` reflects the paper's setup: only the neighbor
-    edge-list array outgrows DRAM (Table I sizes are the edge list); the
-    feature tables of all five datasets fit in the 192 GB host, so every
-    design keeps them in DRAM.  Pass ``False`` to exercise the
-    storage-backed feature paths (a library extension for feature tables
-    beyond DRAM capacity).
-
-    ``gpu_cache_mb`` budgets the GPU-HBM software page cache of the
-    GIDS designs (ignored by every host-mediated design).
-
-    ``cache_tiers`` / ``cache_policy`` select the GIDS feature-cache
-    stack (see :mod:`repro.cache`); ``None`` keeps the pre-refactor
-    single-HBM-LRU configuration, byte-for-byte.
+    Validates ``system`` (:meth:`SystemSpec.validate
+    <repro.api.spec.SystemSpec.validate>` is the one check of every
+    sizing knob; the knobs are documented on the ``SystemSpec``
+    fields), wraps it in a :class:`DesignContext`, and dispatches to
+    the builder registered for ``system.design`` (any name in
+    ``repro.api.available_designs()``, not just the paper's seven).
+    ``hw`` defaults to ``system.build_hardware()``, the default
+    hardware with the spec's overrides applied.
     """
-    entry = design_entry(design)
-    host_cache_frac = check_fraction("host_cache_frac", host_cache_frac)
-    page_buffer_frac = check_fraction("page_buffer_frac", page_buffer_frac)
-    check_bool("features_in_dram", features_in_dram)
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
-    if n_hosts < 1:
-        raise ConfigError(f"n_hosts must be >= 1, got {n_hosts}")
-    gpu_cache_mb = check_positive_real("gpu_cache_mb", gpu_cache_mb)
-    cache_tiers, cache_policy = check_cache_config(
-        cache_tiers, cache_policy
-    )
-    hw = hw or default_hardware()
+    entry = design_entry(system.validate().design)
     ctx = DesignContext(
-        design=design,
+        spec=system,
         dataset=dataset,
-        hw=hw,
-        fanouts=tuple(fanouts or hw.workload.fanouts),
-        granularity=granularity,
-        host_cache_frac=host_cache_frac,
-        page_buffer_frac=page_buffer_frac,
-        features_in_dram=features_in_dram,
-        n_shards=n_shards,
-        n_hosts=n_hosts,
-        gpu_cache_mb=gpu_cache_mb,
-        cache_tiers=cache_tiers,
-        cache_policy=cache_policy,
+        hw=hw or system.build_hardware(),
     )
-    system = entry.builder(ctx)
-    if not isinstance(system, TrainingSystem):
+    built = entry.builder(ctx)
+    if not isinstance(built, TrainingSystem):
         raise ConfigError(
-            f"design {design!r} builder returned {type(system).__name__}, "
-            "expected TrainingSystem"
+            f"design {system.design!r} builder returned "
+            f"{type(built).__name__}, expected TrainingSystem"
         )
-    return system
+    return built
 
 
 def build_gpu_model(

@@ -14,6 +14,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
+from repro.api.spec import SystemSpec
 from repro.core.systems import build_system
 from repro.experiments.common import (
     ExperimentConfig,
@@ -39,8 +40,11 @@ def _run_sweep(
     hit_rates = {}
     for frac in cache_fracs:
         system = build_system(
-            "ssd-mmap", ds, hw=cfg.hw, fanouts=cfg.fanouts,
-            host_cache_frac=frac,
+            SystemSpec(
+                "ssd-mmap", fanouts=cfg.fanouts, host_cache_frac=frac
+            ),
+            ds,
+            hw=cfg.hw,
         )
         cost = steady_state_cost(
             system.sampling_engine, workloads, cfg.warmup_batches
@@ -49,7 +53,7 @@ def _run_sweep(
         cache = system.sampling_engine.reader.page_cache
         hit_rates[frac] = cache.hit_rate
     sw_system = build_system(
-        "smartsage-sw", ds, hw=cfg.hw, fanouts=cfg.fanouts
+        SystemSpec("smartsage-sw", fanouts=cfg.fanouts), ds, hw=cfg.hw
     )
     sw_ms = steady_state_cost(
         sw_system.sampling_engine, workloads, cfg.warmup_batches

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.api.validation import (
+    PIPELINE_COUNTS,
+    TOPOLOGY_COUNTS,
     check_count,
     check_fabric,
     check_faults,
@@ -83,13 +85,10 @@ class PipelineResult:
 
 
 #: request knobs copied by name from :class:`~repro.api.spec.RunSpec`
-_RUN_KNOBS = (
-    "mode", "n_batches", "n_workers", "queue_depth", "checkpoint_every",
-    "checkpoint_bytes", "prefetch_depth", "qp_depth",
-)
+_RUN_KNOBS = ("mode", *PIPELINE_COUNTS)
 #: request knobs copied by name from :class:`~repro.api.spec.SystemSpec`
 _SYSTEM_KNOBS = (
-    "n_shards", "n_hosts", "fabric", "partition", "faults", "cache_tiers",
+    *TOPOLOGY_COUNTS, "fabric", "partition", "faults", "cache_tiers",
     "cache_policy",
 )
 
@@ -183,9 +182,10 @@ class ExecutionRequest:
         tuple."""
         if not self.workloads:
             raise ConfigError("need at least one workload")
-        for name in ("n_batches", "n_workers", "queue_depth",
-                     "n_shards", "n_hosts", "prefetch_depth", "qp_depth"):
-            setattr(self, name, check_count(name, getattr(self, name)))
+        for counts in (PIPELINE_COUNTS, TOPOLOGY_COUNTS):
+            for name, minimum in counts.items():
+                setattr(self, name,
+                        check_count(name, getattr(self, name), minimum))
         check_partition(self.partition)
         check_fabric(self.fabric)
         self.faults = check_faults(self.faults)

@@ -15,10 +15,12 @@ from repro.api import (
     register_design,
     unregister_design,
 )
+from repro.api.validation import PIPELINE_COUNTS, TOPOLOGY_COUNTS
 from repro.core import DESIGNS, SSD_DESIGNS, TrainingSystem, build_system
 from repro.core.sampling_engines import DirectIOSamplingEngine
 from repro.errors import ConfigError
 from repro.experiments.common import ExperimentConfig, scaled_instance
+from repro.pipeline import run_pipeline
 
 CFG = ExperimentConfig(edge_budget=2e5, batch_size=16, n_workloads=3)
 
@@ -76,7 +78,7 @@ def test_registry_replace_allows_override(dataset):
             return original(ctx)
 
         assert design_entry("dram").builder is patched
-        assert build_system("dram", dataset).design == "dram"
+        assert build_system(SystemSpec("dram"), dataset).design == "dram"
     finally:
         register_design("dram", replace=True)(original)
 
@@ -106,7 +108,7 @@ def test_eighth_design_registers_without_touching_core(dataset):
 
     try:
         assert "test-plugin" in available_designs()
-        system = build_system("test-plugin", dataset)
+        system = build_system(SystemSpec("test-plugin"), dataset)
         assert isinstance(system, TrainingSystem)
         assert system.design == "test-plugin"
         assert system.uses_ssd
@@ -117,7 +119,7 @@ def test_eighth_design_registers_without_touching_core(dataset):
     finally:
         unregister_design("test-plugin")
     with pytest.raises(ConfigError):
-        build_system("test-plugin", dataset)
+        build_system(SystemSpec("test-plugin"), dataset)
 
 
 def test_builder_must_return_training_system(dataset):
@@ -127,7 +129,7 @@ def test_builder_must_return_training_system(dataset):
 
     try:
         with pytest.raises(ConfigError, match="expected TrainingSystem"):
-            build_system("test-broken", dataset)
+            build_system(SystemSpec("test-broken"), dataset)
     finally:
         unregister_design("test-broken")
 
@@ -204,7 +206,7 @@ def test_hardware_overrides_applied_and_validated():
         SystemSpec(hardware={"ssd": {"spin_rpm": 7200}}).build_hardware()
 
 
-# -- fraction validation in the system builder (satellite) --------------
+# -- sizing validation in the system builder -----------------------------
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -215,25 +217,47 @@ def test_hardware_overrides_applied_and_validated():
     {"page_buffer_frac": -0.01},
     {"page_buffer_frac": 2.0},
     {"features_in_dram": "yes"},
+    {"design": "smartsage-sw", "granularity": 0},
+    {"design": "smartsage-sw", "granularity": -4},
+    {"fanouts": (0, -1)},
+    {"n_shards": True},
+    {"n_shards": 2.5},
 ])
 def test_build_system_rejects_bad_sizing(dataset, kwargs):
+    """``build_system`` runs ``SystemSpec.validate``, the one check of
+    every sizing knob, before any component is built."""
     with pytest.raises(ConfigError):
-        build_system("ssd-mmap", dataset, **kwargs)
+        build_system(SystemSpec(**{"design": "ssd-mmap", **kwargs}), dataset)
 
 
 def test_build_system_accepts_boundary_fractions(dataset):
     for frac in (0.0, 1.0):
-        system = build_system("ssd-mmap", dataset, host_cache_frac=frac)
+        system = build_system(
+            SystemSpec("ssd-mmap", host_cache_frac=frac), dataset
+        )
         assert system.design == "ssd-mmap"
 
 
-# -- back-compat shim ---------------------------------------------------
+def test_build_system_applies_spec_hardware_without_hw(dataset):
+    """With no ``hw``, the build uses the spec's hardware overrides."""
+    spec = SystemSpec("ssd-mmap", hardware={"ssd": {"lba_bytes": 8192}})
+    system = build_system(spec, dataset)
+    assert system.hw.ssd.lba_bytes == 8192
+    assert system.ssd.hw.ssd.lba_bytes == 8192
+    assert system.feature_layout.lba_bytes == 8192
+    assert build_system(SystemSpec("ssd-mmap"), dataset).hw.ssd.lba_bytes \
+        == 4096
+
+
+# -- build_system vs Session.build --------------------------------------
 
 
 def test_build_system_equivalent_for_all_designs(dataset):
-    """Legacy build_system matches Session.build for all seven designs."""
+    """build_system matches Session.build for all seven designs."""
     for design in DESIGNS:
-        legacy = build_system(design, dataset, fanouts=(25, 10))
+        legacy = build_system(
+            SystemSpec(design, fanouts=(25, 10)), dataset
+        )
         via_api = Session(
             small_spec(design, system=SystemSpec(
                 design=design, fanouts=(25, 10)
@@ -247,6 +271,42 @@ def test_build_system_equivalent_for_all_designs(dataset):
         assert legacy.uses_ssd == via_api.uses_ssd == (
             design in SSD_DESIGNS
         )
+
+
+# -- pipeline counts: one table, two validators --------------------------
+
+
+def test_request_rejects_negative_checkpoint_counts(dataset):
+    """A hand-built request cannot slip negative checkpoint knobs past
+    the run (they are in the shared count table)."""
+    session = Session(small_spec(), dataset=dataset)
+    for field, bad in (("checkpoint_every", -3), ("checkpoint_bytes", -5)):
+        request = dataclasses.replace(session.request, **{field: bad})
+        with pytest.raises(ConfigError, match=field):
+            run_pipeline(request, system_factory=session.build)
+
+
+@pytest.mark.parametrize(
+    "field", sorted({**PIPELINE_COUNTS, **TOPOLOGY_COUNTS})
+)
+def test_count_table_checked_by_spec_and_request(dataset, field):
+    """Every count is checked at its minimum by RunSpec (pipeline
+    counts), SystemSpec (topology counts) and ExecutionRequest (both)."""
+    minimum = {**PIPELINE_COUNTS, **TOPOLOGY_COUNTS}[field]
+    spec = small_spec()
+    if field in TOPOLOGY_COUNTS:
+        bad_spec = spec.replace(system=dataclasses.replace(
+            spec.system, **{field: minimum - 1}
+        ))
+    else:
+        bad_spec = spec.replace(**{field: minimum - 1})
+    with pytest.raises(ConfigError, match=field):
+        bad_spec.validate()
+    request = Session(spec, dataset=dataset).request
+    for bad in (minimum - 1, 2.5, True):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(request, **{field: bad}).validate()
+    assert dataclasses.replace(request, **{field: minimum}).validate()
 
 
 # -- Session ------------------------------------------------------------
@@ -336,15 +396,11 @@ def test_design_context_direct_construction(dataset):
     from repro.core.sampling_engines import DRAMSamplingEngine
 
     ctx = DesignContext(
-        design="hand-built",
+        spec=SystemSpec(design="hand-built", fanouts=(25, 10)),
         dataset=dataset,
         hw=default_hardware(),
-        fanouts=(25, 10),
-        granularity=None,
-        host_cache_frac=0.15,
-        page_buffer_frac=0.003,
-        features_in_dram=True,
     )
+    assert ctx.fanouts == (25, 10)
     system = ctx.make_system(
         sampling_engine=DRAMSamplingEngine(ctx.hw),
         feature_engine=ctx.dram_feature_engine(),

@@ -32,7 +32,7 @@ def setup():
 
 def build(design, ds, workloads, **kwargs):
     system = build_system(
-        design, ds, hw=CFG.hw, fanouts=CFG.fanouts, **kwargs
+        SystemSpec(design, fanouts=CFG.fanouts, **kwargs), ds, hw=CFG.hw
     )
     for w in workloads[:2]:
         system.sampling_engine.batch_cost(w)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import SystemSpec
 from repro.core import build_gpu_model, build_system
 from repro.experiments import depth_sensitivity
 from repro.experiments.common import (
@@ -27,7 +28,7 @@ def test_checkpointing_writes_and_costs_time(setup):
 
     def run(checkpoint_every):
         system = build_system(
-            "smartsage-hwsw", ds, hw=CFG.hw, fanouts=CFG.fanouts
+            SystemSpec("smartsage-hwsw", fanouts=CFG.fanouts), ds, hw=CFG.hw
         )
         return run_pipeline(
             ExecutionRequest(
@@ -47,7 +48,9 @@ def test_checkpointing_writes_and_costs_time(setup):
 
 def test_checkpointing_ignored_for_dram_design(setup):
     ds, workloads, gpu = setup
-    system = build_system("dram", ds, hw=CFG.hw, fanouts=CFG.fanouts)
+    system = build_system(
+        SystemSpec("dram", fanouts=CFG.fanouts), ds, hw=CFG.hw
+    )
     result = run_pipeline(
         ExecutionRequest(
             gpu=gpu, workloads=workloads, n_batches=6, n_workers=2,

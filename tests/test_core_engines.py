@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SystemSpec
 from repro.config import default_hardware
 from repro.core import SamplingWorkload, build_system
 from repro.errors import ConfigError
@@ -25,7 +26,9 @@ def setup():
 
 
 def build(design, ds, **kw):
-    return build_system(design, ds, hw=CFG.hw, fanouts=CFG.fanouts, **kw)
+    return build_system(
+        SystemSpec(design, fanouts=CFG.fanouts, **kw), ds, hw=CFG.hw
+    )
 
 
 def test_workload_extraction(setup):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SystemSpec
 from repro.config import default_hardware
 from repro.core import (
     DESIGNS,
@@ -158,7 +159,7 @@ def test_control_unit_event_mode_runs(setup):
 def test_build_all_designs(setup):
     ds, *_ = setup
     for design in DESIGNS:
-        system = build_system(design, ds)
+        system = build_system(SystemSpec(design), ds)
         assert system.design == design
         if design in ("dram", "pmem"):
             assert not system.uses_ssd
@@ -169,12 +170,12 @@ def test_build_all_designs(setup):
 def test_build_unknown_design_rejected(setup):
     ds, *_ = setup
     with pytest.raises(ConfigError):
-        build_system("floppy-disk", ds)
+        build_system(SystemSpec("floppy-disk"), ds)
 
 
 def test_feature_layout_placed_after_edges(setup):
     ds, *_ = setup
-    system = build_system("ssd-mmap", ds)
+    system = build_system(SystemSpec("ssd-mmap"), ds)
     assert (
         system.feature_layout.base_byte >= system.edge_layout.total_bytes
     )
@@ -183,8 +184,8 @@ def test_feature_layout_placed_after_edges(setup):
 
 def test_oracle_has_more_cores(setup):
     ds, *_ = setup
-    normal = build_system("smartsage-hwsw", ds)
-    oracle = build_system("smartsage-oracle", ds)
+    normal = build_system(SystemSpec("smartsage-hwsw"), ds)
+    oracle = build_system(SystemSpec("smartsage-oracle"), ds)
     sim1, sim2 = Simulator(), Simulator()
     r1 = normal.attach(sim1)
     r2 = oracle.attach(sim2)
@@ -193,7 +194,7 @@ def test_oracle_has_more_cores(setup):
 
 def test_attach_creates_fresh_runtime(setup):
     ds, *_ = setup
-    system = build_system("ssd-mmap", ds)
+    system = build_system(SystemSpec("ssd-mmap"), ds)
     r1 = system.attach(Simulator())
     r2 = system.attach(Simulator())
     assert r1.ssd_state is not r2.ssd_state
@@ -212,7 +213,9 @@ def test_gpu_model_builder(setup):
 
 def test_page_buffer_scaled_to_dataset(setup):
     ds, *_ = setup
-    system = build_system("smartsage-hwsw", ds, page_buffer_frac=0.01)
+    system = build_system(
+        SystemSpec("smartsage-hwsw", page_buffer_frac=0.01), ds
+    )
     expected = max(
         16,
         int(system.edge_layout.total_bytes * 0.01)

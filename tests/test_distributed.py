@@ -181,7 +181,9 @@ def test_request_validation_rejects_non_integral_counts(setup):
     gpu = build_gpu_model(ds, CFG.hw)
     from repro.core import build_system
 
-    system = build_system("ssd-mmap", ds, hw=CFG.hw, fanouts=CFG.fanouts)
+    system = build_system(
+        SystemSpec("ssd-mmap", fanouts=CFG.fanouts), ds, hw=CFG.hw
+    )
     for bad, field in [
         (dict(n_shards=0), "n_shards"),
         (dict(n_shards=2.5), "n_shards"),

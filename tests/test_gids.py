@@ -37,7 +37,7 @@ def setup():
 
 def build(design, ds, workloads, **kwargs):
     system = build_system(
-        design, ds, hw=CFG.hw, fanouts=CFG.fanouts, **kwargs
+        SystemSpec(design, fanouts=CFG.fanouts, **kwargs), ds, hw=CFG.hw
     )
     for w in workloads[:2]:
         system.sampling_engine.batch_cost(w)
@@ -144,14 +144,16 @@ def test_gids_designs_build_with_controller(setup):
 def test_gpu_cache_mb_sizes_the_cache(setup):
     ds, workloads, _ = setup
     small = build_system(
-        "gids-cached", ds, hw=CFG.hw, gpu_cache_mb=1.0
+        SystemSpec("gids-cached", gpu_cache_mb=1.0), ds, hw=CFG.hw
     )
     big = build_system(
-        "gids-cached", ds, hw=CFG.hw, gpu_cache_mb=64.0
+        SystemSpec("gids-cached", gpu_cache_mb=64.0), ds, hw=CFG.hw
     )
     assert small.gids.cache.capacity_pages < big.gids.cache.capacity_pages
     with pytest.raises(ConfigError, match="gpu_cache_mb"):
-        build_system("gids-cached", ds, hw=CFG.hw, gpu_cache_mb=0)
+        build_system(
+            SystemSpec("gids-cached", gpu_cache_mb=0), ds, hw=CFG.hw
+        )
 
 
 # -- backend ----------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro import (
     DESIGNS,
     ExecutionRequest,
     SamplingWorkload,
+    SystemSpec,
     build_gpu_model,
     build_system,
     load_dataset,
@@ -38,8 +39,8 @@ def test_public_api_roundtrip():
         np.arange(32), np.random.default_rng(0)
     )
     workload = SamplingWorkload.from_minibatch(batch)
-    mmap = build_system("ssd-mmap", ds)
-    isp = build_system("smartsage-hwsw", ds)
+    mmap = build_system(SystemSpec("ssd-mmap"), ds)
+    isp = build_system(SystemSpec("smartsage-hwsw"), ds)
     speedup = (
         mmap.sampling_engine.batch_cost(workload).total_s
         / isp.sampling_engine.batch_cost(workload).total_s
@@ -51,7 +52,9 @@ def test_every_design_completes_a_pipeline(setup):
     ds, workloads = setup
     gpu = build_gpu_model(ds, CFG.hw)
     for design in DESIGNS:
-        system = build_system(design, ds, hw=CFG.hw, fanouts=CFG.fanouts)
+        system = build_system(
+            SystemSpec(design, fanouts=CFG.fanouts), ds, hw=CFG.hw
+        )
         result = run_pipeline(
             ExecutionRequest(
                 gpu=gpu, workloads=workloads, n_batches=6, n_workers=3,
@@ -70,7 +73,7 @@ def test_pipeline_deterministic(setup):
 
     def once():
         system = build_system(
-            "ssd-mmap", ds, hw=CFG.hw, fanouts=CFG.fanouts
+            SystemSpec("ssd-mmap", fanouts=CFG.fanouts), ds, hw=CFG.hw
         )
         return run_pipeline(
             ExecutionRequest(
@@ -86,8 +89,9 @@ def test_pipeline_deterministic(setup):
 def test_ssd_byte_accounting_consistent(setup):
     """Bytes the engine claims must match the device's counters."""
     ds, workloads = setup
-    system = build_system("smartsage-sw", ds, hw=CFG.hw,
-                          fanouts=CFG.fanouts)
+    system = build_system(
+        SystemSpec("smartsage-sw", fanouts=CFG.fanouts), ds, hw=CFG.hw
+    )
     before = system.ssd.host_bytes_out
     cost = system.sampling_engine.batch_cost(workloads[0])
     moved = system.ssd.host_bytes_out - before
@@ -96,8 +100,9 @@ def test_ssd_byte_accounting_consistent(setup):
 
 def test_isp_counters_consistent(setup):
     ds, workloads = setup
-    system = build_system("smartsage-hwsw", ds, hw=CFG.hw,
-                          fanouts=CFG.fanouts)
+    system = build_system(
+        SystemSpec("smartsage-hwsw", fanouts=CFG.fanouts), ds, hw=CFG.hw
+    )
     engine = system.sampling_engine
     engine.batch_cost(workloads[0])
     assert engine.driver.commands_sent == 1
@@ -139,7 +144,9 @@ def test_workload_reuse_does_not_mutate(setup):
         w.input_nodes.copy(),
     )
     for design in ("ssd-mmap", "smartsage-sw", "smartsage-hwsw"):
-        system = build_system(design, ds, hw=CFG.hw, fanouts=CFG.fanouts)
+        system = build_system(
+            SystemSpec(design, fanouts=CFG.fanouts), ds, hw=CFG.hw
+        )
         system.sampling_engine.batch_cost(w)
     assert w.total_targets == before[0]
     assert w.total_samples == before[1]
@@ -151,7 +158,9 @@ def test_fanout_config_propagates(setup):
     """Granularity and fanouts flow from config to the ISP driver."""
     ds, workloads = setup
     system = build_system(
-        "smartsage-hwsw", ds, hw=CFG.hw, fanouts=(7, 3), granularity=8
+        SystemSpec("smartsage-hwsw", fanouts=(7, 3), granularity=8),
+        ds,
+        hw=CFG.hw,
     )
     assert system.sampling_engine.fanouts == (7, 3)
     system.sampling_engine.batch_cost(workloads[0])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import SystemSpec
 from repro.core import build_gpu_model, build_system
 from repro.errors import ConfigError
 from repro.experiments.common import (
@@ -23,7 +24,9 @@ def setup():
 
 
 def run(design, ds, workloads, gpu, mode="event", workers=4, batches=12):
-    system = build_system(design, ds, hw=CFG.hw, fanouts=CFG.fanouts)
+    system = build_system(
+        SystemSpec(design, fanouts=CFG.fanouts), ds, hw=CFG.hw
+    )
     for w in workloads[:2]:
         system.sampling_engine.batch_cost(w)
     return run_pipeline(
@@ -109,7 +112,7 @@ def test_more_workers_help_producer_bound_systems(setup):
 
 def test_pipeline_validation(setup):
     ds, workloads, gpu = setup
-    system = build_system("dram", ds)
+    system = build_system(SystemSpec("dram"), ds)
     with pytest.raises(ConfigError):
         run_pipeline(
             ExecutionRequest(
