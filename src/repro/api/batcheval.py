@@ -22,7 +22,7 @@ Entry points:
 
 * :func:`evaluate_sessions` -- N prepared :class:`Session` objects.
 * :func:`evaluate_specs` -- N :class:`RunSpec` / spec dicts (the
-  campaign and service face; shares materialized datasets through the
+  service's batched dispatch; shares materialized datasets through the
   active :mod:`repro.api.cache` when one is installed).
 * :func:`batchable` -- eligibility predicate shared by every layer.
 """

@@ -9,6 +9,17 @@ and collects per-experiment results with failure isolation: one
 experiment blowing up is recorded (with its traceback) without taking
 the rest of the suite down.
 
+Every unit runs on its own through :func:`_execute_unit`; a campaign
+never coalesces units.  Batched analytic evaluation lives in
+:meth:`repro.api.session.Session.sweep` and in the service's dispatch
+(:mod:`repro.service.server`), the two places that see many analytic
+specs at once.  With a ``store`` (a
+:class:`~repro.service.store.ResultStore` or its directory), spec
+units are content-addressed: a hit is served from its record, and a
+miss is evaluated by the service worker
+(:func:`repro.service.worker.evaluate_and_store`), so a resumed
+campaign and the service read and write one record format.
+
 Artifacts (``out_dir``): per-experiment ``<name>.json`` (structured
 :class:`~repro.api.experiment.RunRecord` rows), ``<name>.csv`` (long
 format), ``<name>.txt`` (paper-style rendering), and a campaign
@@ -32,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -56,6 +66,7 @@ from repro.api.experiment import (
     execute_unit,
     experiment_entry,
 )
+from repro.api.validation import check_count
 from repro.errors import ConfigError, ReproError
 
 __all__ = [
@@ -196,12 +207,7 @@ class CampaignSpec:
     skip: List[str] = field(default_factory=list)
 
     def validate(self) -> "CampaignSpec":
-        if not isinstance(self.jobs, int) or isinstance(
-            self.jobs, bool
-        ) or self.jobs < 1:
-            raise ConfigError(
-                f"jobs must be an int >= 1, got {self.jobs!r}"
-            )
+        check_count("jobs", self.jobs)
         if isinstance(self.experiments, str) or not isinstance(
             self.experiments, (list, tuple)
         ):
@@ -302,87 +308,33 @@ def _execute_unit(unit: Any, store: Any = None) -> Any:
 
     The resumable-campaign path: a :class:`~repro.api.spec.RunSpec`
     unit whose canonical key is already in the disk result store
-    returns the stored :class:`PipelineResult` without simulating, and
-    a freshly computed spec result is persisted for the next campaign.
-    Non-spec units (closures) have no stable content address and always
-    execute.
+    returns the stored :class:`PipelineResult` without simulating.  A
+    miss is evaluated by the service worker's
+    :func:`~repro.service.worker.evaluate_and_store`, so a campaign
+    persists exactly the record bytes the service would, and both
+    branches return the result rebuilt from that record.  Non-spec
+    units (closures) have no stable content address and always execute.
     """
     from repro.api.spec import RunSpec
 
     if store is None or not isinstance(unit, RunSpec):
         return execute_unit(unit)
     from repro.service.store import result_from_dict, run_key
+    from repro.service.worker import evaluate_and_store
 
-    key = run_key(unit)
-    record = store.get(key)
-    if record is not None:
-        return result_from_dict(record["result"])
-    result = execute_unit(unit)
-    store.put_result(key, unit.to_dict(), result)
-    return result
-
-
-class _BatchGroup:
-    """Lazy one-shot batched evaluation shared by analytic spec units.
-
-    The first unit future to run evaluates the whole group through
-    :mod:`repro.api.batcheval` (store hits served individually first,
-    freshly computed results persisted per unit -- the same record
-    bytes the scalar :func:`_execute_unit` path writes); later futures
-    just pick up their member's result.  Results are bit-identical to
-    per-unit :func:`~repro.api.experiment.execute_unit` because the
-    batched evaluator and ``Session.run`` share one cost model.
-    """
-
-    def __init__(self, units: List[Any], store: Any) -> None:
-        self.units = units
-        self.store = store
-        self._lock = threading.Lock()
-        self._results: Optional[List[Any]] = None
-
-    def _evaluate(self) -> List[Any]:
-        from repro.api.batcheval import evaluate_specs
-        from repro.service.store import result_from_dict, run_key
-
-        results: List[Any] = [None] * len(self.units)
-        keys: List[Optional[str]] = [None] * len(self.units)
-        compute = list(range(len(self.units)))
-        if self.store is not None:
-            compute = []
-            for i, unit in enumerate(self.units):
-                keys[i] = run_key(unit)
-                record = self.store.get(keys[i])
-                if record is not None:
-                    results[i] = result_from_dict(record["result"])
-                else:
-                    compute.append(i)
-        if compute:
-            fresh = evaluate_specs([self.units[i] for i in compute])
-            for i, result in zip(compute, fresh):
-                results[i] = result
-                if self.store is not None:
-                    self.store.put_result(
-                        keys[i], self.units[i].to_dict(), result
-                    )
-        return results
-
-    def result_for(self, index: int) -> Any:
-        with self._lock:
-            if self._results is None:
-                self._results = self._evaluate()
-        return self._results[index]
+    record = store.get(run_key(unit))
+    if record is None:
+        record = evaluate_and_store(unit.to_dict())
+        store.put(record)
+    return result_from_dict(record["result"])
 
 
 def _timed_unit(
-    unit: Any, store: Any = None, batch: Optional[Tuple[Any, int]] = None
+    unit: Any, store: Any = None
 ) -> Callable[[], Tuple[Any, float, float]]:
     def call() -> Tuple[Any, float, float]:
         start = time.time()
-        if batch is not None:
-            group, member = batch
-            output = group.result_for(member)
-        else:
-            output = _execute_unit(unit, store)
+        output = _execute_unit(unit, store)
         finished = time.time()
         return output, finished - start, finished
 
@@ -408,10 +360,8 @@ class Campaign:
         skip_tags: Sequence[str] = (),
         cache: Optional[ContentCache] = None,
         store: Any = None,
-        batch_analytic: bool = True,
     ) -> None:
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-            raise ConfigError(f"jobs must be an int >= 1, got {jobs!r}")
+        jobs = check_count("jobs", jobs)
         if cfg is None:
             from repro.experiments.common import ExperimentConfig
 
@@ -429,10 +379,6 @@ class Campaign:
         #: optional disk result store: spec-shaped units already keyed
         #: there are served instead of re-run (resumable campaigns)
         self.store = store
-        #: coalesce analytic-mode RunSpec units into one batched
-        #: evaluation (bit-identical results and store records); False
-        #: forces the scalar per-unit path
-        self.batch_analytic = batch_analytic
         self._selection = self._select(experiments)
 
     @classmethod
@@ -556,17 +502,9 @@ class Campaign:
                             )
                             continue
                         exp.plan_s = time.time() - exp.started
-                    handles = self._plan_batches(planned)
-                    for eidx, exp in enumerate(planned):
-                        if exp.outcome is not None:
-                            continue
                         exp.futures = [
-                            pool.submit(_timed_unit(
-                                unit,
-                                self.store,
-                                batch=handles.get((eidx, uidx)),
-                            ))
-                            for uidx, unit in enumerate(exp.units)
+                            pool.submit(_timed_unit(unit, self.store))
+                            for unit in exp.units
                         ]
                     for index, exp in enumerate(planned):
                         if exp.outcome is None:
@@ -611,36 +549,6 @@ class Campaign:
         if interrupt is not None:
             raise interrupt
         return result
-
-    def _plan_batches(
-        self, planned: List[_PlannedExperiment]
-    ) -> Dict[Tuple[int, int], Tuple[_BatchGroup, int]]:
-        """Map (experiment index, unit index) -> batch-group handle.
-
-        Analytic-mode :class:`RunSpec` units across the whole campaign
-        share one :class:`_BatchGroup`, so a sweep-shaped campaign is
-        answered as array ops instead of N pipeline runs.  A single
-        eligible unit (nothing to coalesce) keeps the scalar path.
-        """
-        if not self.batch_analytic:
-            return {}
-        from repro.api.batcheval import batchable
-        from repro.api.spec import RunSpec
-
-        sites = [
-            (eidx, uidx, unit)
-            for eidx, exp in enumerate(planned)
-            if exp.outcome is None
-            for uidx, unit in enumerate(exp.units)
-            if isinstance(unit, RunSpec) and batchable(unit)
-        ]
-        if len(sites) < 2:
-            return {}
-        group = _BatchGroup([unit for _, _, unit in sites], self.store)
-        return {
-            (eidx, uidx): (group, member)
-            for member, (eidx, uidx, _) in enumerate(sites)
-        }
 
     def _failed(
         self,

@@ -184,7 +184,7 @@ class CachePolicy:
     "lru", description="exact LRU on the shared batched kernel"
 )
 class LRUPolicy(CachePolicy):
-    """Exact LRU: the policy refactored out of ``GPUFeatureCache``.
+    """Exact LRU, the default policy of every cache tier.
 
     Delegates to the batched kernel behind the host page cache,
     scratchpads, and the SSD page buffer

@@ -12,9 +12,9 @@ tier reach storage.
 Built-in tier names (:data:`TIER_NAMES`):
 
 ``hbm``
-    the GPU's own HBM software cache (the pre-refactor
-    ``GPUFeatureCache`` level), priced per hit at
-    ``GIDSParams.cache_hit_s`` and sized by ``gpu_cache_mb``;
+    the GPU's own HBM software cache (GIDS's GPU page cache), priced
+    per hit at ``GIDSParams.cache_hit_s`` and sized by
+    ``gpu_cache_mb``;
 ``peer``
     a multi-GPU peer tier -- a replica GPU serves its neighbor's hot
     pages over an NVLink-class link

@@ -134,8 +134,7 @@ class GIDSFeatureEngine(FeatureEngineBase):
 
         The second element is a tuple of ``(component, n_hits,
         cost_s)`` per cache level that served hits -- empty when the
-        design is uncached, single-entry for the plain
-        :class:`~repro.storage.gids.GPUFeatureCache`.
+        design is uncached.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
@@ -145,17 +144,8 @@ class GIDSFeatureEngine(FeatureEngineBase):
         cache = self.controller.cache
         if cache is None:
             return int(pages.size), ()
-        if hasattr(cache, "lookup"):  # TieredFeatureCache stack
-            look = cache.lookup(pages)
-            return look.misses, look.hit_costs()
-        mask = cache.hit_mask(pages)
-        hits = int(mask.sum())
-        costs = ()
-        if hits:
-            costs = (
-                ("gpu_cache", hits, self.controller.cache_hit_cost(hits)),
-            )
-        return int(mask.size) - hits, costs
+        look = cache.lookup(pages)
+        return look.misses, look.hit_costs()
 
     def batch_cost(self, nodes: np.ndarray) -> BatchCost:
         misses, hit_costs = self._plan(nodes)

@@ -288,7 +288,7 @@ class DesignContext:
         """The GIDS feature-cache stack selected by the spec knobs.
 
         ``cache_tiers=None`` builds the single HBM LRU tier, priced and
-        accounted exactly like the pre-refactor ``GPUFeatureCache``.
+        accounted exactly like the pre-refactor single-tier GPU cache.
         """
         from repro.cache import build_tiered_cache
 

@@ -70,7 +70,7 @@ def _plan_gids(request: ExecutionRequest) -> PipelineResult:
     tiers = (
         cache.tiers
         if request.cache_tiers is not None
-        and hasattr(cache, "tiers")
+        and cache is not None
         else ()
     )
     tier_hits0 = [(t.hits, t.hit_bytes) for t in tiers]

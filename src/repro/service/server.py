@@ -21,6 +21,13 @@ with the invariants the campaign-as-a-service design asks for:
   currently being computed attaches to that computation
   (``source="coalesced"``) so one key simulates at most once no matter
   how many submitters race;
+* **batched**: with the default ``work_fn``, queued analytic-mode jobs
+  coalesce into one pool submission
+  (:func:`~repro.service.worker.evaluate_batch_and_store`) whose
+  records are byte-identical to the scalar path's -- this and
+  :meth:`repro.api.session.Session.sweep` are the only places analytic
+  specs are batched (a :class:`~repro.api.campaign.Campaign` runs
+  each unit on its own);
 * **scales with cores**: real work runs on a ``ProcessPoolExecutor``
   (``executor="process"``); ``"thread"`` and ``"inline"`` executors
   exist for tests, benchmarks, and single-core fallbacks;
@@ -38,7 +45,6 @@ with the invariants the campaign-as-a-service design asks for:
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import threading
@@ -55,6 +61,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api.spec import RunSpec
+from repro.api.validation import check_count, check_positive_real
 from repro.errors import ConfigError
 from repro.service.jobs import Job, JobQueue, Spool
 from repro.service.store import ResultStore, run_key
@@ -206,45 +213,24 @@ class CampaignService:
         max_retries: int = 1,
         poll_interval_s: float = 0.02,
         work_fn: Optional[Callable[[dict, str], dict]] = None,
-        batch_analytic: bool = True,
     ) -> None:
-        if not isinstance(workers, int) or isinstance(workers, bool) \
-                or workers < 1:
-            raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
         if executor not in EXECUTORS:
             raise ConfigError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise ConfigError(
-                f"job_timeout_s must be positive, got {job_timeout_s!r}"
-            )
-        if not isinstance(max_retries, int) or max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be an int >= 0, got {max_retries!r}"
-            )
-        if (
-            isinstance(poll_interval_s, bool)
-            or not isinstance(poll_interval_s, (int, float))
-            or not math.isfinite(poll_interval_s)
-            or poll_interval_s <= 0
-        ):
-            raise ConfigError(
-                f"poll_interval_s must be a finite number > 0, "
-                f"got {poll_interval_s!r}"
-            )
+        self.workers = check_count("workers", workers)
+        self.executor = executor
+        self.job_timeout_s = (
+            None if job_timeout_s is None
+            else check_positive_real("job_timeout_s", job_timeout_s)
+        )
+        self.max_retries = check_count("max_retries", max_retries, 0)
+        self.poll_interval_s = check_positive_real(
+            "poll_interval_s", poll_interval_s
+        )
+        self.work_fn = work_fn or evaluate_and_store
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
-        self.workers = workers
-        self.executor = executor
-        self.job_timeout_s = job_timeout_s
-        self.max_retries = max_retries
-        self.poll_interval_s = poll_interval_s
-        self.work_fn = work_fn or evaluate_and_store
-        #: coalesce queued analytic jobs into one batched pool
-        #: submission (only with the default ``work_fn`` -- an injected
-        #: work function has no batched face)
-        self.batch_analytic = batch_analytic
         self.queue = JobQueue(os.path.join(state_dir, "journal.jsonl"))
         self.spool = Spool(os.path.join(state_dir, "spool"))
         self.store = ResultStore(os.path.join(state_dir, "store"))
@@ -350,9 +336,8 @@ class CampaignService:
         path (nothing to coalesce).
         """
         progressed = False
-        batch_ok = (
-            self.batch_analytic and self.work_fn is evaluate_and_store
-        )
+        # an injected work function has no batched face
+        batch_ok = self.work_fn is evaluate_and_store
         pending: List[Job] = []
         pending_keys = set()
         while self._in_flight() + (1 if pending else 0) < self.workers \

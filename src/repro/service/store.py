@@ -223,14 +223,6 @@ class ResultStore:
             self.puts += 1
         return path
 
-    def put_result(
-        self, key: str, spec_dict: dict, result: PipelineResult
-    ) -> str:
-        """Persist one evaluated spec (convenience over :meth:`put`)."""
-        return self.put(
-            make_record(key, spec_dict, result_to_dict(result))
-        )
-
     # -- maintenance -------------------------------------------------------
 
     def prune(

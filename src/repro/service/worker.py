@@ -9,10 +9,16 @@ its side of the process boundary, runs the pipeline, and returns the
 serialized result dict -- everything crossing the boundary is JSON-
 shaped and therefore picklable by construction.
 
+Every served result record is built here:
+:func:`evaluate_and_store` serves the service's scalar jobs and a
+store-backed :class:`~repro.api.campaign.Campaign`'s misses, and
+:func:`evaluate_batch_and_store` serves the service's batched analytic
+jobs with the same record bytes.
+
 Simulation is deterministic (campaign records are byte-identical
-across processes and job counts since PR 2), so *where* a spec is
-evaluated -- serving process, pool worker, another host -- cannot
-change the record that lands in the result store.
+across processes and job counts), so *where* a spec is evaluated --
+serving process, pool worker, another host -- cannot change the
+record that lands in the result store.
 """
 
 from __future__ import annotations

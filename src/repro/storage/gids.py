@@ -11,10 +11,6 @@ design point over the same SSD substrate:
   PCIe BAR, and the warp polls its completions, so submission cost is
   per *warp*, not per request -- the software-stack bypass that makes
   GPU-initiated I/O cheap.
-* :class:`GPUFeatureCache` -- a GPU-HBM software page cache for feature
-  table pages, an exact LRU reusing the batched kernel in
-  :mod:`repro.memory.lru` (the same kernel behind the host page cache,
-  scratchpads, and the SSD page buffer).
 * :class:`BARTraffic` -- accounting of the SSD->GPU traffic that flows
   over the PCIe BAR window and therefore *bypasses the host DRAM bounce
   buffer* (in host-mediated designs every feature byte is staged in
@@ -22,6 +18,10 @@ design point over the same SSD substrate:
 * :class:`GIDSController` / :class:`GIDSState` -- the analytic and
   discrete-event faces tying the pieces to one :class:`SSDevice`, the
   same dual-mode structure every other engine substrate here follows.
+
+GIDS's GPU-HBM software page cache is the ``hbm`` tier of
+:mod:`repro.cache.tiers`, which the ``gids-cached`` design hands the
+controller.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.policy import LRUPolicy
 from repro.config import GIDSParams
 from repro.errors import StorageError
 from repro.sim.resources import BandwidthLink, Resource
@@ -39,7 +38,6 @@ from repro.storage.ssd import SSDevice, SSDState
 
 __all__ = [
     "GIDSQueuePairs",
-    "GPUFeatureCache",
     "BARTraffic",
     "GIDSController",
     "GIDSState",
@@ -84,67 +82,6 @@ class GIDSQueuePairs:
         return warps * (p.submit_s + p.doorbell_s + p.poll_s)
 
 
-class GPUFeatureCache:
-    """GPU-HBM software page cache over feature-table pages (exact LRU).
-
-    Keys are LBA-sized page IDs of the feature table, so co-located
-    feature rows share cache lines the way GIDS's software cache shares
-    512 B/4 KiB cache lines in GPU memory.  The membership kernel now
-    lives in :class:`repro.cache.policy.LRUPolicy` (the registered
-    ``"lru"`` policy of the tiered cache subsystem); this class remains
-    the single-tier convenience wrapper with hit/miss accounting.
-    """
-
-    def __init__(self, capacity_bytes: int, page_bytes: int = 4096):
-        if page_bytes <= 0:
-            raise StorageError("page_bytes must be positive")
-        if capacity_bytes < page_bytes:
-            raise StorageError(
-                "GPU cache needs capacity for at least one page"
-            )
-        self.capacity_pages = capacity_bytes // page_bytes
-        self.page_bytes = page_bytes
-        self._policy = LRUPolicy(self.capacity_pages)
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def _lru(self):
-        """The underlying recency-ordered dict (tests inspect it)."""
-        return self._policy._lru
-
-    def __len__(self) -> int:
-        return len(self._policy)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._policy
-
-    def _account(self, mask: np.ndarray) -> np.ndarray:
-        """The one hit/miss bookkeeping path both access kernels share."""
-        hits = int(mask.sum())
-        self.hits += hits
-        self.misses += int(mask.size) - hits
-        return mask
-
-    def hit_mask(self, pages: np.ndarray) -> np.ndarray:
-        """Per-page hit/miss mask for a batch (updates LRU state)."""
-        return self._account(self._policy.access(pages))
-
-    def hit_mask_scalar(self, pages: np.ndarray) -> np.ndarray:
-        """Reference implementation of :meth:`hit_mask` (parity tests)."""
-        return self._account(self._policy.access_scalar(pages))
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        self._policy.clear()
-        self.hits = 0
-        self.misses = 0
-
-
 @dataclass
 class BARTraffic:
     """SSD->GPU bytes moved through the PCIe BAR window.
@@ -173,10 +110,10 @@ class GIDSController:
     ``qp_depth`` is the run knob (``RunSpec.qp_depth``); the ``gids``
     execution backend assigns it before attaching, so one built system
     can be re-run at different depths.  ``cache`` is ``None`` for the
-    uncached ``gids-baseline`` design, a single-tier
-    :class:`GPUFeatureCache`, or a
-    :class:`repro.cache.tiers.TieredFeatureCache` stack (the design
-    builders construct the latter from ``SystemSpec.cache_tiers``).
+    uncached ``gids-baseline`` design, or the
+    :class:`repro.cache.tiers.TieredFeatureCache` stack ``gids-cached``
+    builds from ``SystemSpec.cache_tiers`` (by default one HBM LRU
+    tier, GIDS's GPU software cache).
     """
 
     def __init__(
@@ -222,10 +159,6 @@ class GIDSController:
         )
         self.traffic.record(int(nbytes.size), int(nbytes.sum()))
         return latency + self.ssd.hw.pcie.p2p_switch_latency_s
-
-    def cache_hit_cost(self, n_hits: int) -> float:
-        """GPU-side service time for ``n_hits`` software-cache hits."""
-        return n_hits * self.params.cache_hit_s
 
     # -- event-mode state ----------------------------------------------
 
@@ -341,18 +274,13 @@ class GIDSState:
                 self.qp_slots.release()
             ctl.traffic.record(k, int(k * bytes_per_request))
 
-    def gpu_cache_hits(self, n_hits: int):
-        """Generator: GPU software-cache hit service (no device I/O)."""
-        if n_hits > 0:
-            yield self.controller.cache_hit_cost(n_hits)
-
     def cache_service(self, hit_costs):
         """Generator: tiered cache-hit service, one event per tier hit.
 
         ``hit_costs`` is ``CacheLookup.hit_costs()`` -- (component,
         n_hits, cost_s) per tier that served hits.  A single-HBM stack
         yields exactly one timeout of ``n_hits * cache_hit_s``, the
-        schedule :meth:`gpu_cache_hits` produced before the refactor.
+        schedule the pre-refactor single-tier GPU cache produced.
         """
         for _component, _n_hits, cost_s in hit_costs:
             yield cost_s

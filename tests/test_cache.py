@@ -35,7 +35,6 @@ from repro.cache import (
 from repro.cache.policy import CachePolicy, ClockPolicy
 from repro.config import default_hardware
 from repro.errors import ConfigError
-from repro.storage.gids import GPUFeatureCache
 
 CAP = 128
 
@@ -337,30 +336,6 @@ def test_system_spec_to_dict_omits_default_cache_fields():
     assert again == SystemSpec(
         cache_tiers=("hbm", "uva"), cache_policy="static"
     )
-
-
-# -- satellite regression: GPUFeatureCache.clear() ---------------------------
-
-
-def test_gpu_feature_cache_clear_resets_stats():
-    cache = GPUFeatureCache(capacity_bytes=64 * 4096, page_bytes=4096)
-    cache.hit_mask(np.array([1, 2, 1], dtype=np.int64))
-    assert cache.hits == 1 and cache.misses == 2
-    cache.clear()
-    assert cache.hits == 0 and cache.misses == 0
-    assert len(cache._lru) == 0
-
-
-def test_gpu_feature_cache_scalar_parity_shares_accounting():
-    a = GPUFeatureCache(capacity_bytes=8 * 64, page_bytes=64)
-    b = GPUFeatureCache(capacity_bytes=8 * 64, page_bytes=64)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        batch = zipf_stream(rng, 200, 64)
-        np.testing.assert_array_equal(
-            a.hit_mask(batch), b.hit_mask_scalar(batch)
-        )
-    assert (a.hits, a.misses) == (b.hits, b.misses)
 
 
 # -- determinism lock: default config replays pre-refactor records -----------

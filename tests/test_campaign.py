@@ -746,91 +746,32 @@ def test_campaign_store_serves_resubmitted_specs(tmp_path, spec_planned):
     assert second.manifest()["store"]["hits"] == 2
 
 
-def _analytic_units(cfg):
-    from repro.api import RunSpec, SystemSpec
-
-    return [
-        RunSpec(
-            dataset="protein-pi",
-            edge_budget=1.5e5,
-            batch_size=16,
-            n_workloads=3,
-            n_batches=4,
-            n_workers=w,
-            mode="analytic",
-            system=SystemSpec(design="smartsage-sw"),
-        )
-        for w in (1, 2, 4, 8)
-    ]
-
-
-@pytest.fixture
-def analytic_planned():
-    register_experiment("synthetic-analytic", tags=("synthetic",))(
-        _analytic_units
-    )
-    try:
-        yield "synthetic-analytic"
-    finally:
-        unregister_experiment("synthetic-analytic")
-
-
-def test_campaign_batches_analytic_units_byte_identical(
-    tmp_path, analytic_planned
+def test_campaign_and_service_write_one_record_format(
+    tmp_path, spec_planned
 ):
-    """Analytic spec units are answered by one batched evaluation;
-    the store records must be byte-for-byte what the scalar per-unit
-    path persists (same run_key, same canonical JSON)."""
-    from repro.service.store import record_bytes, run_key
+    """A store-backed campaign persists the bytes the service does."""
+    from repro.service import CampaignService, ResultStore
 
-    batched_dir = str(tmp_path / "batched")
-    scalar_dir = str(tmp_path / "scalar")
-    batched = Campaign(
-        experiments=[analytic_planned], cfg=CFG, store=batched_dir
+    campaign_store = ResultStore(str(tmp_path / "campaign"))
+    result = Campaign(
+        experiments=[spec_planned], cfg=CFG, store=campaign_store
     ).run()
-    scalar = Campaign(
-        experiments=[analytic_planned],
-        cfg=CFG,
-        store=scalar_dir,
-        batch_analytic=False,
-    ).run()
-    assert batched.outcomes[analytic_planned].ok
-    assert scalar.outcomes[analytic_planned].ok
-    assert batched.store_stats["puts"] == 4
-    assert scalar.store_stats["puts"] == 4
-    assert (
-        batched.outcomes[analytic_planned].result
-        == scalar.outcomes[analytic_planned].result
-    )
-    from repro.service.store import ResultStore
-
-    b_store, s_store = ResultStore(batched_dir), ResultStore(scalar_dir)
-    for unit in _analytic_units(CFG):
-        key = run_key(unit)
-        with open(b_store.path_for(key), "rb") as f:
-            b_bytes = f.read()
-        with open(s_store.path_for(key), "rb") as f:
-            assert b_bytes == f.read()
-        assert b_bytes == record_bytes(b_store.get(key))
-
-
-def test_campaign_batch_serves_store_hits_individually(
-    tmp_path, analytic_planned
-):
-    store_dir = str(tmp_path / "store")
-    first = Campaign(
-        experiments=[analytic_planned], cfg=CFG, store=store_dir
-    ).run()
-    assert first.store_stats["puts"] == 4
-    second = Campaign(
-        experiments=[analytic_planned], cfg=CFG, store=store_dir
-    ).run()
-    assert second.store_stats["hits"] == 4
-    assert second.store_stats["puts"] == 0
-    assert (
-        first.outcomes[analytic_planned].result
-        == second.outcomes[analytic_planned].result
-    )
+    assert result.outcomes[spec_planned].ok
+    with CampaignService(
+        str(tmp_path / "service"), executor="inline"
+    ) as service:
+        for spec in _spec_units(CFG):
+            service.submit(spec)
+        report = service.drain()
+    assert report.jobs_completed == 2
+    keys = sorted(campaign_store.keys())
+    assert len(keys) == 2
+    assert keys == sorted(service.store.keys())
+    for key in keys:
+        with open(campaign_store.path_for(key), "rb") as f:
+            campaign_bytes = f.read()
+        with open(service.store.path_for(key), "rb") as f:
+            assert campaign_bytes == f.read()
 
 
 def test_campaign_interrupt_writes_partial_manifest(

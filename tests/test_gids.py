@@ -20,7 +20,6 @@ from repro.storage.gids import (
     BARTraffic,
     GIDSController,
     GIDSQueuePairs,
-    GPUFeatureCache,
 )
 from repro.storage.ssd import SSDevice
 
@@ -73,21 +72,6 @@ def test_queue_pairs_warp_granular_submission():
     assert qp.doorbells_rung == 4
     with pytest.raises(StorageError):
         GIDSQueuePairs(params, qp_depth=0)
-
-
-def test_gpu_feature_cache_lru_and_parity():
-    rng = np.random.default_rng(0)
-    keys = (rng.zipf(1.2, size=4000) % 256).astype(np.int64)
-    batched = GPUFeatureCache(64 * 4096, page_bytes=4096)
-    scalar = GPUFeatureCache(64 * 4096, page_bytes=4096)
-    m_b = batched.hit_mask(keys)
-    m_s = scalar.hit_mask_scalar(keys)
-    assert np.array_equal(m_b, m_s)
-    assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
-    assert list(batched._lru) == list(scalar._lru)  # same LRU order
-    assert 0.0 < batched.hit_rate < 1.0
-    with pytest.raises(StorageError):
-        GPUFeatureCache(100, page_bytes=4096)  # below one page
 
 
 def test_bar_traffic_accounting():

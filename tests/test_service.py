@@ -214,14 +214,17 @@ def make_service(tmp_path, **kwargs):
 
 
 def test_service_validates_arguments(tmp_path):
-    with pytest.raises(ConfigError, match="workers"):
-        make_service(tmp_path, workers=0)
+    for bad in (0, True, 2.0, "2"):
+        with pytest.raises(ConfigError, match="workers"):
+            make_service(tmp_path, workers=bad)
     with pytest.raises(ConfigError, match="executor"):
         make_service(tmp_path, executor="rayon")
-    with pytest.raises(ConfigError, match="job_timeout_s"):
-        make_service(tmp_path, job_timeout_s=0)
-    with pytest.raises(ConfigError, match="max_retries"):
-        make_service(tmp_path, max_retries=-1)
+    for bad in (0, -1.0, float("nan"), float("inf"), True, "5"):
+        with pytest.raises(ConfigError, match="job_timeout_s"):
+            make_service(tmp_path, job_timeout_s=bad)
+    for bad in (-1, True, 1.0, "1"):
+        with pytest.raises(ConfigError, match="max_retries"):
+            make_service(tmp_path, max_retries=bad)
     for bad in (0, -0.02, float("nan"), float("inf"), True, "0.02"):
         with pytest.raises(ConfigError, match="poll_interval_s"):
             make_service(tmp_path, poll_interval_s=bad)
@@ -541,19 +544,6 @@ def test_service_singleton_analytic_stays_scalar(tmp_path):
     report = svc.drain()
     svc.close()
     assert report.sources == {"computed": 1}
-
-
-def test_service_batching_disabled_falls_back_scalar(tmp_path):
-    specs = _analytic_specs(4)
-    svc = CampaignService(
-        str(tmp_path / "state"), workers=2, executor="thread",
-        batch_analytic=False,
-    )
-    for spec in specs:
-        svc.submit(spec)
-    report = svc.drain()
-    svc.close()
-    assert report.sources == {"computed": 4}
 
 
 def test_service_custom_work_fn_never_batches(tmp_path):
