@@ -1,23 +1,38 @@
-"""Cost accounting shared by every design point's engines."""
+"""Cost accounting shared by every design point's engines.
+
+A :class:`SamplingWorkload` is read-only once sampled, and a warm
+session (or a campaign sharing one workload pool) replays the same
+workload objects on every run.  Whatever an engine derives from a
+workload and a graph alone -- the ISP command's flash-page set, the GIDS
+hop reads, the cross-group and cross-host traffic of a graph cut -- is
+therefore planned once per process by :func:`workload_plan` and reused;
+each run keeps only its stateful passes (cache and page-buffer replays,
+device accounting).
+"""
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.gnn.subgraph import MiniBatch
 
-__all__ = ["SamplingWorkload", "BatchCost"]
+__all__ = ["SamplingWorkload", "BatchCost", "read_only", "workload_plan"]
+
+T = TypeVar("T")
 
 
-@dataclass
+@dataclass(eq=False)
 class SamplingWorkload:
     """Everything an engine needs to cost one mini-batch's sampling.
 
     Extracted once from a sampled :class:`MiniBatch` so engines never need
-    the graph itself -- only node IDs and sizes.
+    the graph itself -- only node IDs and sizes.  Compared and hashed by
+    identity, which is what :func:`workload_plan` keys on.
     """
 
     seeds: np.ndarray
@@ -65,6 +80,44 @@ class SamplingWorkload:
             "samples": max(0, int(round(self.total_samples * fraction))),
             "bytes": max(0, int(round(self.subgraph_bytes * fraction))),
         }
+
+
+#: graph -> workload -> {plan key: plan}, both levels weakly keyed
+_PLANS = weakref.WeakKeyDictionary()
+_PLANS_LOCK = threading.Lock()
+
+
+def workload_plan(graph, workload: SamplingWorkload, key: Hashable,
+                  build: Callable[[], T]) -> T:
+    """The plan ``build()`` derives from ``workload`` on ``graph``,
+    built on first use.
+
+    ``key`` names the plan and every parameter it depends on besides
+    the graph and the workload (layout sizes, cut parameters, span).
+    The lock is held while a plan is built, so concurrent runs sharing
+    a workload build it once (and ``build`` must not call
+    :func:`workload_plan` itself).  Plans must be immutable -- read-only
+    arrays, tuples, frozen records -- and must not refer to the graph
+    or the workload, which keeps both weak keys collectable: an entry
+    is freed with either.
+    """
+    with _PLANS_LOCK:
+        per_graph = _PLANS.get(graph)
+        if per_graph is None:
+            per_graph = _PLANS[graph] = weakref.WeakKeyDictionary()
+        plans = per_graph.get(workload)
+        if plans is None:
+            plans = per_graph[workload] = {}
+        if key not in plans:
+            plans[key] = build()
+        return plans[key]
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only (for values :func:`workload_plan`
+    shares between runs)."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass

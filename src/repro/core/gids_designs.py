@@ -25,7 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_design
-from repro.core.accounting import BatchCost, SamplingWorkload
+from repro.core.accounting import (
+    BatchCost,
+    SamplingWorkload,
+    read_only,
+    workload_plan,
+)
 from repro.core.feature_engines import FeatureEngineBase
 from repro.core.sampling_engines import SamplingEngineBase
 from repro.core.systems import DesignContext, TrainingSystem
@@ -79,10 +84,27 @@ class GIDSSamplingEngine(SamplingEngineBase):
         nbytes = self.layout.node_bytes(targets)
         return align_up(nbytes[nbytes > 0], self.lba_bytes)
 
+    def _reads(self, workload: SamplingWorkload) -> tuple:
+        """``(read sizes, mean size)`` per hop, read-only; a pure
+        function of the workload and the layout, planned once per
+        process (:func:`~repro.core.accounting.workload_plan`)."""
+        layout = self.layout
+        key = ("gids-reads", layout.id_bytes, self.lba_bytes)
+
+        def build():
+            hops = []
+            for targets in workload.hop_targets:
+                reads = read_only(self._hop_reads(targets))
+                hops.append(
+                    (reads, float(reads.mean()) if reads.size else 0.0)
+                )
+            return tuple(hops)
+
+        return workload_plan(layout.graph, workload, key, build)
+
     def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
         cost = BatchCost(design=self.design)
-        for targets in workload.hop_targets:
-            read_bytes = self._hop_reads(targets)
+        for read_bytes, _mean in self._reads(workload):
             n = int(read_bytes.size)
             if n == 0:
                 continue
@@ -101,11 +123,10 @@ class GIDSSamplingEngine(SamplingEngineBase):
 
     def batch_process(self, runtime, workload: SamplingWorkload):
         state = _gids_state(self.controller, runtime)
-        for targets in workload.hop_targets:
-            read_bytes = self._hop_reads(targets)
+        for read_bytes, mean_bytes in self._reads(workload):
             if read_bytes.size:
                 yield from state.gpu_read_sequence(
-                    int(read_bytes.size), float(read_bytes.mean())
+                    int(read_bytes.size), mean_bytes
                 )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.layout import EdgeListLayout
-from repro.host.driver import NSCONFIG_BYTES_PER_TARGET, NSCONFIG_HEADER_BYTES
+from repro.host.driver import nsconfig_wire_bytes
 
 __all__ = ["NSConfig"]
 
@@ -65,10 +65,7 @@ class NSConfig:
     @property
     def wire_bytes(self) -> int:
         """Size of the CPU->SSD DMA payload."""
-        return (
-            NSCONFIG_HEADER_BYTES
-            + self.num_targets * NSCONFIG_BYTES_PER_TARGET
-        )
+        return nsconfig_wire_bytes(self.num_targets)
 
     def split(self, granularity: int):
         """Split into per-command configs of ``granularity`` targets

@@ -15,6 +15,7 @@ both modes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,12 +23,11 @@ import numpy as np
 from repro.config import HardwareParams
 from repro.core.accounting import BatchCost, SamplingWorkload
 from repro.core.isp_control import ISPControlUnit
-from repro.core.nsconfig import NSConfig
 from repro.core.subgraph_generator import SubgraphGenerator
 from repro.errors import ConfigError
 from repro.graph.layout import EdgeListLayout
 from repro.host.direct_io import align_up
-from repro.host.driver import SmartSAGEDriver
+from repro.host.driver import SmartSAGEDriver, nsconfig_wire_bytes
 from repro.host.mmap_io import MmapReader
 from repro.host.pagecache import OSPageCache
 from repro.host.scratchpad import Scratchpad
@@ -235,6 +235,19 @@ class DirectIOSamplingEngine(SamplingEngineBase):
                 )
 
 
+@lru_cache(maxsize=256)
+def _command_spans(n_targets: int, granularity: int) -> tuple:
+    """``(start_frac, end_frac, nsconfig_bytes)`` of each command that
+    carries ``n_targets`` seeds, ``granularity`` per command; a
+    command's NSconfig size depends only on its target count."""
+    n = -(-n_targets // granularity)
+    return tuple(
+        (i / n, (i + 1) / n,
+         nsconfig_wire_bytes(min(granularity, n_targets - i * granularity)))
+        for i in range(n)
+    )
+
+
 class ISPSamplingEngine(SamplingEngineBase):
     """SmartSAGE(HW/SW): in-storage sampling on the SSD's embedded cores."""
 
@@ -252,22 +265,17 @@ class ISPSamplingEngine(SamplingEngineBase):
         self.layout = layout
         self.driver = driver
         self.fanouts = tuple(fanouts)
+        if not self.fanouts or any(f <= 0 for f in self.fanouts):
+            raise ConfigError("ISP sampling needs positive fanouts")
         self.granularity = granularity
         self.generator = SubgraphGenerator(ssd, layout)
         self.control = ISPControlUnit(ssd)
 
     def _command_spans(self, workload: SamplingWorkload):
         """Per-command (start_frac, end_frac, nsconfig_bytes) tuples."""
-        nsconfig = NSConfig.build(
-            workload.seeds, self.layout, self.fanouts
+        return _command_spans(
+            workload.num_seeds, self.granularity or workload.num_seeds
         )
-        g = self.granularity or workload.num_seeds
-        parts = list(nsconfig.split(g))
-        n = len(parts)
-        spans = []
-        for i, part in enumerate(parts):
-            spans.append((i / n, (i + 1) / n, part.wire_bytes))
-        return spans
 
     def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
         cost = BatchCost(design=self.design)

@@ -10,10 +10,11 @@ gathers take, and how many bytes the dense result DMA carries back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.accounting import SamplingWorkload
+from repro.core.accounting import SamplingWorkload, read_only, workload_plan
 from repro.errors import ConfigError
 from repro.graph.layout import EdgeListLayout
 from repro.storage.ssd import SSDevice
@@ -63,33 +64,61 @@ class SubgraphGenerator:
         Coalescing granularities below the batch size split the batch into
         several commands; each sees only its own slice of the target
         stream, so cross-slice page dedup is lost -- one of the reasons
-        fine granularity hurts in Fig 15.
+        fine granularity hurts in Fig 15.  The slice's page set is
+        planned once per workload and layout (:meth:`span_pages`); the
+        page-buffer pass and the core accounting run on every call.
         """
         if not 0.0 <= start_frac < end_frac <= 1.0:
             raise ConfigError("need 0 <= start < end <= 1")
         fraction = end_frac - start_frac
-        targets = workload.all_targets()
-        lo = int(np.floor(targets.size * start_frac))
-        hi = max(lo + 1, int(np.floor(targets.size * end_frac)))
-        targets = targets[lo:hi]
-        page_ids = self.layout.flash_page_ids(targets, self.page_bytes)
-        # Dedup within the command: one flash read serves every reference
-        # to the same page; across commands the device page buffer
-        # (stateful) catches re-referenced hub pages.
-        unique_pages = np.unique(page_ids)
+        n_targets, n_refs, unique_pages = self.span_pages(
+            workload, start_frac, end_frac
+        )
+        # Across commands the device page buffer (stateful) catches
+        # re-referenced hub pages.
         hits, misses = self.ssd.page_buffer.access_batch(unique_pages)
         n_samples = int(round(workload.total_samples * fraction))
         core_s = self.ssd.cores.isp_sampling_cost(
-            n_targets=int(targets.size),
+            n_targets=n_targets,
             n_samples=n_samples,
-            n_pages=int(page_ids.size),
+            n_pages=n_refs,
         )
         self.batches_planned += 1
         return ISPBatchPlan(
-            n_targets=int(targets.size),
+            n_targets=n_targets,
             n_samples=n_samples,
-            pages_touched=int(page_ids.size),
+            pages_touched=n_refs,
             pages_from_flash=int(misses),
             core_seconds=core_s,
             return_bytes=int(round(workload.subgraph_bytes * fraction)),
         )
+
+    def span_pages(
+        self,
+        workload: SamplingWorkload,
+        start_frac: float,
+        end_frac: float,
+    ) -> Tuple[int, int, np.ndarray]:
+        """``(targets, page references, distinct pages)`` of one command.
+
+        A pure function of the workload, the slice and the edge-list
+        layout, built once per process by
+        :func:`~repro.core.accounting.workload_plan`; the distinct-page
+        array is read-only.
+        """
+        layout = self.layout
+        key = ("isp-pages", layout.id_bytes, layout.base_byte,
+               self.page_bytes, start_frac, end_frac)
+
+        def build():
+            targets = workload.all_targets()
+            lo = int(np.floor(targets.size * start_frac))
+            hi = max(lo + 1, int(np.floor(targets.size * end_frac)))
+            targets = targets[lo:hi]
+            page_ids = layout.flash_page_ids(targets, self.page_bytes)
+            # Dedup within the command: one flash read serves every
+            # reference to the same page.
+            return (int(targets.size), int(page_ids.size),
+                    read_only(np.unique(page_ids)))
+
+        return workload_plan(layout.graph, workload, key, build)

@@ -172,7 +172,7 @@ def plan_hosts(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadTraffic:
     """Cross-host bytes one workload generates when run on one host.
 

@@ -18,13 +18,18 @@ from repro.host.syscall import HostSoftware
 from repro.storage.nvme import NVMeCommand, NVMeInterface, NVMeOpcode
 from repro.storage.pcie import PCIeFabric
 
-__all__ = ["SamplingCommandPlan", "SmartSAGEDriver"]
+__all__ = ["SamplingCommandPlan", "SmartSAGEDriver", "nsconfig_wire_bytes"]
 
 #: bytes of NSconfig metadata per target node (logical block address,
 #: neighbor count to sample, flags -- Section IV-B step 1)
 NSCONFIG_BYTES_PER_TARGET = 16
 #: fixed NSconfig header (sampling parameters, result buffer pointer)
 NSCONFIG_HEADER_BYTES = 64
+
+
+def nsconfig_wire_bytes(n_targets: int) -> int:
+    """CPU->SSD DMA payload of one NSconfig carrying ``n_targets``."""
+    return NSCONFIG_HEADER_BYTES + n_targets * NSCONFIG_BYTES_PER_TARGET
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,7 @@ class SmartSAGEDriver:
             targets = min(
                 granularity, n_targets - cmd_idx * granularity
             )
-            payload = (
-                NSCONFIG_HEADER_BYTES
-                + targets * NSCONFIG_BYTES_PER_TARGET
-            )
+            payload = nsconfig_wire_bytes(targets)
             command = NVMeCommand(
                 opcode=NVMeOpcode.SAMPLE_SUBGRAPH,
                 nsconfig_bytes=payload,

@@ -38,7 +38,11 @@ A graph's cut depends only on the graph and the cut parameters, never
 on the workloads, so it is planned once per process: the first run on
 a graph partitions it and every later run with the same axes, counts,
 method and payload sizes reuses that (immutable) cut.  The memo holds
-its graphs weakly, so a cut is freed with its graph.
+its graphs weakly, so a cut is freed with its graph.  What each
+workload pulls across that cut -- per group and, with several hosts,
+per host -- is likewise planned once per workload and cut
+(:func:`~repro.core.accounting.workload_plan`); the front-cache replay
+stays per run.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.accounting import read_only, workload_plan
 from repro.errors import ConfigError
 from repro.graph.partition import partition_graph
 from repro.pipeline.backends.base import (
@@ -123,27 +128,56 @@ def _graph_cut(graph, hosts: bool, n_hosts: int, n_shards: int,
         return cuts[key]
 
 
-def _remote_parts_per_workload(part, graph, workloads, group: int,
-                               row_bytes: int, edge_id_bytes: int):
+def _remote_parts(graph, cut: tuple, part, workloads, group: int):
     """Cross-group traffic each workload pulls when run on ``group``.
 
     Two remote-read streams: the neighbor lists of sampled hop targets
     owned elsewhere (edge-list reads from the owning group's SSD) and
     the feature rows of input nodes owned elsewhere.  Returns
     ``(total_bytes, remote_input_nodes)`` per workload; the node array
-    is what a front cache can absorb -- edge-list reads always cross
-    the link.
+    (read-only) is what a front cache can absorb -- edge-list reads
+    always cross the link.  ``cut`` is ``part``'s :func:`_graph_cut`
+    key; each workload's share is planned once per process.
     """
-    out = []
-    for w in workloads:
+    row_bytes, edge_id_bytes = cut[-2:]
+
+    def build(w):
         targets = w.all_targets()
         remote_t = targets[part.remote_mask(targets, group)]
         edge_bytes = int(graph.degrees(remote_t).sum()) * edge_id_bytes
         remote_nodes = w.input_nodes[part.remote_mask(w.input_nodes, group)]
-        out.append(
-            (edge_bytes + int(remote_nodes.size) * row_bytes, remote_nodes)
+        return (
+            edge_bytes + int(remote_nodes.size) * row_bytes,
+            read_only(remote_nodes),
         )
-    return out
+
+    return [
+        workload_plan(graph, w, ("remote", cut, group), partial(build, w))
+        for w in workloads
+    ]
+
+
+def _host_traffic(graph, cut: tuple, host_plan, workloads, host: int):
+    """Each workload's cross-host traffic when ``host`` runs it
+    (:func:`~repro.distributed.planner.host_workload_traffic`), planned
+    once per workload and cut."""
+    from repro.distributed.planner import host_workload_traffic
+
+    row_bytes, edge_id_bytes = cut[-2:]
+
+    def build(w):
+        (traffic,) = host_workload_traffic(
+            host_plan, graph, [w], host, row_bytes, edge_id_bytes
+        )
+        for array in (traffic.sampling_req, traffic.sampling_resp,
+                      traffic.pull_req, traffic.pull_resp):
+            read_only(array)
+        return traffic
+
+    return [
+        workload_plan(graph, w, ("host", cut, host), partial(build, w))
+        for w in workloads
+    ]
 
 
 @dataclass
@@ -229,14 +263,11 @@ class TopologyEngine:
 
         row_bytes = req.gpu.feature_dim * req.gpu.feature_dtype_bytes
         edge_id_bytes = hw.workload.edge_id_bytes
-        plan.part, plan.host_plan = _graph_cut(
-            req.graph, HOSTS in self.axes, self.n_hosts, self.n_shards,
-            req.partition, row_bytes, edge_id_bytes,
-        )
+        cut = (HOSTS in self.axes, self.n_hosts, self.n_shards,
+               req.partition, row_bytes, edge_id_bytes)
+        plan.part, plan.host_plan = _graph_cut(req.graph, *cut)
         parts = [
-            _remote_parts_per_workload(
-                plan.part, req.graph, workloads, g, row_bytes, edge_id_bytes
-            )
+            _remote_parts(req.graph, cut, plan.part, workloads, g)
             for g in range(self.n_groups)
         ]
         plan.per_group_remote = [[total for total, _ in p] for p in parts]
@@ -263,17 +294,13 @@ class TopologyEngine:
 
         if self.n_hosts > 1:
             from repro.distributed.coordinator import model_gradient_bytes
-            from repro.distributed.planner import host_workload_traffic
             from repro.net.fabric import NetworkFabric
 
             plan.fabric = NetworkFabric(
                 hw.fabric, self.n_hosts, topology=req.fabric
             )
             plan.host_traffic = [
-                host_workload_traffic(
-                    plan.host_plan, req.graph, workloads, h,
-                    row_bytes, edge_id_bytes,
-                )
+                _host_traffic(req.graph, cut, plan.host_plan, workloads, h)
                 for h in range(self.n_hosts)
             ]
             n_layers = max(len(w.block_sizes) for w in workloads)

@@ -55,7 +55,11 @@ class PageBuffer:
 
     def access_batch(self, pages: Iterable[int]) -> Tuple[int, int]:
         """Touch many pages; returns (hits, misses) for the batch."""
-        mask = self.hit_mask(np.fromiter(pages, dtype=np.int64))
+        if isinstance(pages, np.ndarray):
+            pages = np.asarray(pages, dtype=np.int64)
+        else:
+            pages = np.fromiter(pages, dtype=np.int64)
+        mask = self.hit_mask(pages)
         hits = int(mask.sum())
         return hits, int(mask.size) - hits
 

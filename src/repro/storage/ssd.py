@@ -303,13 +303,18 @@ class SSDState:
         chain of callbacks, not a process: it pops a quantum, takes a
         flash slot (``try_acquire``, or waits on ``acquire()``),
         schedules its own completion after the quantum's flash time,
-        releases, and repeats until the work list is empty.  It
-        schedules one start hop per lane, one hop per served quantum,
-        one finish hop per lane, then one barrier hop that wakes the
-        caller -- the hops of one process per lane joined by
-        :func:`~repro.sim.engine.all_of`, so the (time, sequence)
-        order matches that formulation exactly.  A lane that raises
-        fails the barrier, so the error surfaces in the caller.
+        releases, and repeats until the work list is empty.
+
+        Hops per call: one start hop that starts every lane in lane
+        order, one hop per served quantum (plus the grant hop when a
+        lane waits for a slot), one finish hop when the last lane
+        runs dry, and the barrier hop that wakes the caller.  Every
+        one of them is dispatched in the (time, sequence) order of one
+        process per lane joined by :func:`~repro.sim.engine.all_of`:
+        that formulation's lane start hops sit back to back in the
+        queue, and its finish hops do nothing but count lanes down
+        until the last.  A lane that raises fails the barrier, so the
+        error surfaces in the caller.
         """
         if n_pages <= 0:
             return
@@ -351,9 +356,12 @@ class SSDState:
 
         def serve():
             # a lane's next step: take a quantum, or finish the lane
+            nonlocal live
             try:
                 if not work:
-                    call_at(sim.now, finish)
+                    live -= 1
+                    if live == 0:
+                        call_at(sim.now, finish)
                     return
                 q_s = work.pop()
                 if flash.try_acquire():
@@ -374,13 +382,14 @@ class SSDState:
             serve()
 
         def finish():
-            nonlocal live
-            live -= 1
-            if live == 0 and not done.triggered:
+            if not done.triggered:
                 done.succeed()
 
-        for _ in range(n_lanes):
-            call_at(sim.now, serve)
+        def start():
+            for _ in range(n_lanes):
+                serve()
+
+        call_at(sim.now, start)
         yield done
 
     def isp_compute(self, core_seconds: float, slice_s: float = 200e-6):

@@ -66,6 +66,31 @@ def test_nsconfig_validation(setup):
         list(cfg.split(0))
 
 
+@pytest.mark.parametrize("granularity", [None, 1, 5, 16, 40])
+def test_isp_command_spans_match_nsconfig_split(setup, granularity):
+    """The ISP engine sizes each command's NSconfig from its target
+    count alone; that must equal the split config's wire size."""
+    ds, workloads, layout = setup
+    system = build_system(
+        SystemSpec("smartsage-hwsw", granularity=granularity), ds
+    )
+    w = workloads[0]
+    parts = list(NSConfig.build(w.seeds, layout, (25, 10))
+                 .split(granularity or w.num_seeds))
+    spans = system.sampling_engine._command_spans(w)
+    n = len(parts)
+    assert spans == tuple(
+        (i / n, (i + 1) / n, p.wire_bytes) for i, p in enumerate(parts)
+    )
+
+
+def test_isp_engine_rejects_nonpositive_fanouts(setup):
+    ds, _, _ = setup
+    hw = default_hardware().replace_in("workload", fanouts=(10, 0))
+    with pytest.raises(ConfigError, match="positive fanouts"):
+        build_system(SystemSpec("smartsage-hwsw"), ds, hw=hw)
+
+
 # -- SubgraphGenerator ----------------------------------------------------
 
 

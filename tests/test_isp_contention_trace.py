@@ -8,6 +8,14 @@ so any change to how ISP lanes are scheduled must reproduce the exact
 event schedule, in both the coalesced and the one-entry-per-event
 queue, with and without the synchronous ``try_acquire`` grant.
 
+``processed_events`` counts hops.  Each ``isp_flash_read`` call
+dispatches one hop that starts all its lanes, one hop per served
+quantum, one grant hop per quantum that waited for a flash slot, one
+finish hop when its last lane runs dry, and the barrier hop that
+resumes the caller; the host sequence and the process starts and
+resumes make up the rest.  The two ``isp_flash_read`` calls here run
+32 and 30 lanes but dispatch only one start and one finish hop each.
+
 Regenerate the pin (only when the schedule is meant to change) with
 ``PYTHONPATH=src python tests/test_isp_contention_trace.py``.
 """
