@@ -26,9 +26,7 @@ import argparse
 import json
 import os
 import sys
-
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.common import ExperimentConfig
+import time
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,34 +327,49 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _quick_cfg(quick: bool) -> ExperimentConfig:
-    return (
-        ExperimentConfig(edge_budget=3e5, batch_size=48, n_workloads=6)
-        if quick
-        else ExperimentConfig(n_workloads=8)
-    )
-
-
 def _split_tags(blob) -> tuple:
     if not blob:
         return ()
     return tuple(t.strip() for t in blob.split(",") if t.strip())
 
 
-def _cmd_run_one(args) -> int:
-    from repro.api.campaign import Campaign
+def _print_banner(outcome) -> None:
+    """``repro run all``'s per-experiment section of the text report."""
+    print("=" * 72)
+    if outcome.ok:
+        print(f"{outcome.name}  ({outcome.elapsed_s:.1f}s)")
+        print("=" * 72)
+        print(outcome.rendered or "(no rendering)")
+    else:
+        print(f"{outcome.name}  FAILED: {outcome.error}")
+        print("=" * 72)
+        if outcome.traceback:
+            print(outcome.traceback, end="")
+    print()
 
+
+def _cmd_run(args) -> int:
+    """``repro run <name>`` and ``repro run all``: one campaign each."""
+    from repro.api.campaign import Campaign
+    from repro.experiments.run_all import ORDER, suite_config
+
+    suite = args.experiment == "all"
     campaign = Campaign(
-        experiments=[args.experiment],
-        cfg=_quick_cfg(args.quick),
+        experiments=ORDER if suite else [args.experiment],
+        cfg=suite_config(args.quick),
         jobs=args.jobs,
         out_dir=args.out,
         only_tags=_split_tags(args.only),
         skip_tags=_split_tags(args.skip),
     )
-    result = campaign.run()
+    start = time.time()
+    result = campaign.run(
+        on_result=_print_banner if suite and not args.json else None
+    )
     if args.json:
         print(json.dumps(result.to_json_obj(), indent=2))
+    elif suite:
+        print(f"total: {time.time() - start:.1f}s")
     else:
         if not result.outcomes:
             print(
@@ -374,6 +387,8 @@ def _cmd_run_one(args) -> int:
                 )
                 if outcome.traceback:
                     print(outcome.traceback, end="", file=sys.stderr)
+    if suite and result.failures:
+        print(f"FAILED: {', '.join(result.failures)}", file=sys.stderr)
     return result.n_failures
 
 
@@ -522,9 +537,13 @@ def _cmd_status(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name, module in ALL_EXPERIMENTS.items():
-            doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:18s} {doc}")
+        from repro.api.experiment import (
+            available_experiments,
+            experiment_entry,
+        )
+
+        for name in available_experiments():
+            print(f"{name:18s} {experiment_entry(name).description}")
         return 0
     if args.command == "designs":
         return _cmd_designs()
@@ -543,38 +562,24 @@ def main(argv=None) -> int:
     if args.command == "status":
         return _cmd_status(args)
     if args.command == "calibrate":
-        from repro.experiments import calibration
+        from repro.api.experiment import run_experiment
+        from repro.experiments.run_all import suite_config
 
-        print(calibration.render(calibration.run()))
+        print(run_experiment("calibration", suite_config()).rendered)
         return 0
     # run
-    if args.experiment == "all":
-        from repro.experiments import run_all
-
-        forwarded = []
-        if args.quick:
-            forwarded.append("--quick")
-        if args.jobs != 1:
-            forwarded.extend(["--jobs", str(args.jobs)])
-        if args.json:
-            forwarded.append("--json")
-        if args.out:
-            forwarded.extend(["--out", args.out])
-        if args.only:
-            forwarded.extend(["--only", args.only])
-        if args.skip:
-            forwarded.extend(["--skip", args.skip])
-        return run_all.main(forwarded)
     from repro.api.experiment import available_experiments
 
-    if args.experiment not in available_experiments():
+    if args.experiment != "all" and (
+        args.experiment not in available_experiments()
+    ):
         print(
             f"unknown experiment {args.experiment!r}; try: "
             + ", ".join(available_experiments()),
             file=sys.stderr,
         )
         return 2
-    return _cmd_run_one(args)
+    return _cmd_run(args)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """The ``Campaign`` executor: many experiments, one shared substrate.
 
-A campaign takes a set of registered experiments (or ad-hoc
-``run``/``render`` modules), plans each one into independent units,
-executes every unit through one thread pool (``jobs`` wide) over a
-shared :class:`~repro.api.cache.ContentCache` -- so each scaled dataset
-and workload pool is materialized exactly once for the whole batch --
-and collects per-experiment results with failure isolation: one
-experiment blowing up is recorded (with its traceback) without taking
-the rest of the suite down.
+A campaign takes a set of registered experiments, plans each one into
+independent units, executes every unit through one thread pool
+(``jobs`` wide) over a shared :class:`~repro.api.cache.ContentCache`
+-- so each scaled dataset and workload pool is materialized exactly
+once for the whole batch -- and collects per-experiment results with
+failure isolation: one experiment blowing up is recorded (with its
+traceback) without taking the rest of the suite down.  An experiment
+that ``reads`` others (such as ``calibration``) is handed their
+results when they ran in the same campaign under the same config; the
+ones that did not are run for it, unlisted.
 
 Every unit runs on its own through :func:`_execute_unit`; a campaign
 never coalesces units.  Batched analytic evaluation lives in
@@ -289,13 +291,15 @@ class _PlannedExperiment:
     """Internal: one experiment's entry, config, and unit futures."""
 
     __slots__ = (
-        "entry", "cfg", "units", "futures", "outcome", "plan_s",
-        "started",
+        "entry", "cfg", "reads", "units", "futures", "outcome",
+        "plan_s", "started",
     )
 
     def __init__(self, entry: ExperimentEntry, cfg: Any) -> None:
         self.entry = entry
         self.cfg = cfg
+        #: the planned experiments whose results ``entry.reads`` names
+        self.reads: List["_PlannedExperiment"] = []
         self.units: List[Any] = []
         self.futures: List[Future] = []
         self.outcome: Optional[ExperimentOutcome] = None
@@ -483,6 +487,7 @@ class Campaign:
             _PlannedExperiment(entry, cfg)
             for entry, cfg in self._selection
         ]
+        schedule = _with_reads(planned)
         say(
             f"campaign: {len(planned)} experiment(s), "
             f"jobs={self.jobs}"
@@ -491,7 +496,7 @@ class Campaign:
         with activated(cache):
             with ThreadPoolExecutor(max_workers=self.jobs) as pool:
                 try:
-                    for exp in planned:
+                    for exp in schedule:
                         exp.started = time.time()
                         try:
                             exp.units = list(exp.entry.plan(exp.cfg))
@@ -521,7 +526,7 @@ class Campaign:
                     interrupt = exc
                     cancelled = cancel_pending(
                         future
-                        for exp in planned
+                        for exp in schedule
                         for future in exp.futures
                     )
                     say(
@@ -587,6 +592,19 @@ class Campaign:
 
     def _gather(self, exp: _PlannedExperiment) -> ExperimentOutcome:
         outputs = []
+        for source in exp.reads:
+            if source.outcome is None:
+                source.outcome = self._gather(source)
+            if not source.outcome.ok:
+                return self._failed(
+                    exp, "read",
+                    ReproError(
+                        f"{source.entry.name} {source.outcome.status}: "
+                        f"{source.outcome.error}"
+                    ),
+                    time.time() - exp.started,
+                )
+            outputs.append(source.outcome.result)
         work = exp.plan_s
         finished_last = exp.started + exp.plan_s
         for future in exp.futures:
@@ -678,6 +696,35 @@ class Campaign:
             os.path.join(out_dir, "manifest.json"), manifest
         )
         return manifest
+
+
+def _with_reads(
+    planned: List[_PlannedExperiment],
+) -> List[_PlannedExperiment]:
+    """``planned`` plus what their ``reads`` need, in planning order.
+
+    A read is linked to the selected experiment of that name when that
+    one runs under an equal config; otherwise an unlisted copy is
+    planned just before its reader.
+    """
+    selected = {exp.entry.name: exp for exp in planned}
+    schedule: List[_PlannedExperiment] = []
+
+    def link(exp: _PlannedExperiment) -> None:
+        for name in exp.entry.reads:
+            source = selected.get(name)
+            if source is None or source.cfg != exp.cfg:
+                source = _PlannedExperiment(
+                    experiment_entry(name), exp.cfg
+                )
+                link(source)
+                schedule.append(source)
+            exp.reads.append(source)
+
+    for exp in planned:
+        link(exp)
+        schedule.append(exp)
+    return schedule
 
 
 def run_campaign_file(

@@ -20,7 +20,10 @@ The registered protocol has four pieces:
   campaign executor may run them on any worker thread in any order.
 * ``collect(cfg, outputs) -> result`` -- merge the unit outputs (in plan
   order) into the experiment's result dict.  Optional; defaults to the
-  single output (one unit) or the output list.
+  single output (one unit) or the output list.  An experiment that
+  summarizes others names them in ``reads``: their results, under the
+  same config, come first in ``outputs`` (a campaign hands over the
+  results of the ones it already runs, and runs the rest).
 * ``records(result) -> list[RunRecord]`` -- flatten the result into
   serializable :class:`RunRecord` rows, the machine-readable artifact
   replacing per-module result objects.  Optional; defaults to
@@ -35,6 +38,7 @@ complete.
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -194,6 +198,8 @@ class ExperimentEntry:
     figure: str = ""
     tags: Tuple[str, ...] = ()
     description: str = ""
+    #: experiments whose results lead ``collect``'s outputs
+    reads: Tuple[str, ...] = ()
 
     def collect_outputs(self, cfg: Any, outputs: Sequence[Any]) -> Any:
         """Merge unit outputs (plan order) into the result."""
@@ -220,30 +226,6 @@ class ExperimentEntry:
     def render_result(self, result: Any) -> Optional[str]:
         return self.render(result) if self.render is not None else None
 
-    @classmethod
-    def from_module(cls, name: str, module: Any) -> "ExperimentEntry":
-        """Adapt a legacy ``run(cfg)``/``render(result)`` module.
-
-        The whole ``run`` becomes a single planned unit; ``records``
-        falls back to the standard flattening.  This keeps ad-hoc
-        modules (and tests that monkeypatch them in) runnable through a
-        campaign without registration.
-        """
-        run = getattr(module, "run", None)
-        if not callable(run):
-            raise ConfigError(
-                f"experiment {name!r} ({module!r}) has no callable run()"
-            )
-        render = getattr(module, "render", None)
-        return cls(
-            name=name,
-            plan=lambda cfg: [lambda: run(cfg)],
-            render=render if callable(render) else None,
-            description=(getattr(module, "__doc__", "") or "")
-            .strip()
-            .split("\n")[0],
-        )
-
 
 _REGISTRY: Dict[str, ExperimentEntry] = {}
 _builtin_loaded = False
@@ -259,6 +241,10 @@ def _ensure_builtin() -> None:
     _builtin_loaded = True
 
 
+def _first_line(doc: Optional[str]) -> str:
+    return (doc or "").strip().split("\n")[0]
+
+
 def register_experiment(
     name: str,
     *,
@@ -268,12 +254,15 @@ def register_experiment(
     collect: Optional[Callable] = None,
     records: Optional[Callable] = None,
     render: Optional[Callable] = None,
+    reads: Sequence[str] = (),
     replace: bool = False,
 ) -> Callable:
     """Decorator registering ``fn`` as the *plan* for experiment ``name``.
 
-    Raises :class:`ConfigError` if ``name`` is already registered,
-    unless ``replace=True``.
+    ``description`` defaults to the first line of the defining module's
+    docstring (``repro list`` prints it), else of ``fn``'s.  Raises
+    :class:`ConfigError` if ``name`` is already registered, unless
+    ``replace=True``.
     """
     if not name or not isinstance(name, str):
         raise ConfigError(
@@ -284,15 +273,6 @@ def register_experiment(
     def decorator(fn: Callable) -> Callable:
         existing = _REGISTRY.get(name)
         if existing is not None and not replace:
-            # ``python -m repro.experiments.<module>`` executes the
-            # module body twice (as __main__ and via the package
-            # import); keep the canonical registration and ignore the
-            # duplicate from the script copy
-            if (
-                fn.__module__ == "__main__"
-                and existing.plan.__module__ != "__main__"
-            ):
-                return fn
             raise ConfigError(
                 f"experiment {name!r} is already registered "
                 f"(by {existing.plan!r}); "
@@ -306,8 +286,11 @@ def register_experiment(
             render=render,
             figure=figure,
             tags=tags,
-            description=description
-            or (fn.__doc__ or "").strip().split("\n")[0],
+            description=description or _first_line(
+                getattr(sys.modules.get(fn.__module__), "__doc__", None)
+                or fn.__doc__
+            ),
+            reads=tuple(reads),
         )
         return fn
 
@@ -379,7 +362,10 @@ def run_experiment(
     *,
     render: bool = True,
 ) -> ExperimentResult:
-    """Plan, execute (serially), collect, and record one experiment."""
+    """Plan, execute (serially), collect, and record one experiment.
+
+    Every experiment in ``reads`` runs first, under the same ``cfg``.
+    """
     entry = (
         name_or_entry
         if isinstance(name_or_entry, ExperimentEntry)
@@ -390,7 +376,11 @@ def run_experiment(
 
         cfg = ExperimentConfig()
     start = time.time()
-    outputs = [execute_unit(u) for u in entry.plan(cfg)]
+    outputs = [
+        run_experiment(name, cfg, render=False).result
+        for name in entry.reads
+    ]
+    outputs += [execute_unit(u) for u in entry.plan(cfg)]
     result = entry.collect_outputs(cfg, outputs)
     records = entry.extract_records(result)
     rendered = entry.render_result(result) if render else None

@@ -11,7 +11,6 @@ attributable.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.core.sampling_engines import DirectIOSamplingEngine
@@ -25,7 +24,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_table
 from repro.storage.pagebuffer import PageBuffer
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 
 def _run_ladder(dataset_name: str, cfg: ExperimentConfig) -> dict:
@@ -84,14 +83,6 @@ def _run_ladder(dataset_name: str, cfg: ExperimentConfig) -> dict:
     }
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    dataset_name: str = "reddit",
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _run_ladder(dataset_name, cfg)
-
-
 def render(result: dict) -> str:
     rows = [
         [name, f"{ms:.2f}", f"{result['speedups'][name]:.2f}x"]
@@ -145,11 +136,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """A single unit running the full ablation ladder (shared state)."""
     return [partial(_run_ladder, "reddit", cfg)]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

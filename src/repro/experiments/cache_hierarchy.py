@@ -21,14 +21,13 @@ the arms across worker threads and the records are identical at any
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "DATASET", "TIER_STACKS", "POLICIES",
+    "render", "DATASET", "TIER_STACKS", "POLICIES",
     "HBM_MB",
 ]
 
@@ -104,13 +103,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     return {"dataset": DATASET, "hbm_mb": HBM_MB, "arms": arms}
 
 
-def run(cfg: Optional[ExperimentConfig] = None) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    return _collect(cfg, [execute_unit(u) for u in _unit_specs(cfg)])
-
-
 def render(result: dict) -> str:
     rows = []
     for label, arm in result["arms"].items():
@@ -180,11 +172,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One end-to-end run per (tier stack, policy) arm."""
     return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,6 @@ leave the mmap baseline far behind latency-optimized SmartSAGE(SW).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.api.spec import SystemSpec
@@ -24,21 +23,17 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "CACHE_FRACS"]
+__all__ = ["render", "CACHE_FRACS"]
 
 CACHE_FRACS = (0.05, 0.15, 0.30, 0.60)
 
 
-def _run_sweep(
-    dataset_name: str,
-    cfg: ExperimentConfig,
-    cache_fracs: Sequence[float] = CACHE_FRACS,
-) -> dict:
+def _run_sweep(dataset_name: str, cfg: ExperimentConfig) -> dict:
     ds = scaled_instance(dataset_name, cfg)
     workloads = make_workloads(ds, cfg)
     mmap_ms = {}
     hit_rates = {}
-    for frac in cache_fracs:
+    for frac in CACHE_FRACS:
         system = build_system(
             SystemSpec(
                 "ssd-mmap", fanouts=cfg.fanouts, host_cache_frac=frac
@@ -63,17 +58,8 @@ def _run_sweep(
         "mmap_ms": mmap_ms,
         "hit_rates": hit_rates,
         "sw_ms": sw_ms,
-        "cache_fracs": tuple(cache_fracs),
+        "cache_fracs": CACHE_FRACS,
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    dataset_name: str = "reddit",
-    cache_fracs: Sequence[float] = CACHE_FRACS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _run_sweep(dataset_name, cfg, cache_fracs)
 
 
 def render(result: dict) -> str:
@@ -144,11 +130,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """A single unit sweeping the page-cache budget."""
     return [partial(_run_sweep, "reddit", cfg)]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,42 +1,23 @@
 """Calibration summary: every headline paper ratio from one parameter set.
 
-Runs the cheap subset of every headline measurement and prints measured
-vs paper values side by side.  This is the first thing to run after any
-change to :mod:`repro.config` -- all figures must hold simultaneously.
+Reads the results of the headline figures (14, 16, 18) and prints
+measured vs paper values side by side; it simulates nothing itself.
+This is the first thing to run after any change to :mod:`repro.config`
+-- all figures must hold simultaneously.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional
-
 from repro.api.experiment import RunRecord, register_experiment
-from repro.experiments import (
-    fig14_single_worker,
-    fig16_multi_worker,
-    fig18_end_to_end,
-)
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     f14, f16, f18 = outputs
     return {"fig14": f14, "fig16": f16, "fig18": f18}
-
-
-def run(cfg: Optional[ExperimentConfig] = None) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            fig14_single_worker.run(cfg),
-            fig16_multi_worker.run(cfg),
-            fig18_end_to_end.run(cfg),
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -107,22 +88,11 @@ def _records(result: dict) -> list:
     "calibration",
     figure="Calibration summary",
     tags=("extension", "calibration"),
+    reads=("fig14", "fig16", "fig18"),
     collect=_collect,
     records=_records,
     render=render,
 )
 def _plan(cfg: ExperimentConfig) -> list:
-    """One unit per headline figure (14, 16, 18)."""
-    return [
-        partial(fig14_single_worker.run, cfg),
-        partial(fig16_multi_worker.run, cfg),
-        partial(fig18_end_to_end.run, cfg),
-    ]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    """No units: the three headline figures' results are read."""
+    return []

@@ -10,7 +10,6 @@ design's cost scales and whether the HW/SW advantage survives.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -22,7 +21,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "DEPTH_FANOUTS"]
+__all__ = ["render", "DEPTH_FANOUTS"]
 
 DEPTH_FANOUTS = {
     1: (25,),
@@ -46,25 +45,8 @@ def _run_depth(
     }
 
 
-def _collect(
-    cfg: ExperimentConfig, outputs: list, dataset_name: str = "reddit"
-) -> dict:
-    return {"dataset": dataset_name, "per_depth": dict(outputs)}
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    dataset_name: str = "reddit",
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg,
-        [
-            _run_depth(dataset_name, depth, cfg)
-            for depth in DEPTH_FANOUTS
-        ],
-        dataset_name=dataset_name,
-    )
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
+    return {"dataset": "reddit", "per_depth": dict(outputs)}
 
 
 def render(result: dict) -> str:
@@ -120,11 +102,3 @@ def _plan(cfg: ExperimentConfig) -> list:
         partial(_run_depth, "reddit", depth, cfg)
         for depth in DEPTH_FANOUTS
     ]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,6 @@ hundreds of watts.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.core.energy import energy_comparison
@@ -24,25 +23,24 @@ from repro.experiments.report import format_table
 from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
+
+#: pipeline length and producer workers of every unit
+N_BATCHES = 24
+N_WORKERS = 12
 
 _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw",
             "smartsage-oracle", "dram")
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_batches: int = 24,
-    n_workers: int = 12,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg)
     request = ExecutionRequest(
         gpu=build_gpu_model(ds, cfg.hw),
         workloads=workloads[cfg.warmup_batches:],
-        n_batches=n_batches,
-        n_workers=n_workers,
+        n_batches=N_BATCHES,
+        n_workers=N_WORKERS,
     )
     results = {}
     for design in _DESIGNS:
@@ -69,22 +67,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "avg_energy_saving": geometric_mean(savings),
         "avg_time_saving": geometric_mean(times),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=("reddit", "amazon"),
-    n_batches: int = 24,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -130,11 +112,3 @@ def _plan(cfg: ExperimentConfig) -> list:
         partial(_run_dataset, name, cfg)
         for name in ("reddit", "amazon")
     ]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,7 @@ other sweep axis.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
@@ -32,7 +32,7 @@ from repro.experiments.report import format_table
 from repro.faults import FaultPlan
 
 __all__ = [
-    "run", "render", "main", "DATASET", "FAULT_RATES", "SWEEP_MODES",
+    "render", "DATASET", "FAULT_RATES", "SWEEP_MODES",
     "plan_for_rate",
 ]
 
@@ -62,12 +62,10 @@ def plan_for_rate(rate: float, seed: int = 0) -> Optional[FaultPlan]:
     )
 
 
-def _unit_specs(
-    cfg: ExperimentConfig, rates: Sequence[float] = FAULT_RATES
-) -> list:
+def _unit_specs(cfg: ExperimentConfig) -> list:
     specs = []
     for mode, design, extra in SWEEP_MODES:
-        for rate in rates:
+        for rate in FAULT_RATES:
             spec = cfg.run_spec(DATASET, design, mode=mode, **_PIPELINE)
             system = dataclasses.replace(
                 spec.system,
@@ -87,12 +85,12 @@ _FAULT_COUNTERS = (
 )
 
 
-def _collect_grid(outputs: list, rates: Sequence[float]) -> dict:
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     per_mode: dict = {}
     it = iter(outputs)
     for mode, design, _ in SWEEP_MODES:
         points = {}
-        for rate in rates:
+        for rate in FAULT_RATES:
             r = next(it)
             bs = r.backend_stats
             point = {
@@ -106,7 +104,7 @@ def _collect_grid(outputs: list, rates: Sequence[float]) -> dict:
             for counter in _FAULT_COUNTERS:
                 point[counter] = float(bs.get(counter, 0.0))
             points[rate] = point
-        clean = points[rates[0]]["throughput_batches_per_s"]
+        clean = points[FAULT_RATES[0]]["throughput_batches_per_s"]
         for rate, p in points.items():
             p["slowdown_vs_clean"] = (
                 clean / p["throughput_batches_per_s"]
@@ -116,26 +114,9 @@ def _collect_grid(outputs: list, rates: Sequence[float]) -> dict:
         per_mode[f"{mode}:{design}"] = points
     return {
         "dataset": DATASET,
-        "fault_rates": list(rates),
+        "fault_rates": list(FAULT_RATES),
         "per_mode": per_mode,
     }
-
-
-def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
-    return _collect_grid(outputs, FAULT_RATES)
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    rates: Sequence[float] = FAULT_RATES,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    outputs = [
-        execute_unit(spec) for spec in _unit_specs(cfg, tuple(rates))
-    ]
-    return _collect_grid(outputs, tuple(rates))
 
 
 def render(result: dict) -> str:
@@ -197,11 +178,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One end-to-end run per (backend, fault rate) grid point."""
     return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,6 @@ under-predicts (it ignores queueing).  This experiment quantifies both.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -23,7 +22,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw")
 
@@ -53,25 +52,8 @@ def _run_design(
     }
 
 
-def _collect(
-    cfg: ExperimentConfig, outputs: list, dataset_name: str = "reddit"
-) -> dict:
-    return {"dataset": dataset_name, "designs": dict(outputs)}
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    dataset_name: str = "reddit",
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_design(dataset_name, design, cfg)
-            for design in _DESIGNS
-        ],
-        dataset_name=dataset_name,
-    )
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
+    return {"dataset": "reddit", "designs": dict(outputs)}
 
 
 def render(result: dict) -> str:
@@ -118,11 +100,3 @@ def _plan(cfg: ExperimentConfig) -> list:
         partial(_run_design, "reddit", design, cfg)
         for design in _DESIGNS
     ]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,6 @@ proportion to the scaled datasets (see :mod:`repro.config`).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -28,21 +27,19 @@ from repro.gnn.sampler import NeighborSampler, sampling_access_trace
 from repro.graph.datasets import IN_MEMORY
 from repro.memory.hierarchy import MemoryHierarchy
 
-__all__ = ["run", "render", "main", "PAPER_AVG_MISS", "PAPER_AVG_BW"]
+__all__ = ["render", "PAPER_AVG_MISS", "PAPER_AVG_BW"]
 
 PAPER_AVG_MISS = 0.62
 PAPER_AVG_BW = 0.21
 
 #: LLC scaled with the datasets (32 MiB against the paper's tens of GB).
 _LLC_BYTES = 2 * 1024 * 1024
+#: sampled batches per dataset, and the concurrent samplers they model
+_N_BATCHES = 3
+_WORKERS = 12
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_batches: int = 3,
-    workers: int = 12,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     hw = scaled_hardware(llc_bytes=_LLC_BYTES)
     ds = scaled_instance(name, cfg, variant=IN_MEMORY)
     sampler = NeighborSampler(
@@ -51,16 +48,16 @@ def _run_dataset(
     hierarchy = MemoryHierarchy(llc=hw.llc, dram=hw.dram)
     rng = np.random.default_rng(cfg.seed)
     miss = bw = 0.0
-    for _ in range(n_batches):
+    for _ in range(_N_BATCHES):
         seeds = rng.integers(0, ds.num_nodes, size=cfg.batch_size)
         batch = sampler.sample_batch(seeds, rng)
         trace = sampling_access_trace(ds.graph, batch)
-        result = hierarchy.characterize(trace, workers=workers)
+        result = hierarchy.characterize(trace, workers=_WORKERS)
         miss += result.llc_miss_rate
         bw += result.dram_bw_utilization
     return name, {
-        "llc_miss_rate": miss / n_batches,
-        "dram_bw_utilization": bw / n_batches,
+        "llc_miss_rate": miss / _N_BATCHES,
+        "dram_bw_utilization": bw / _N_BATCHES,
     }
 
 
@@ -78,22 +75,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "avg_bw_utilization": avg_bw,
         "paper": {"miss": PAPER_AVG_MISS, "bw": PAPER_AVG_BW},
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 3,
-    workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -127,11 +108,3 @@ def render(result: dict) -> str:
 def _plan(cfg: ExperimentConfig) -> list:
     """One LLC/DRAM characterization unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ system, and neighbor sampling dominates its per-batch latency.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.core.systems import build_gpu_model
@@ -23,7 +22,11 @@ from repro.experiments.report import format_stacked, format_table
 from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import PhaseBreakdown, geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER_AVG_SLOWDOWN", "PAPER_MAX_SLOWDOWN"]
+__all__ = ["render", "PAPER_AVG_SLOWDOWN", "PAPER_MAX_SLOWDOWN"]
+
+#: pipeline length and producer workers of every unit
+N_BATCHES = 30
+N_WORKERS = 12
 
 PAPER_AVG_SLOWDOWN = 9.8
 PAPER_MAX_SLOWDOWN = 19.6
@@ -31,19 +34,14 @@ PAPER_MAX_SLOWDOWN = 19.6
 _DESIGNS = ("dram", "ssd-mmap")
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg)
     request = ExecutionRequest(
         gpu=build_gpu_model(ds, cfg.hw),
         workloads=workloads[cfg.warmup_batches:],
-        n_batches=n_batches,
-        n_workers=n_workers,
+        n_batches=N_BATCHES,
+        n_workers=N_WORKERS,
     )
     designs = {}
     for design in _DESIGNS:
@@ -72,22 +70,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
             "avg": PAPER_AVG_SLOWDOWN, "max": PAPER_MAX_SLOWDOWN,
         },
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -131,11 +113,3 @@ def render(result: dict) -> str:
 def _plan(cfg: ExperimentConfig) -> list:
     """One DRAM-vs-mmap pipeline unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ queue and the GPU sits idle for most of the training time.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.core.systems import build_gpu_model
@@ -21,17 +20,16 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
+
+#: pipeline length and producer workers of every unit
+N_BATCHES = 30
+N_WORKERS = 12
 
 _DESIGNS = ("dram", "ssd-mmap")
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     from repro.pipeline import ExecutionRequest, run_pipeline
 
     ds = scaled_instance(name, cfg)
@@ -39,8 +37,8 @@ def _run_dataset(
     request = ExecutionRequest(
         gpu=build_gpu_model(ds, cfg.hw),
         workloads=workloads[cfg.warmup_batches:],
-        n_batches=n_batches,
-        n_workers=n_workers,
+        n_batches=N_BATCHES,
+        n_workers=N_WORKERS,
     )
     idle = {}
     for design in _DESIGNS:
@@ -54,22 +52,6 @@ def _run_dataset(
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     return {"per_dataset": dict(outputs)}
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -109,11 +91,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One GPU-idle measurement unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ densification power law) the expanded graphs have *higher* average degree.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from repro.graph.kronecker import (
     seed_graph_for,
 )
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 #: the subset of datasets the paper plots in Fig 13
 FIG13_DATASETS = ("reddit", "protein-pi")
@@ -61,16 +60,6 @@ def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     return {"per_dataset": dict(outputs)}
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=FIG13_DATASETS,
-) -> dict:
-    cfg = cfg or ExperimentConfig(edge_budget=4e5)
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in datasets]
-    )
 
 
 def render(result: dict) -> str:
@@ -131,11 +120,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One fractal-expansion unit per plotted dataset."""
     return [partial(_run_dataset, name, cfg) for name in FIG13_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,6 @@ adding ISP (SmartSAGE HW/SW) reaches 10.1x average (max 12.6x).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.experiments.common import (
@@ -20,7 +19,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_bars, format_table
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER"]
+__all__ = ["render", "PAPER"]
 
 PAPER = {"sw_avg": 1.5, "hwsw_avg": 10.1, "hwsw_max": 12.6}
 
@@ -59,16 +58,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     }
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in datasets]
-    )
-
-
 def render(result: dict) -> str:
     bars = {}
     for name, v in result["per_dataset"].items():
@@ -105,11 +94,3 @@ def render(result: dict) -> str:
 def _plan(cfg: ExperimentConfig) -> list:
     """One single-worker sampling-cost unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

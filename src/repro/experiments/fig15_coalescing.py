@@ -10,7 +10,7 @@ The repo's scaled batches use proportionally scaled granularities.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -23,7 +23,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_bars, format_table
 
-__all__ = ["run", "render", "main", "granularities_for"]
+__all__ = ["render", "granularities_for"]
 
 
 def granularities_for(batch_size: int) -> Sequence[int]:
@@ -66,16 +66,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "per_dataset": dict(outputs),
         "granularities": granularities_for(cfg.batch_size),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in datasets]
-    )
 
 
 def render(result: dict) -> str:
@@ -136,11 +126,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One granularity-sweep unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ the single-worker 10.1x because the wimpy embedded cores saturate.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.experiments.common import (
@@ -22,22 +21,21 @@ from repro.experiments.common import (
 from repro.experiments.report import format_bars, format_table
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER"]
+__all__ = ["render", "PAPER"]
 
 PAPER = {"hwsw_avg": 4.4, "hwsw_max": 5.5, "sw_avg": 2.9}
 
+#: concurrent producer workers, and batches each throughput run samples
+N_WORKERS = 12
+N_BATCHES = 36
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_workers: int = 12,
-    n_batches: int = 36,
-) -> tuple:
+
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg)
     tput = {
         design: sampling_throughput(
-            design, ds, workloads, cfg, n_workers, n_batches
+            design, ds, workloads, cfg, N_WORKERS, N_BATCHES
         )
         for design in EVAL_DESIGNS
     }
@@ -48,9 +46,7 @@ def _run_dataset(
     }
 
 
-def _collect(
-    cfg: ExperimentConfig, outputs: list, n_workers: int = 12
-) -> dict:
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     per_dataset = dict(outputs)
     sw = [v["sw_speedup"] for v in per_dataset.values()]
     hwsw = [v["hwsw_speedup"] for v in per_dataset.values()]
@@ -59,26 +55,9 @@ def _collect(
         "sw_avg": geometric_mean(sw),
         "hwsw_avg": geometric_mean(hwsw),
         "hwsw_max": max(hwsw),
-        "n_workers": n_workers,
+        "n_workers": N_WORKERS,
         "paper": PAPER,
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_workers: int = 12,
-    n_batches: int = 36,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_workers, n_batches)
-            for name in datasets
-        ],
-        n_workers=n_workers,
-    )
 
 
 def render(result: dict) -> str:
@@ -116,11 +95,3 @@ def render(result: dict) -> str:
 def _plan(cfg: ExperimentConfig) -> list:
     """One 12-worker throughput unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ the base firmware and saturate, while the host path keeps scaling longer.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -19,19 +18,15 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "WORKER_COUNTS"]
+__all__ = ["render", "WORKER_COUNTS"]
 
 WORKER_COUNTS = (1, 2, 4, 8, 12)
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    worker_counts: Sequence[int] = WORKER_COUNTS,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     session = session_for(scaled_instance(name, cfg), cfg)
     speedups = {}
-    for workers in worker_counts:
+    for workers in WORKER_COUNTS:
         batches = max(8, 3 * workers)
         hwsw = session.sampling_throughput(
             "smartsage-hwsw", n_workers=workers, n_batches=batches
@@ -43,31 +38,8 @@ def _run_dataset(
     return name, speedups
 
 
-def _collect(
-    cfg: ExperimentConfig,
-    outputs: list,
-    worker_counts: Sequence[int] = WORKER_COUNTS,
-) -> dict:
-    return {
-        "per_dataset": dict(outputs),
-        "worker_counts": tuple(worker_counts),
-    }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    worker_counts: Sequence[int] = WORKER_COUNTS,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, worker_counts)
-            for name in datasets
-        ],
-        worker_counts=worker_counts,
-    )
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
+    return {"per_dataset": dict(outputs), "worker_counts": WORKER_COUNTS}
 
 
 def render(result: dict) -> str:
@@ -125,11 +97,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One worker-scaling sweep unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,6 @@ reaches ~70% of DRAM and ~90% of PMEM performance.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import (
     RunRecord,
@@ -26,7 +25,11 @@ from repro.experiments.common import (
 from repro.experiments.report import format_stacked, format_table
 from repro.sim.stats import PhaseBreakdown, geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER", "FIG18_DESIGNS"]
+__all__ = ["render", "PAPER", "FIG18_DESIGNS"]
+
+#: pipeline length and producer workers of every unit
+N_BATCHES = 30
+N_WORKERS = 12
 
 PAPER = {
     "hwsw_vs_mmap_avg": 3.5,
@@ -43,15 +46,10 @@ FIG18_DESIGNS = (
 )
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     session = session_for(
         scaled_instance(name, cfg), cfg,
-        mode="event", n_batches=n_batches, n_workers=n_workers,
+        mode="event", n_batches=N_BATCHES, n_workers=N_WORKERS,
     )
     cmp = session.compare(list(FIG18_DESIGNS), baseline="ssd-mmap")
     results = cmp.results
@@ -91,22 +89,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         ),
         "paper": PAPER,
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -187,11 +169,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One all-designs pipeline comparison per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ FPGA->CPU) dominates, leaving it no faster than software-only SmartSAGE.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -21,7 +20,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_stacked, format_table
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 _DESIGNS = ("ssd-mmap", "smartsage-sw", "fpga-csd")
 _FPGA_PHASES = ("ssd_to_fpga", "sampling_fpga", "fpga_to_cpu")
@@ -52,16 +51,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "per_dataset": per_dataset,
         "fpga_vs_sw_avg": geometric_mean(ratios),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in datasets]
-    )
 
 
 def render(result: dict) -> str:
@@ -137,11 +126,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One FPGA-CSD comparison unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,6 @@ for host I/O latency) and the walk subgraph is small (cheap ISP output).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.core.systems import build_gpu_model
@@ -24,26 +23,25 @@ from repro.experiments.report import format_bars, format_table
 from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER_AVG_SPEEDUP"]
+__all__ = ["render", "PAPER_AVG_SPEEDUP"]
+
+#: pipeline length and producer workers of every unit
+N_BATCHES = 30
+N_WORKERS = 12
 
 PAPER_AVG_SPEEDUP = 8.2
 
 _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw")
 
 
-def _run_dataset(
-    name: str,
-    cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> tuple:
+def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg, sampler_kind="saint")
     request = ExecutionRequest(
         gpu=build_gpu_model(ds, cfg.hw),
         workloads=workloads[cfg.warmup_batches:],
-        n_batches=n_batches,
-        n_workers=n_workers,
+        n_batches=N_BATCHES,
+        n_workers=N_WORKERS,
     )
     elapsed = {}
     for design in _DESIGNS:
@@ -67,22 +65,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "hwsw_avg_speedup": geometric_mean(speedups),
         "paper_avg": PAPER_AVG_SPEEDUP,
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -114,11 +96,3 @@ def render(result: dict) -> str:
 def _plan(cfg: ExperimentConfig) -> list:
     """One GraphSAINT pipeline comparison per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

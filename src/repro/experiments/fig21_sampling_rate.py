@@ -8,7 +8,6 @@ halving it grows the speedup.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -21,7 +20,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "RATE_SCALES"]
+__all__ = ["render", "RATE_SCALES"]
 
 RATE_SCALES = (0.5, 1.0, 2.0)
 
@@ -52,16 +51,6 @@ def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     return {"per_dataset": dict(outputs), "rate_scales": RATE_SCALES}
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in datasets]
-    )
 
 
 def render(result: dict) -> str:
@@ -116,11 +105,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One sampling-rate sweep unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,13 +17,11 @@ the arms across worker threads and the records are identical at any
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "DATASET", "ARMS"]
+__all__ = ["render", "DATASET", "ARMS"]
 
 DATASET = "reddit"
 #: (design, pipeline mode) arms, baseline first
@@ -65,13 +63,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
             arm["throughput_batches_per_s"] / base if base else 0.0
         )
     return {"dataset": DATASET, "arms": arms}
-
-
-def run(cfg: Optional[ExperimentConfig] = None) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    return _collect(cfg, [execute_unit(u) for u in _unit_specs(cfg)])
 
 
 def render(result: dict) -> str:
@@ -144,11 +135,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One end-to-end run per (design, pipeline-mode) arm."""
     return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,14 +17,13 @@ the host-count grid across worker threads.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "DATASET", "HOST_COUNTS", "HOST_DESIGNS",
+    "render", "DATASET", "HOST_COUNTS", "HOST_DESIGNS",
 ]
 
 DATASET = "reddit"
@@ -47,12 +46,12 @@ def _unit_specs(cfg: ExperimentConfig) -> list:
     return specs
 
 
-def _collect_grid(outputs: list, host_counts: Sequence[int]) -> dict:
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     per_design: dict = {}
     it = iter(outputs)
     for design in HOST_DESIGNS:
         points = {}
-        for k in host_counts:
+        for k in HOST_COUNTS:
             r = next(it)
             bs = r.backend_stats
             points[k] = {
@@ -70,7 +69,7 @@ def _collect_grid(outputs: list, host_counts: Sequence[int]) -> dict:
                 "net_gb": bs.get("net_bytes", 0.0) / 1e9,
                 "shuffle_gb": bs.get("shuffle_bytes", 0.0) / 1e9,
             }
-        base = points[host_counts[0]]["throughput_batches_per_s"]
+        base = points[HOST_COUNTS[0]]["throughput_batches_per_s"]
         for k, p in points.items():
             p["speedup_vs_1"] = (
                 p["throughput_batches_per_s"] / base if base else 0.0
@@ -79,36 +78,9 @@ def _collect_grid(outputs: list, host_counts: Sequence[int]) -> dict:
         per_design[design] = points
     return {
         "dataset": DATASET,
-        "host_counts": list(host_counts),
+        "host_counts": list(HOST_COUNTS),
         "per_design": per_design,
     }
-
-
-def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
-    return _collect_grid(outputs, HOST_COUNTS)
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    host_counts: Sequence[int] = HOST_COUNTS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    outputs = []
-    for design in HOST_DESIGNS:
-        for k in host_counts:
-            spec = cfg.run_spec(DATASET, design, **_PIPELINE)
-            outputs.append(
-                execute_unit(
-                    spec.replace(
-                        system=dataclasses.replace(
-                            spec.system, n_hosts=k
-                        )
-                    )
-                )
-            )
-    return _collect_grid(outputs, tuple(host_counts))
 
 
 def render(result: dict) -> str:
@@ -169,11 +141,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One distributed end-to-end run per (design, host count) point."""
     return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

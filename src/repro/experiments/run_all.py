@@ -1,35 +1,28 @@
-"""Run the experiment suite as a campaign and print the full report.
+"""The suite behind ``repro run all``: its order and its two scales.
 
 Usage::
 
-    python -m repro.experiments.run_all              # default scale
-    python -m repro.experiments.run_all --quick      # reduced scale
-    python -m repro.experiments.run_all --jobs 4     # parallel units
-    python -m repro.experiments.run_all --out DIR    # JSON/CSV artifacts
-    python -m repro.experiments.run_all --json       # machine-readable
-    python -m repro.experiments.run_all --only paper --skip e2e
+    python -m repro run all              # default scale
+    python -m repro run all --quick      # reduced scale
+    python -m repro run all --jobs 4     # parallel units
+    python -m repro run all --out DIR    # JSON/CSV artifacts
+    python -m repro run all --json       # machine-readable
+    python -m repro run all --only paper --skip e2e
 
-This is a thin wrapper over :class:`repro.api.campaign.Campaign`: the
-suite shares one content-addressed dataset/workload cache, units run on
-a ``--jobs``-wide thread pool, and a failing experiment is reported
-(with its traceback) without stopping the rest.  Each experiment's
-outcome is a :class:`~repro.api.campaign.ExperimentOutcome` (structured
-:class:`~repro.api.experiment.RunRecord` rows plus the paper-style text
-rendering), not the bare result dicts the pre-Campaign harness
-returned; ``--json``/``--out`` expose the structured form.
+``repro run all`` is one :class:`repro.api.campaign.Campaign` over
+:data:`ORDER`, exactly as ``repro run <name>`` is one over a single
+experiment: the suite shares one content-addressed dataset/workload
+cache, units run on a ``--jobs``-wide thread pool, and a failing
+experiment is reported (with its traceback) without stopping the rest.
+``calibration`` reads the results of ``fig14``, ``fig16`` and ``fig18``
+from the same campaign instead of simulating them again.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-
-from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentConfig
 
-__all__ = ["main", "ORDER"]
+__all__ = ["ORDER", "suite_config"]
 
 #: run order (table first, then figures in paper order, calibration and
 #: the extension experiments last)
@@ -42,114 +35,10 @@ ORDER = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.run_all",
-        description="run every registered experiment as one campaign",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced scale (faster, compressed ratios)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for experiment units (default: 1)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print a machine-readable campaign summary instead of text",
-    )
-    parser.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="write manifest.json + per-experiment JSON/CSV/text here",
-    )
-    parser.add_argument(
-        "--only", metavar="TAGS", default=None,
-        help="comma-separated tags; run only experiments carrying one",
-    )
-    parser.add_argument(
-        "--skip", metavar="TAGS", default=None,
-        help="comma-separated tags; skip experiments carrying one",
-    )
-    return parser
-
-
-def _split_tags(blob) -> tuple:
-    if not blob:
-        return ()
-    return tuple(t.strip() for t in blob.split(",") if t.strip())
-
-
-def _entry_for(name: str, module):
-    """Registry entry for ``name`` -- unless ``module`` was swapped in.
-
-    ``ALL_EXPERIMENTS`` is a plain mapping precisely so tests (and
-    ad-hoc callers) can substitute module-like objects; a substituted
-    object is adapted through :meth:`ExperimentEntry.from_module`
-    instead of using the stale registration.
-    """
-    from repro.api.experiment import ExperimentEntry, experiment_entry
-    from repro.errors import ConfigError
-
-    try:
-        entry = experiment_entry(name)
-    except ConfigError:
-        return ExperimentEntry.from_module(name, module)
-    if sys.modules.get(entry.plan.__module__) is not module:
-        return ExperimentEntry.from_module(name, module)
-    return entry
-
-
-def main(argv=None) -> int:
-    """Run every experiment; return the number of failures (0 = success)."""
-    args = _build_parser().parse_args(
-        argv if argv is not None else sys.argv[1:]
-    )
-    from repro.api.campaign import Campaign
-
-    if args.quick:
-        cfg = ExperimentConfig(
+def suite_config(quick: bool = False) -> ExperimentConfig:
+    """The config ``repro run`` uses; ``quick`` is ``--quick``'s scale."""
+    if quick:
+        return ExperimentConfig(
             edge_budget=3e5, batch_size=48, n_workloads=6
         )
-    else:
-        cfg = ExperimentConfig(n_workloads=8)
-    entries = [
-        _entry_for(name, ALL_EXPERIMENTS[name]) for name in ORDER
-    ]
-    campaign = Campaign(
-        experiments=entries,
-        cfg=cfg,
-        jobs=args.jobs,
-        out_dir=args.out,
-        only_tags=_split_tags(args.only),
-        skip_tags=_split_tags(args.skip),
-    )
-    total_start = time.time()
-
-    def on_result(outcome) -> None:
-        if args.json:
-            return
-        print("=" * 72)
-        if outcome.ok:
-            print(f"{outcome.name}  ({outcome.elapsed_s:.1f}s)")
-            print("=" * 72)
-            print(outcome.rendered or "(no rendering)")
-        else:
-            print(f"{outcome.name}  FAILED: {outcome.error}")
-            print("=" * 72)
-            if outcome.traceback:
-                print(outcome.traceback, end="")
-        print()
-
-    result = campaign.run(on_result=on_result)
-    if args.json:
-        print(json.dumps(result.to_json_obj(), indent=2))
-    else:
-        print(f"total: {time.time() - total_start:.1f}s")
-    if result.failures:
-        print(f"FAILED: {', '.join(result.failures)}", file=sys.stderr)
-    return result.n_failures
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return ExperimentConfig(n_workloads=8)

@@ -10,7 +10,6 @@ mini-batch size should stay roughly flat.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -23,7 +22,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "BATCH_SCALES"]
+__all__ = ["render", "BATCH_SCALES"]
 
 BATCH_SCALES = (0.5, 1.0, 2.0)
 
@@ -56,16 +55,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "spreads": spreads,
         "max_spread": max(spreads.values()),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in datasets]
-    )
 
 
 def render(result: dict) -> str:
@@ -124,11 +113,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One batch-size sweep unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

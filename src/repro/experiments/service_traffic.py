@@ -23,37 +23,30 @@ import tempfile
 import threading
 import time
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
-from repro.errors import ConfigError
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "N_JOBS", "RATE_JOBS_PER_S", "N_SPECS",
+    "render", "N_JOBS", "RATE_JOBS_PER_S", "N_SPECS", "WORKERS",
+    "EXECUTOR",
 ]
 
 N_JOBS = 200            # "hundreds" of submissions
 RATE_JOBS_PER_S = 120.0  # open-loop arrival rate
 N_SPECS = 21            # distinct specs (7 templates x 3 datasets)
+WORKERS = 2
+EXECUTOR = "thread"
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    n_jobs: int = N_JOBS,
-    rate_jobs_per_s: float = RATE_JOBS_PER_S,
-    n_specs: int = N_SPECS,
-    workers: int = 2,
-    executor: str = "thread",
-    state_dir: Optional[str] = None,
-) -> dict:
+def _replay(cfg: ExperimentConfig) -> dict:
     """Replay one traffic trace against a live draining service.
 
     Spec scale rides the experiment config's knobs divided down
     (traffic measures *serving*, not single-run simulation depth).
-    ``state_dir=None`` uses a throwaway directory -- a cold store, so
-    the measured hit rate comes from within-trace repetition only.
+    The service state lives in a throwaway directory -- a cold store,
+    so the measured hit rate comes from within-trace repetition only.
     """
     from repro.service.server import CampaignService
     from repro.service.traffic import (
@@ -63,23 +56,20 @@ def run(
         traffic_summary,
     )
 
-    cfg = cfg or ExperimentConfig()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     pool = spec_pool(
-        n_specs,
+        N_SPECS,
         edge_budget=max(2e4, cfg.edge_budget / 20),
         batch_size=max(8, cfg.batch_size // 8),
         n_batches=4,
         seed=cfg.seed,
     )
     traffic = generate_traffic(
-        n_jobs, rate_jobs_per_s, pool, seed=cfg.seed
+        N_JOBS, RATE_JOBS_PER_S, pool, seed=cfg.seed
     )
-    state = state_dir or tempfile.mkdtemp(prefix="service-traffic-")
+    state = tempfile.mkdtemp(prefix="service-traffic-")
     start = time.monotonic()
     with CampaignService(
-        state, workers=workers, executor=executor
+        state, workers=WORKERS, executor=EXECUTOR
     ) as service:
         arrivals = threading.Thread(
             target=replay, args=(service, traffic), daemon=True
@@ -95,8 +85,8 @@ def run(
     store = report.store
     lookups = store.get("hits", 0) + store.get("misses", 0)
     return {
-        "workers": workers,
-        "executor": executor,
+        "workers": WORKERS,
+        "executor": EXECUTOR,
         "traffic": shape,
         "report": report.to_json_obj(),
         "latency_ms": {
@@ -187,12 +177,4 @@ def _records(result: dict) -> list:
 )
 def _plan(cfg: ExperimentConfig) -> list:
     """One unit: the full traffic replay against a live service."""
-    return [partial(run, cfg)]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [partial(_replay, cfg)]

@@ -18,14 +18,13 @@ the (design, K) grid across worker threads.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "DATASET", "SHARD_COUNTS", "SHARD_DESIGNS",
+    "render", "DATASET", "SHARD_COUNTS", "SHARD_DESIGNS",
 ]
 
 DATASET = "reddit"
@@ -48,12 +47,12 @@ def _unit_specs(cfg: ExperimentConfig) -> list:
     return specs
 
 
-def _collect_grid(outputs: list, shard_counts: Sequence[int]) -> dict:
+def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     per_design: dict = {}
     it = iter(outputs)
     for design in SHARD_DESIGNS:
         points = {}
-        for k in shard_counts:
+        for k in SHARD_COUNTS:
             r = next(it)
             points[k] = {
                 "throughput_batches_per_s": r.throughput_batches_per_s,
@@ -62,7 +61,7 @@ def _collect_grid(outputs: list, shard_counts: Sequence[int]) -> dict:
                 "cut_fraction": r.backend_stats.get("cut_fraction", 0.0),
                 "remote_gb": r.backend_stats.get("remote_bytes", 0.0) / 1e9,
             }
-        base = points[shard_counts[0]]["throughput_batches_per_s"]
+        base = points[SHARD_COUNTS[0]]["throughput_batches_per_s"]
         for k, p in points.items():
             p["speedup_vs_1"] = (
                 p["throughput_batches_per_s"] / base if base else 0.0
@@ -71,36 +70,9 @@ def _collect_grid(outputs: list, shard_counts: Sequence[int]) -> dict:
         per_design[design] = points
     return {
         "dataset": DATASET,
-        "shard_counts": list(shard_counts),
+        "shard_counts": list(SHARD_COUNTS),
         "per_design": per_design,
     }
-
-
-def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
-    return _collect_grid(outputs, SHARD_COUNTS)
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    outputs = []
-    for design in SHARD_DESIGNS:
-        for k in shard_counts:
-            spec = cfg.run_spec(DATASET, design, **_PIPELINE)
-            outputs.append(
-                execute_unit(
-                    spec.replace(
-                        system=dataclasses.replace(
-                            spec.system, n_shards=k
-                        )
-                    )
-                )
-            )
-    return _collect_grid(outputs, tuple(shard_counts))
 
 
 def render(result: dict) -> str:
@@ -159,11 +131,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One sharded end-to-end run per (design, shard count) grid point."""
     return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,6 @@ degree, proportional node counts).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment, standard_records
 from repro.experiments.common import (
@@ -19,7 +18,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_table
 from repro.graph.datasets import IN_MEMORY, LARGE_SCALE, table1_rows
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 
 def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
@@ -39,13 +38,6 @@ def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     paper = {row["dataset"]: row for row in table1_rows()}
     return {"paper": paper, "instances": dict(outputs), "cfg": cfg}
-
-
-def run(cfg: Optional[ExperimentConfig] = None) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg, [_run_dataset(name, cfg) for name in EVAL_DATASETS]
-    )
 
 
 def render(result: dict) -> str:
@@ -93,11 +85,3 @@ def _records(result: dict) -> list:
 def _plan(cfg: ExperimentConfig) -> list:
     """One dataset-scaling unit per Table I dataset."""
     return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

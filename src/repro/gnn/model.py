@@ -8,7 +8,7 @@ step 4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -99,16 +99,3 @@ class GraphSAGE:
 
     def parameter_count(self) -> int:
         return sum(int(np.prod(p.shape)) for p in self.parameters())
-
-    def flops_per_batch(self, block_sizes: Sequence[tuple]) -> float:
-        """Approximate training FLOPs given (num_dst, num_src, num_edges)
-        per block -- used by the GPU time model."""
-        total = 0.0
-        dim = self.in_dim
-        for n_dst, _n_src, n_edges in block_sizes:
-            # aggregation: one add per edge per feature dim
-            total += n_edges * dim
-            # dense transform on [self || agg], fwd+bwd ~ 3x fwd
-            total += 3 * 2.0 * n_dst * (2 * dim) * self.hidden_dim
-            dim = self.hidden_dim
-        return total

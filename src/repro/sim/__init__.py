@@ -9,7 +9,6 @@ from repro.sim.stats import (
     UtilizationTracker,
     geometric_mean,
 )
-from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -25,7 +24,4 @@ __all__ = [
     "UtilizationTracker",
     "PhaseBreakdown",
     "geometric_mean",
-    "Tracer",
-    "TraceRecord",
-    "NULL_TRACER",
 ]

@@ -17,9 +17,8 @@ and says in CHANGES.md which numbers moved and why.
 import json
 import os
 
-from repro.__main__ import _quick_cfg
 from repro.api.campaign import Campaign
-from repro.experiments.run_all import ORDER
+from repro.experiments.run_all import ORDER, suite_config
 
 PIN = os.path.join(os.path.dirname(__file__), "data", "golden_quick.json")
 
@@ -38,7 +37,9 @@ def run_campaigns() -> dict:
     """Run the four quick campaigns in-process; name -> CampaignResult."""
     return {
         name: Campaign(
-            experiments=list(experiments), cfg=_quick_cfg(True), jobs=1
+            experiments=list(experiments),
+            cfg=suite_config(quick=True),
+            jobs=1,
         ).run()
         for name, experiments in CAMPAIGNS
     }

@@ -478,42 +478,48 @@ def test_cli_run_spec_bad_file(tmp_path, capsys):
     assert main(["run-spec", str(bad)]) == 1
 
 
-def test_cli_run_all_propagates_exit_code(monkeypatch):
-    from repro.__main__ import main
-    from repro.experiments import run_all
-
-    monkeypatch.setattr(run_all, "main", lambda argv: 3)
-    assert main(["run", "all", "--quick"]) == 3
-
-
-def test_run_all_counts_failures(monkeypatch, capsys):
-    from repro.experiments import run_all
-
-    class Boom:
-        @staticmethod
-        def run(cfg):
-            raise RuntimeError("kaput")
-
-        @staticmethod
-        def render(result):  # pragma: no cover
-            return ""
-
-    class Fine:
-        @staticmethod
-        def run(cfg):
-            return {}
-
-        @staticmethod
-        def render(result):
-            return "ok"
-
-    monkeypatch.setattr(run_all, "ORDER", ("boom", "fine"))
-    monkeypatch.setattr(
-        run_all, "ALL_EXPERIMENTS", {"boom": Boom, "fine": Fine}
+@pytest.fixture
+def boom_and_fine(monkeypatch):
+    """Two registered ad-hoc experiments, ``boom`` failing; ``repro run
+    all`` runs just these two."""
+    from repro.api.experiment import (
+        register_experiment,
+        unregister_experiment,
     )
-    assert run_all.main([]) == 1
+    from repro.experiments import run_all
+
+    def kaput():
+        raise RuntimeError("kaput")
+
+    register_experiment("boom", render=lambda result: "")(
+        lambda cfg: [kaput]
+    )
+    register_experiment("fine", render=lambda result: "ok")(
+        lambda cfg: [dict]
+    )
+    monkeypatch.setattr(run_all, "ORDER", ("boom", "fine"))
+    try:
+        yield
+    finally:
+        unregister_experiment("boom")
+        unregister_experiment("fine")
+
+
+def test_cli_run_all_propagates_exit_code(boom_and_fine, capsys):
+    from repro.__main__ import main
+
+    assert main(["run", "all", "--quick", "--json"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["campaign"]["n_failures"] == 1
+    assert blob["experiments"]["fine"]["status"] == "ok"
+
+
+def test_run_all_counts_failures(boom_and_fine, capsys):
+    from repro.__main__ import main
+
+    assert main(["run", "all"]) == 1
     captured = capsys.readouterr()
-    assert "FAILED" in captured.err
+    assert "FAILED: boom" in captured.err
     assert "ok" in captured.out
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import SystemSpec
 from repro.core import build_gpu_model, build_system
-from repro.experiments import depth_sensitivity
 from repro.experiments.common import (
     ExperimentConfig,
     make_workloads,
@@ -62,11 +61,12 @@ def test_checkpointing_ignored_for_dram_design(setup):
     assert result.phase_means.get("else", 0.0) == 0.0
 
 
-def test_depth_sensitivity_monotone_workload(setup):
-    result = depth_sensitivity.run(CFG)
+def test_depth_sensitivity_monotone_workload(quick_outcome):
+    found = quick_outcome("depth-sensitivity")
+    result = found.result
     depths = sorted(result["per_depth"])
     targets = [result["per_depth"][d]["targets"] for d in depths]
     assert targets == sorted(targets)  # deeper -> more targets
     for d in depths:
         assert result["per_depth"][d]["hwsw_speedup"] > 2.0
-    assert "persists" in depth_sensitivity.render(result)
+    assert "persists" in found.rendered

@@ -1,19 +1,14 @@
 """Tests for the extension experiments: energy, ablations, sensitivity,
-fidelity."""
+fidelity.
+
+The experiments' results come from the golden quick suite (the
+``quick_suite`` fixture, ``tests/golden.py``).
+"""
 
 import pytest
 
 from repro.core.energy import EnergyReport, PowerBudget, energy_comparison
 from repro.errors import ConfigError
-from repro.experiments import (
-    ablations,
-    energy,
-    fidelity,
-    sensitivity_batch,
-)
-from repro.experiments.common import ExperimentConfig
-
-CFG = ExperimentConfig(edge_budget=2.5e5, batch_size=32, n_workloads=5)
 
 
 # -- power/energy model -------------------------------------------------
@@ -50,16 +45,16 @@ def test_energy_report_joules():
     assert report.energy_j == pytest.approx(200.0)
 
 
-def test_energy_experiment_saves_energy():
-    result = energy.run(CFG, datasets=("reddit",), n_batches=8,
-                        n_workers=4)
-    d = result["per_dataset"]["reddit"]
-    assert d["energy_saving_vs_mmap"] > 1.5
-    # energy saving tracks time saving (firmware adds ~no power)
-    assert d["energy_saving_vs_mmap"] == pytest.approx(
-        d["time_saving_vs_mmap"], rel=0.4
-    )
-    assert "power" in energy.render(result)
+def test_energy_experiment_saves_energy(quick_outcome):
+    found = quick_outcome("energy")
+    assert found.result["avg_energy_saving"] > 1.5
+    for d in found.result["per_dataset"].values():
+        assert d["energy_saving_vs_mmap"] > 1.5
+        # energy saving tracks time saving (firmware adds ~no power)
+        assert d["energy_saving_vs_mmap"] == pytest.approx(
+            d["time_saving_vs_mmap"], rel=0.4
+        )
+    assert "power" in found.rendered
 
 
 def test_energy_comparison_uses_oracle_extra_power():
@@ -79,33 +74,31 @@ def test_energy_comparison_uses_oracle_extra_power():
 # -- ablations -------------------------------------------------------------
 
 
-def test_ablations_ladder():
-    result = ablations.run(CFG, dataset_name="reddit")
-    s = result["speedups"]
+def test_ablations_ladder(quick_outcome):
+    found = quick_outcome("ablations")
+    s = found.result["speedups"]
     assert s["ssd-mmap (baseline)"] == pytest.approx(1.0)
     # the ladder must be ordered: baseline < SW variants < HW/SW variants
     assert s["SW without scratchpad"] > 1.0
     assert s["HW/SW (full)"] > s["SW (direct I/O + scratchpad)"]
     assert s["HW/SW (full)"] > s["HW/SW without coalescing"]
-    text = ablations.render(result)
-    assert "[ok] coalescing helps" in text
+    assert "[ok] coalescing helps" in found.rendered
 
 
 # -- batch-size sensitivity ---------------------------------------------
 
 
-def test_batch_sensitivity_flat():
-    result = sensitivity_batch.run(CFG, datasets=("reddit",))
-    assert result["max_spread"] < 1.8
-    assert "little effect" in sensitivity_batch.render(result)
+def test_batch_sensitivity_flat(quick_outcome):
+    found = quick_outcome("batch-sensitivity")
+    assert found.result["max_spread"] < 1.8
+    assert "little effect" in found.rendered
 
 
 # -- fidelity ---------------------------------------------------------------
 
 
-def test_fidelity_modes_agree_single_worker():
-    result = fidelity.run(CFG, dataset_name="reddit")
+def test_fidelity_modes_agree_single_worker(quick_outcome):
+    result = quick_outcome("fidelity").result
     for design, d in result["designs"].items():
         assert d["agreement_1w"] == pytest.approx(1.0, abs=0.35), design
         assert d["contention_8w"] > 0.8, design
-    fidelity.render(result)

@@ -104,13 +104,3 @@ def test_metrics_sanity():
     labels = np.array([0, 1, 1])
     assert accuracy(logits, labels) == pytest.approx(2 / 3)
     assert 0.0 < macro_f1(logits, labels) <= 1.0
-
-
-def test_flops_estimate_positive(setup):
-    ds, feats, labels, sampler = setup
-    model = GraphSAGE(ds.feature_dim, 32, ds.num_classes)
-    batch = sampler.sample_batch(np.arange(8), np.random.default_rng(7))
-    sizes = [
-        (b.num_dst, b.num_src, b.num_edges) for b in batch.blocks
-    ]
-    assert model.flops_per_batch(sizes) > 0

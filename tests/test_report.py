@@ -1,4 +1,4 @@
-"""Tests for the text report renderer and run_all wiring."""
+"""Tests for the text report renderer and the ``repro run all`` report."""
 
 import pytest
 
@@ -68,17 +68,14 @@ def test_ratio_safe():
     assert ratio(1.0, 0.0) == float("inf")
 
 
-def test_run_all_quick(capsys):
-    """The run_all entry point completes at --quick scale."""
-    import repro.experiments.run_all as run_all
+def test_run_all_quick(monkeypatch, capsys):
+    """``repro run all --quick`` prints the suite report."""
+    from repro.__main__ import main
+    from repro.experiments import run_all
 
-    # monkeypatch ORDER down to two cheap experiments for speed
-    original = run_all.ORDER
-    run_all.ORDER = ("table1", "fig13")
-    try:
-        run_all.main(["--quick"])
-    finally:
-        run_all.ORDER = original
+    # two cheap experiments stand in for the whole suite
+    monkeypatch.setattr(run_all, "ORDER", ("table1", "fig13"))
+    assert main(["run", "all", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "table1" in out
     assert "fig13" in out

@@ -726,27 +726,26 @@ def test_generate_traffic_shape_and_determinism():
 
 
 def test_service_traffic_experiment_runs():
-    from repro.experiments import service_traffic
+    from repro.api.experiment import run_experiment
     from repro.experiments.common import ExperimentConfig
+    from repro.experiments.service_traffic import N_JOBS
 
     cfg = ExperimentConfig(
         edge_budget=4e5, batch_size=64, n_workloads=3
     )
-    result = service_traffic.run(
-        cfg, n_jobs=20, rate_jobs_per_s=400.0, n_specs=3, workers=2
-    )
-    assert result["jobs_done"] == 20
+    run = run_experiment("service-traffic", cfg)
+    result = run.result
+    assert result["jobs_done"] == N_JOBS
     assert result["jobs_failed"] == 0
     assert result["served_fraction"] > 0.5
     lat = result["latency_ms"]
     assert lat["p50"] <= lat["p95"] <= lat["p99"]
     assert 0.0 <= result["worker_utilization"] <= 1.0
     assert result["queue_depth_max"] >= 1
-    rendered = service_traffic.render(result)
-    assert "Service traffic" in rendered
-    (record,) = service_traffic._records(result)
+    assert "Service traffic" in run.rendered
+    (record,) = run.records
     assert record.experiment == "service-traffic"
-    assert record.metrics["jobs_done"] == 20.0
+    assert record.metrics["jobs_done"] == float(N_JOBS)
 
 
 # -- CLI -------------------------------------------------------------------

@@ -1,14 +1,8 @@
-"""Tests for stats, tracing, timeline, and work-queue accounting."""
+"""Tests for stats, timeline, and work-queue accounting."""
 
 import pytest
 
-from repro.sim import (
-    Histogram,
-    NULL_TRACER,
-    Simulator,
-    Tracer,
-    UtilizationTracker,
-)
+from repro.sim import Histogram, Simulator, UtilizationTracker
 from repro.pipeline.timeline import PhaseAccumulator, Span
 from repro.pipeline.workqueue import WorkItem, WorkQueue
 
@@ -53,45 +47,6 @@ def test_utilization_still_busy_at_horizon():
     u = UtilizationTracker()
     u.set_busy(2.0)
     assert u.busy_time(5.0) == pytest.approx(3.0)
-
-
-# -- Tracer ----------------------------------------------------------------
-
-
-def test_tracer_records_and_filters():
-    t = Tracer()
-    t.emit(1.0, "flash", "read", {"pages": 3})
-    t.emit(2.0, "pcie", "dma")
-    assert len(t.records) == 2
-    assert len(t.filter("flash")) == 1
-    assert t.counts() == {"flash": 1, "pcie": 1}
-    assert "flash:read" in t.dump()
-
-
-def test_tracer_category_filtering():
-    t = Tracer(categories={"flash"})
-    t.emit(1.0, "flash", "read")
-    t.emit(1.0, "pcie", "dma")
-    assert t.counts() == {"flash": 1}
-
-
-def test_tracer_disabled_is_noop():
-    NULL_TRACER.emit(0.0, "x", "y")
-    assert NULL_TRACER.records == []
-
-
-def test_tracer_max_records_cap():
-    t = Tracer(max_records=2)
-    for i in range(5):
-        t.emit(float(i), "c", "l")
-    assert len(t.records) == 2
-
-
-def test_tracer_clear():
-    t = Tracer()
-    t.emit(0.0, "a", "b")
-    t.clear()
-    assert t.records == []
 
 
 # -- PhaseAccumulator --------------------------------------------------------

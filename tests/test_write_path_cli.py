@@ -4,8 +4,6 @@ import pytest
 
 from repro.config import HardwareParams
 from repro.errors import StorageError
-from repro.experiments import cache_sensitivity
-from repro.experiments.common import ExperimentConfig
 from repro.storage import SSDevice
 
 
@@ -59,17 +57,16 @@ def test_nand_program_time_monotone(ssd):
 # -- cache sensitivity ablation -------------------------------------------
 
 
-def test_cache_sensitivity_shape():
-    cfg = ExperimentConfig(edge_budget=2.5e5, batch_size=32,
-                           n_workloads=5)
-    result = cache_sensitivity.run(cfg, dataset_name="reddit")
+def test_cache_sensitivity_shape(quick_outcome):
+    found = quick_outcome("cache-sensitivity")
+    result = found.result
     fracs = result["cache_fracs"]
     # bigger cache -> higher hit rate, lower cost
     assert result["hit_rates"][fracs[-1]] > result["hit_rates"][fracs[0]]
     assert result["mmap_ms"][fracs[-1]] < result["mmap_ms"][fracs[0]]
     # but mmap never beats latency-optimized direct I/O
     assert result["mmap_ms"][fracs[-1]] > result["sw_ms"]
-    assert "latency, not locality" in cache_sensitivity.render(result)
+    assert "latency, not locality" in found.rendered
 
 
 # -- CLI -------------------------------------------------------------------
