@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "--prune", action="store_true",
-        help="prune the result store before reporting "
+        help="prune the result and graph stores before reporting "
              "(with --max-store-bytes / --ttl)",
     )
     status.add_argument(
@@ -500,9 +500,10 @@ def _cmd_status(args) -> int:
             return 2
         from repro.service.store import ResultStore
 
-        pruned = ResultStore(os.path.join(args.state, "store")).prune(
-            max_bytes=args.max_store_bytes, ttl=args.ttl
-        )
+        pruned = ResultStore(
+            os.path.join(args.state, "store"),
+            graph_root=os.path.join(args.state, "graphs"),
+        ).prune(max_bytes=args.max_store_bytes, ttl=args.ttl)
     with CampaignService(args.state, workers=1) as service:
         info = service.status()
     if pruned is not None:
@@ -525,6 +526,13 @@ def _cmd_status(args) -> int:
             f"{pruned['deleted_bytes']} bytes "
             f"({pruned['entries_after']} record(s), "
             f"{pruned['bytes_after']} bytes remain)"
+        )
+        graphs = pruned["graphs"]
+        print(
+            f"graphs:  {graphs['deleted']} pruned, "
+            f"{graphs['deleted_bytes']} bytes "
+            f"({graphs['entries_after']} graph(s), "
+            f"{graphs['bytes_after']} bytes remain)"
         )
     if info["recovered_running"]:
         print(

@@ -18,6 +18,13 @@ directly, so library code can route through it unconditionally.  Builds
 of the *same* key serialize on a per-key lock (the second thread waits
 and reuses the first thread's artifact); builds of different keys run
 concurrently.
+
+A campaign's cache is unbounded and lives for the campaign.  A service
+pool worker holds one for its whole life (:func:`activate` in its
+initializer), so it gets a byte budget with least-recently-used
+eviction, and a :class:`~repro.graph.store.GraphStore` that
+:func:`~repro.api.session.scaled_dataset` reads before it generates a
+graph and writes after.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import types
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Optional
 
@@ -34,8 +43,10 @@ from repro.errors import ConfigError
 
 __all__ = [
     "ContentCache",
+    "artifact_nbytes",
     "canonical_json",
     "spec_key",
+    "activate",
     "activated",
     "active_cache",
     "cached",
@@ -120,12 +131,64 @@ class _Entry:
         self.value: Any = None
 
 
-class ContentCache:
-    """Thread-safe map from content key to built artifact."""
+def artifact_nbytes(value: Any) -> int:
+    """Bytes of the numpy arrays reachable from ``value``.
 
-    def __init__(self) -> None:
+    Walks lists, tuples, sets, dict values and instance attributes
+    (not modules, classes or callables), counting each array once.
+    """
+    total = 0
+    seen = set()
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            total += item.nbytes
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif (
+            hasattr(item, "__dict__")
+            and not callable(item)
+            and not isinstance(item, types.ModuleType)
+        ):
+            stack.extend(vars(item).values())
+    return total
+
+
+class ContentCache:
+    """Thread-safe map from content key to built artifact.
+
+    ``max_bytes`` bounds the artifacts' array bytes
+    (:func:`artifact_nbytes`, measured when each is built).  Past it the
+    least recently used artifacts are evicted, though never the one just
+    built; a later request for an evicted key rebuilds it, which yields
+    the same content.  ``None`` (the default) never evicts.
+
+    ``graph_store`` is an optional :class:`~repro.graph.store.GraphStore`
+    that :func:`~repro.api.session.scaled_dataset` reads a graph from on
+    a miss, before it generates one, and writes a generated graph to.
+    """
+
+    def __init__(
+        self,
+        max_bytes: Optional[int] = None,
+        graph_store: Any = None,
+    ) -> None:
+        if max_bytes is not None and max_bytes < 0:
+            raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
+        self.max_bytes = max_bytes
+        self.graph_store = graph_store
         self._lock = threading.Lock()
         self._entries: Dict[str, _Entry] = {}
+        #: bounded caches only: built key -> bytes, least recent first
+        self._lru: "OrderedDict[str, int]" = OrderedDict()
+        self.nbytes = 0
+        self.evictions = 0
         self.hits = 0
         self.misses = 0
 
@@ -156,6 +219,8 @@ class ContentCache:
                 if entry.built:
                     with self._lock:
                         self.hits += 1
+                        if key in self._lru:
+                            self._lru.move_to_end(key)
                     return entry.value
                 # a failed build (or clear()) may have evicted this
                 # entry while we waited on its lock; retry with the
@@ -174,7 +239,19 @@ class ContentCache:
                 entry.built = True
                 with self._lock:
                     self.misses += 1
+                    if self.max_bytes is not None:
+                        self._admit(key, artifact_nbytes(value))
                 return value
+
+    def _admit(self, key: str, size: int) -> None:
+        """Account a new artifact and evict down to the budget (locked)."""
+        self._lru[key] = size
+        self.nbytes += size
+        while self.nbytes > self.max_bytes and len(self._lru) > 1:
+            old, old_size = self._lru.popitem(last=False)
+            self._entries.pop(old, None)
+            self.nbytes -= old_size
+            self.evictions += 1
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -189,6 +266,8 @@ class ContentCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._lru.clear()
+            self.nbytes = 0
             self.hits = 0
             self.misses = 0
 
@@ -202,6 +281,16 @@ def active_cache() -> Optional[ContentCache]:
     return _active
 
 
+def activate(cache: Optional[ContentCache]) -> Optional[ContentCache]:
+    """Make ``cache`` the process-wide active cache; returns the previous
+    one.  A pool worker's initializer calls this once for its life."""
+    global _active
+    with _active_lock:
+        previous = _active
+        _active = cache
+    return previous
+
+
 @contextmanager
 def activated(cache: Optional[ContentCache] = None):
     """Activate ``cache`` (default: a fresh one) for the enclosed scope.
@@ -210,16 +299,12 @@ def activated(cache: Optional[ContentCache] = None):
     see the same cache); nested activations restore the outer cache on
     exit.
     """
-    global _active
     cache = cache if cache is not None else ContentCache()
-    with _active_lock:
-        previous = _active
-        _active = cache
+    previous = activate(cache)
     try:
         yield cache
     finally:
-        with _active_lock:
-            _active = previous
+        activate(previous)
 
 
 def cached(kind: str, fields: Dict[str, Any], build: Callable[[], Any]) -> Any:

@@ -97,10 +97,11 @@ def cancel_pending(futures) -> int:
 class ExperimentOutcome:
     """What one experiment produced inside a campaign.
 
-    ``elapsed_s`` is the experiment's wall-clock span (plan start to
-    last unit / collect finish); ``work_s`` is the summed compute time
-    of its units, which exceeds ``elapsed_s`` when units ran
-    concurrently.
+    ``elapsed_s`` is the experiment's wall-clock span: its planning,
+    then its first unit's start to its last unit's finish, then its
+    collect step (time its units sat queued behind other experiments'
+    units is excluded); ``work_s`` is the summed compute time of its
+    units, which exceeds ``elapsed_s`` when units ran concurrently.
     """
 
     name: str
@@ -606,7 +607,7 @@ class Campaign:
                 )
             outputs.append(source.outcome.result)
         work = exp.plan_s
-        finished_last = exp.started + exp.plan_s
+        starts, finishes = [], []
         for future in exp.futures:
             try:
                 output, unit_s, finished_at = future.result()
@@ -616,7 +617,8 @@ class Campaign:
                 )
             outputs.append(output)
             work += unit_s
-            finished_last = max(finished_last, finished_at)
+            starts.append(finished_at - unit_s)
+            finishes.append(finished_at)
         start = time.time()
         try:
             result = exp.entry.collect_outputs(exp.cfg, outputs)
@@ -628,10 +630,13 @@ class Campaign:
             )
         collect_s = time.time() - start
         work += collect_s
-        # wall span of this experiment: planning through its last unit,
-        # plus the (serial) collect step; idle time spent queued behind
-        # other experiments' gather callbacks is excluded
-        elapsed = (finished_last - exp.started) + collect_s
+        # wall span of this experiment: its planning, its first unit's
+        # start through its last unit's finish, and the (serial)
+        # collect step; time its units spent queued behind other
+        # experiments' units is excluded
+        elapsed = exp.plan_s + collect_s
+        if starts:
+            elapsed += max(finishes) - min(starts)
         provenance = {
             "config_digest": spec_key(
                 "experiment-config", **exp.cfg.to_dict()

@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.cache import cached
+from repro.api.cache import active_cache, cached, spec_key
 from repro.api.spec import RunSpec, SystemSpec
 from repro.config import HardwareParams
 from repro.core.accounting import BatchCost, SamplingWorkload
@@ -150,7 +150,13 @@ def scaled_dataset(
 
     Memoized through the active :mod:`repro.api.cache` (if any), so a
     campaign materializes each (name, budget, variant, seed) once and
-    shares the instance across experiments and worker threads.
+    shares the instance across experiments and worker threads.  When
+    the active cache has a :class:`~repro.graph.store.GraphStore` (a
+    service pool worker's does: ``<state_dir>/graphs/``), a miss first
+    maps the graph from that store, keyed by the cache's ``dataset``
+    key, and only generates it when the store has none, saving it for
+    the next process.  A stored graph holds the very arrays generation
+    gives, so records do not depend on where the graph came from.
     """
     if name not in DATASETS:
         raise ConfigError(f"unknown dataset {name!r}")
@@ -158,11 +164,24 @@ def scaled_dataset(
     avg_degree = spec.avg_degree(variant)
     paper_nodes = spec.paper_stats(variant)["nodes"]
     scale = (edge_budget / avg_degree) / paper_nodes
-    return cached(
-        "dataset",
-        dict(name=name, variant=variant, scale=scale, seed=seed),
-        lambda: spec.instantiate(variant=variant, scale=scale, seed=seed),
-    )
+    fields = dict(name=name, variant=variant, scale=scale, seed=seed)
+
+    def build() -> GraphDataset:
+        cache = active_cache()
+        store = cache.graph_store if cache is not None else None
+        if store is None:
+            return spec.instantiate(variant=variant, scale=scale, seed=seed)
+        key = spec_key("dataset", **fields)
+        graph = store.load(key, *spec.shape(variant, scale))
+        if graph is None:
+            dataset = spec.instantiate(variant=variant, scale=scale, seed=seed)
+            store.save(key, dataset.graph)
+            return dataset
+        return GraphDataset(
+            spec=spec, variant=variant, scale=scale, seed=seed, graph=graph
+        )
+
+    return cached("dataset", fields, build)
 
 
 def generate_workloads(

@@ -16,6 +16,14 @@ from repro.errors import GraphError
 __all__ = ["CSRGraph"]
 
 
+def _node_ids(ids) -> np.ndarray:
+    """``ids`` as an array: narrow unsigned dtypes kept, else ``int64``."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "u" and ids.dtype.itemsize <= 4:
+        return ids
+    return np.asarray(ids, dtype=np.int64)
+
+
 class CSRGraph:
     """An immutable directed graph in CSR form.
 
@@ -69,9 +77,16 @@ class CSRGraph:
         least-significant-digit radix sort over 16-bit digits of the
         source ID, one stable pass per digit (numpy sorts 16-bit keys
         by radix), so the build is O(E) per digit.
+
+        Unsigned IDs of up to 32 bits (the narrow dtypes
+        :func:`~repro.graph.generators.rmat_graph` draws in) are sorted
+        and gathered as they are, without a widening copy; any other
+        input is read as ``int64``.  Either way ``indices`` is ``int32``
+        below 2**31 nodes, and out-of-range IDs raise
+        :class:`~repro.errors.GraphError`.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = _node_ids(src)
+        dst = _node_ids(dst)
         if src.shape != dst.shape:
             raise GraphError("src and dst must have the same length")
         if num_nodes is None:
@@ -80,7 +95,8 @@ class CSRGraph:
             raise GraphError("negative node IDs")
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
             raise GraphError("node IDs exceed num_nodes")
-        order = np.argsort(src.astype(np.uint16), kind="stable")
+        key = src if src.dtype.itemsize <= 2 else src.astype(np.uint16)
+        order = np.argsort(key, kind="stable")
         for shift in range(16, max(int(num_nodes) - 1, 0).bit_length(), 16):
             digit = (src[order] >> shift).astype(np.uint16)
             order = order[np.argsort(digit, kind="stable")]

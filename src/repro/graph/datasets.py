@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,6 +82,20 @@ class DatasetSpec:
     def edge_multiplier(self) -> float:
         return self.large_edges / self.inmem_edges
 
+    def shape(
+        self,
+        variant: str = LARGE_SCALE,
+        scale: float = 1e-4,
+        min_nodes: int = 256,
+    ) -> Tuple[int, int]:
+        """``(num_nodes, num_edges)`` that :meth:`instantiate` makes."""
+        _check_variant(variant)
+        if scale <= 0:
+            raise ConfigError("scale must be positive")
+        stats = self.paper_stats(variant)
+        num_nodes = max(min_nodes, int(round(stats["nodes"] * scale)))
+        return num_nodes, int(round(num_nodes * self.avg_degree(variant)))
+
     def instantiate(
         self,
         variant: str = LARGE_SCALE,
@@ -99,13 +113,8 @@ class DatasetSpec:
         follows the node count, so a small enough ``scale`` yields more
         edges than it asks for: ``min_nodes`` nodes at the true degree.
         """
-        _check_variant(variant)
-        if scale <= 0:
-            raise ConfigError("scale must be positive")
-        stats = self.paper_stats(variant)
-        num_nodes = max(min_nodes, int(round(stats["nodes"] * scale)))
+        num_nodes, num_edges = self.shape(variant, scale, min_nodes)
         avg_degree = self.avg_degree(variant)
-        num_edges = int(round(num_nodes * avg_degree))
         rng = np.random.default_rng(
             _dataset_seed(self.name, variant, seed)
         )

@@ -124,8 +124,10 @@ def rmat_graph(
     advanced["uinteger"] = state["uinteger"]
     bit_generator.state = advanced
     # Random relabeling folded into [0, num_nodes): the modulo runs over
-    # the 2**scale-entry table once instead of over every edge.
-    label = rng.permutation(1 << scale) % num_nodes
+    # the 2**scale-entry table once instead of over every edge, and the
+    # labels keep the descent's narrow dtype, which the CSR build sorts
+    # and gathers without widening.
+    label = (rng.permutation(1 << scale) % num_nodes).astype(ids)
     return CSRGraph.from_edges(label[src], label[dst], num_nodes=num_nodes)
 
 

@@ -40,6 +40,10 @@ __all__ = ["PARTITION_METHODS", "GraphPartition", "partition_graph"]
 
 PARTITION_METHODS = ("edge-cut", "degree-balanced", "hash")
 
+#: fewest pair-table entries :func:`partition_graph` always allows; past
+#: this a table may be no larger than the graph's edge count
+_MIN_HALO_TABLE = 1 << 20
+
 
 @dataclass
 class GraphPartition:
@@ -210,6 +214,14 @@ def partition_graph(
     Degenerate shapes stay well-formed rather than erroring: more
     shards than nodes leaves the surplus shards empty, and single-node
     or edge-free graphs partition with zero cut edges.
+
+    Cut edges and halos come from one pass over the edges: each edge
+    becomes a (source's shard, destination node) pair, and a K x N
+    table counts the edges per pair (an edge is cut when its pair's node
+    is owned by another shard; a shard's halo is its pairs with such
+    nodes).  Where the table would hold more entries than the graph
+    has edges (and more than :data:`_MIN_HALO_TABLE`), the distinct cut
+    pairs are found by ``np.unique`` instead.
     """
     if not isinstance(graph, CSRGraph):
         raise ConfigError(
@@ -245,29 +257,33 @@ def partition_graph(
             f"partition must be one of {PARTITION_METHODS}, got {method!r}"
         )
 
-    degrees = np.diff(graph.indptr)
+    n = graph.num_nodes
+    degrees = graph.degrees()
     shard_nodes = np.bincount(owner, minlength=n_shards).astype(np.int64)
     shard_degrees = np.bincount(
         owner, weights=degrees, minlength=n_shards
     ).astype(np.int64)
 
-    src_owner = np.repeat(owner, degrees)
-    dst_owner = owner[graph.indices]
-    cut_mask = src_owner != dst_owner
-    cut_edges = int(np.count_nonzero(cut_mask))
-
-    # Halo accounting: distinct (shard, remote node) pairs.
-    replication = np.zeros(n_shards, dtype=np.int64)
-    if cut_edges:
-        pairs = (
-            src_owner[cut_mask].astype(np.int64) * graph.num_nodes
-            + graph.indices[cut_mask].astype(np.int64)
+    # Every edge as one (source's shard, destination node) pair index.
+    pairs = np.repeat(owner.astype(np.int64) * n, degrees)
+    pairs += graph.indices
+    if n_shards * n <= max(graph.num_edges, _MIN_HALO_TABLE):
+        # K x N table of edges per pair: a shard's own nodes hold its
+        # uncut edges, and its halo is the other nodes it reaches.
+        table = np.bincount(pairs, minlength=n_shards * n).reshape(
+            n_shards, n
         )
-        unique_pairs = np.unique(pairs)
+        cut_edges = graph.num_edges - int(table[owner, np.arange(n)].sum())
+        remote = owner != np.arange(n_shards)[:, None]
+        replication = np.count_nonzero((table > 0) & remote, axis=1)
+    else:
+        # more shards than the graph has edges per node: a table would
+        # outgrow the edge arrays, so count the distinct cut pairs
+        cut = np.repeat(owner, degrees) != owner[graph.indices]
+        cut_edges = int(np.count_nonzero(cut))
         replication = np.bincount(
-            (unique_pairs // graph.num_nodes).astype(np.int64),
-            minlength=n_shards,
-        ).astype(np.int64)
+            np.unique(pairs[cut]) // n, minlength=n_shards
+        )
 
     return GraphPartition(
         n_shards=n_shards,
@@ -277,5 +293,5 @@ def partition_graph(
         shard_degrees=shard_degrees,
         cut_edges=cut_edges,
         total_edges=graph.num_edges,
-        replication=replication,
+        replication=replication.astype(np.int64),
     )

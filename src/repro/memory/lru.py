@@ -52,6 +52,10 @@ def lru_batch_access(
         return np.zeros(0, dtype=bool)
     if n < 96:
         return None  # fixed numpy overhead beats the scalar loop's total
+    if np.all(keys[1:] > keys[:-1]):
+        # strictly increasing (a sorted page set): duplicate-free, so
+        # the distinct-key test below would give up after the sort
+        return None
     # Pack (key, position) into one int64 so a plain (unstable) sort
     # still yields, per key group, its occurrences in original order --
     # group head = first occurrence, group tail = last occurrence.

@@ -6,6 +6,7 @@
       journal.jsonl   # job lifecycle journal (JobQueue)
       spool/          # cross-process submission inbox (Spool)
       store/          # content-addressed result records (ResultStore)
+      graphs/         # pool workers' CSR cache (GraphStore)
 
 and drives a single-threaded orchestration loop over three moves --
 ingest the spool, dispatch queued jobs, harvest finished futures --
@@ -68,7 +69,7 @@ from repro.service.store import ResultStore, run_key
 from repro.service.worker import (
     evaluate_and_store,
     evaluate_batch_and_store,
-    place_worker,
+    init_worker,
 )
 
 __all__ = ["CampaignService", "ServiceReport", "EXECUTORS"]
@@ -233,7 +234,10 @@ class CampaignService:
         os.makedirs(state_dir, exist_ok=True)
         self.queue = JobQueue(os.path.join(state_dir, "journal.jsonl"))
         self.spool = Spool(os.path.join(state_dir, "spool"))
-        self.store = ResultStore(os.path.join(state_dir, "store"))
+        self.store = ResultStore(
+            os.path.join(state_dir, "store"),
+            graph_root=os.path.join(state_dir, "graphs"),
+        )
         self._pool = None
         #: set by submit() and by every settling future; the loop
         #: sleeps on it between cycles instead of a fixed poll
@@ -275,8 +279,10 @@ class CampaignService:
         if self.executor == "process":
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=place_worker,
-                initargs=(multiprocessing.Value("i", 0),),
+                initializer=init_worker,
+                initargs=(
+                    multiprocessing.Value("i", 0), self.store.graph_root,
+                ),
             )
         else:
             self._pool = ThreadPoolExecutor(max_workers=self.workers)

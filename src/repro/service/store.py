@@ -28,11 +28,13 @@ import os
 import json
 import tempfile
 import threading
-from typing import Dict, Iterator, Optional
+import time
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.cache import canonical_json, spec_key
 from repro.api.spec import RunSpec
 from repro.errors import ConfigError
+from repro.graph.store import GraphStore
 from repro.pipeline.backends.base import PipelineResult
 
 __all__ = [
@@ -123,10 +125,15 @@ class ResultStore:
     go through a unique temp file and ``os.replace``, reads re-check
     the schema, and the in-memory hit/miss counters are per-instance
     observability, not shared state.
+
+    ``graph_root`` names the service's graph store
+    (:class:`~repro.graph.store.GraphStore`, ``<state>/graphs``), which
+    :meth:`prune` bounds along with the records.
     """
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, graph_root: Optional[str] = None) -> None:
         self.root = root
+        self.graph_root = graph_root
         os.makedirs(root, exist_ok=True)
         self._lock = threading.Lock()
         self.hits = 0
@@ -229,7 +236,7 @@ class ResultStore:
         self,
         max_bytes: Optional[int] = None,
         ttl: Optional[float] = None,
-    ) -> Dict[str, int]:
+    ) -> Dict[str, Any]:
         """Bound the store: drop expired and least-recent records.
 
         Two independent policies, applied in order:
@@ -243,6 +250,13 @@ class ResultStore:
         from their specs, so pruning is safe at any time; concurrent
         readers racing a deletion simply see a miss and re-evaluate.
         Returns a summary (entries/bytes before and after, deletions).
+
+        With a ``graph_root``, the same two policies then bound the
+        graph store on their own budget: a stored graph (its
+        ``indptr``/``indices`` pair) and every temp file a killed
+        writer left are entries, oldest first.  A pruned graph is
+        regenerated by the next job that needs it.  The graph store's
+        summary is the ``"graphs"`` entry.
         """
         if max_bytes is not None and max_bytes < 0:
             raise ConfigError(
@@ -250,8 +264,6 @@ class ResultStore:
             )
         if ttl is not None and ttl < 0:
             raise ConfigError(f"ttl must be >= 0, got {ttl}")
-        import time
-
         entries = []
         for key in self.keys():
             path = self.path_for(key)
@@ -259,44 +271,12 @@ class ResultStore:
                 st = os.stat(path)
             except OSError:
                 continue
-            entries.append((st.st_mtime, st.st_size, path))
-        entries.sort()  # oldest first
-        total = sum(size for _, size, _ in entries)
-        summary = {
-            "entries_before": len(entries),
-            "bytes_before": total,
-            "deleted": 0,
-            "deleted_bytes": 0,
-        }
-
-        def drop(mtime_size_path) -> None:
-            _, size, path = mtime_size_path
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-            except OSError:
-                return
-            summary["deleted"] += 1
-            summary["deleted_bytes"] += size
-
-        kept = entries
-        if ttl is not None:
-            cutoff = time.time() - ttl
-            expired = [e for e in kept if e[0] < cutoff]
-            kept = [e for e in kept if e[0] >= cutoff]
-            for entry in expired:
-                drop(entry)
-        if max_bytes is not None:
-            live = sum(size for _, size, _ in kept)
-            while kept and live > max_bytes:
-                entry = kept.pop(0)
-                live -= entry[1]
-                drop(entry)
-        summary["entries_after"] = (
-            summary["entries_before"] - summary["deleted"]
-        )
-        summary["bytes_after"] = total - summary["deleted_bytes"]
+            entries.append((st.st_mtime, st.st_size, (path,)))
+        summary: Dict[str, Any] = _prune(entries, max_bytes, ttl)
+        if self.graph_root is not None:
+            summary["graphs"] = _prune(
+                GraphStore(self.graph_root).entries(), max_bytes, ttl
+            )
         return summary
 
     # -- observability -----------------------------------------------------
@@ -309,3 +289,48 @@ class ResultStore:
                 "puts": self.puts,
                 "entries": len(self),
             }
+
+
+def _prune(
+    entries: List[Tuple[float, int, Tuple[str, ...]]],
+    max_bytes: Optional[int],
+    ttl: Optional[float],
+) -> Dict[str, int]:
+    """Delete expired, then oldest ``(mtime, bytes, paths)`` entries."""
+    entries = sorted(entries)  # oldest first
+    total = sum(size for _, size, _ in entries)
+    summary = {
+        "entries_before": len(entries),
+        "bytes_before": total,
+        "deleted": 0,
+        "deleted_bytes": 0,
+    }
+
+    def drop(entry) -> None:
+        _, size, paths = entry
+        for path in paths:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+            except OSError:
+                return
+        summary["deleted"] += 1
+        summary["deleted_bytes"] += size
+
+    kept = entries
+    if ttl is not None:
+        cutoff = time.time() - ttl
+        expired = [e for e in kept if e[0] < cutoff]
+        kept = [e for e in kept if e[0] >= cutoff]
+        for entry in expired:
+            drop(entry)
+    if max_bytes is not None:
+        live = sum(size for _, size, _ in kept)
+        while kept and live > max_bytes:
+            entry = kept.pop(0)
+            live -= entry[1]
+            drop(entry)
+    summary["entries_after"] = summary["entries_before"] - summary["deleted"]
+    summary["bytes_after"] = total - summary["deleted_bytes"]
+    return summary

@@ -18,7 +18,11 @@ jobs with the same record bytes.
 Simulation is deterministic (campaign records are byte-identical
 across processes and job counts), so *where* a spec is evaluated --
 serving process, pool worker, another host -- cannot change the
-record that lands in the result store.
+record that lands in the result store.  Nor can what a pool worker
+remembers: :func:`init_worker` gives each worker one bounded
+:class:`~repro.api.cache.ContentCache` for its life, backed by the
+state directory's graph store, so a job reuses the graph that an
+earlier job of the same state directory generated.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from typing import Optional
 from repro.affinity import place_on_cpu
 
 __all__ = [
+    "WORKER_CACHE_BYTES",
+    "init_worker",
     "place_worker",
     "evaluate_spec_dict",
     "evaluate_and_store",
@@ -35,8 +41,13 @@ __all__ = [
 ]
 
 
+#: array bytes a pool worker's content cache keeps (graphs and workload
+#: pools); a service-sized graph is a few MB
+WORKER_CACHE_BYTES = 256 << 20
+
+
 def place_worker(ordinals) -> None:
-    """Process-pool initializer: start each worker on its own CPU.
+    """Start this process on its own CPU (first step of :func:`init_worker`).
 
     A forked worker starts on its parent's CPU and, on a kernel that
     does not balance load, never leaves it (see :mod:`repro.affinity`).
@@ -47,6 +58,28 @@ def place_worker(ordinals) -> None:
         ordinal = ordinals.value
         ordinals.value += 1
     place_on_cpu(ordinal)
+
+
+def init_worker(ordinals, graph_root: str) -> None:
+    """Process-pool initializer: place the worker, then warm its memory.
+
+    After :func:`place_worker`, activates one
+    :class:`~repro.api.cache.ContentCache` for the worker's life,
+    bounded by :data:`WORKER_CACHE_BYTES`, with ``graph_root`` (the
+    state directory's ``graphs/``) as its graph store.  A job whose
+    dataset an earlier job in this worker built takes it from memory;
+    one whose dataset any earlier job of the state directory built maps
+    it from the store.
+    """
+    from repro.api.cache import ContentCache, activate
+    from repro.graph.store import GraphStore
+
+    place_worker(ordinals)
+    activate(
+        ContentCache(
+            max_bytes=WORKER_CACHE_BYTES, graph_store=GraphStore(graph_root)
+        )
+    )
 
 
 def evaluate_spec_dict(spec_dict: dict) -> dict:

@@ -852,3 +852,29 @@ def test_campaign_without_store_has_empty_store_stats(synthetic):
     assert result.store_stats == {}
     assert result.interrupted is False
     assert result.manifest()["campaign"]["interrupted"] is False
+
+
+def test_elapsed_excludes_time_queued_behind_earlier_experiments():
+    # at --jobs 1 the second experiment's units wait for the first's;
+    # its span starts when its own first unit starts
+    import time
+
+    def slow():
+        time.sleep(0.2)
+        return 0
+
+    names = ("synthetic-slow-a", "synthetic-slow-b")
+    for name in names:
+        register_experiment(name, tags=("synthetic",))(
+            lambda cfg: [slow, slow]
+        )
+    try:
+        result = Campaign(list(names), cfg=CFG, jobs=1).run()
+    finally:
+        for name in names:
+            unregister_experiment(name)
+    first, second = (result.outcomes[name] for name in names)
+    assert first.ok and second.ok
+    both = first.work_s + second.work_s
+    assert second.elapsed_s >= 0.4
+    assert second.elapsed_s < 0.75 * both

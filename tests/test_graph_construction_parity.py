@@ -331,3 +331,55 @@ def test_from_edges_rejects_mismatched_shapes():
         CSRGraph.from_edges(np.zeros(70_000, dtype=np.int64),
                             np.zeros(69_999, dtype=np.int64),
                             num_nodes=70_000)
+
+
+# -- narrow unsigned input ----------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype,num_nodes", [
+    (np.uint8, 200),
+    (np.uint16, 300),
+    (np.uint16, 65_536),
+    (np.uint32, 70_000),
+    (np.uint32, 300_000),
+])
+def test_from_edges_unsigned_input_matches_int64(dtype, num_nodes):
+    rng = np.random.default_rng(num_nodes)
+    src = rng.integers(0, num_nodes, 5000)
+    dst = rng.integers(0, num_nodes, 5000)
+    wide = CSRGraph.from_edges(src, dst, num_nodes=num_nodes)
+    narrow = CSRGraph.from_edges(
+        src.astype(dtype), dst.astype(dtype), num_nodes=num_nodes
+    )
+    assert narrow.indices.dtype == np.int32
+    assert_same_csr(narrow, (wide.indptr, wide.indices))
+    assert_same_csr(narrow, reference_from_edges(src, dst, num_nodes))
+    # mixed widths and an inferred node count build the same graph
+    mixed = CSRGraph.from_edges(src.astype(dtype), dst)
+    assert_same_csr(mixed, reference_from_edges(src, dst))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_from_edges_unsigned_input_out_of_range_raises(dtype):
+    ids = np.array([0, 5, 9], dtype=dtype)
+    zeros = np.zeros(3, dtype=dtype)
+    with pytest.raises(GraphError, match="exceed"):
+        CSRGraph.from_edges(ids, zeros, num_nodes=9)
+    with pytest.raises(GraphError, match="exceed"):
+        CSRGraph.from_edges(zeros, ids, num_nodes=9)
+    assert CSRGraph.from_edges(ids, ids, num_nodes=10).num_edges == 3
+
+
+def test_rmat_hands_from_edges_its_narrow_ids(monkeypatch):
+    # the relabelled IDs stay in the descent's unsigned dtype
+    seen = []
+    build = CSRGraph.from_edges.__func__
+
+    def spy(cls, src, dst, num_nodes=None):
+        seen.append((src.dtype, dst.dtype))
+        return build(cls, src, dst, num_nodes)
+
+    monkeypatch.setattr(CSRGraph, "from_edges", classmethod(spy))
+    rmat_graph(277, 4000, np.random.default_rng(1))
+    rmat_graph(70_000, 4000, np.random.default_rng(1))
+    assert seen == [(np.uint16, np.uint16), (np.uint32, np.uint32)]

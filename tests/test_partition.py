@@ -189,3 +189,71 @@ def test_custom_owner_is_copied_not_frozen(graph):
     owner[0] = 2                    # the caller's array stays writeable
     assert part.owner[0] == 0
     assert not part.owner.flags.writeable
+
+
+# -- cut and halo counts against the frozen np.unique count ---------------
+
+
+def reference_cut(graph, owner, n_shards):
+    """The original count: ``np.unique`` over the cut-edge pairs."""
+    src_owner = np.repeat(owner, np.diff(graph.indptr))
+    cut_mask = src_owner != owner[graph.indices]
+    replication = np.zeros(n_shards, dtype=np.int64)
+    if cut_mask.any():
+        pairs = (
+            src_owner[cut_mask].astype(np.int64) * graph.num_nodes
+            + graph.indices[cut_mask].astype(np.int64)
+        )
+        replication = np.bincount(
+            (np.unique(pairs) // graph.num_nodes).astype(np.int64),
+            minlength=n_shards,
+        ).astype(np.int64)
+    return int(np.count_nonzero(cut_mask)), replication
+
+
+def assert_cut_matches_reference(part, graph):
+    cut_edges, replication = reference_cut(graph, part.owner, part.n_shards)
+    assert part.cut_edges == cut_edges
+    assert part.replication.dtype == np.int64
+    assert np.array_equal(part.replication, replication)
+
+
+CUT_GRAPHS = {
+    "rmat": lambda: rmat_graph(2000, 16000, np.random.default_rng(7)),
+    # a multigraph with few nodes and many parallel edges, like a
+    # service-sized dataset (256 nodes at its true degree)
+    "dense": lambda: rmat_graph(256, 20000, np.random.default_rng(3)),
+    "sparse": lambda: uniform_graph(300, 0.5, np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_GRAPHS))
+@pytest.mark.parametrize("method", PARTITION_METHODS + ("custom",))
+@pytest.mark.parametrize("n_shards", [1, 2, 4, "more-than-nodes"])
+def test_cut_and_replication_match_unique_count(name, method, n_shards):
+    graph = CUT_GRAPHS[name]()
+    if n_shards == "more-than-nodes":
+        n_shards = graph.num_nodes + 3
+    if method == "custom":
+        owner = np.random.default_rng(n_shards).integers(
+            0, n_shards, graph.num_nodes
+        )
+        part = partition_graph(graph, n_shards, owner=owner)
+    else:
+        part = partition_graph(graph, n_shards, method=method)
+    assert_cut_matches_reference(part, graph)
+
+
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+def test_cut_without_the_pair_table_matches_unique_count(
+    monkeypatch, method
+):
+    # past the table's size bound the distinct cut pairs are counted
+    # by np.unique; force that branch on graphs the table would take
+    from repro.graph import partition
+
+    monkeypatch.setattr(partition, "_MIN_HALO_TABLE", 0)
+    for graph in (CUT_GRAPHS["sparse"](), CUT_GRAPHS["rmat"]()):
+        for n_shards in (4, graph.num_nodes + 3):
+            part = partition_graph(graph, n_shards, method=method)
+            assert_cut_matches_reference(part, graph)
