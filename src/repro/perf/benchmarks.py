@@ -3,10 +3,10 @@
 Micro benchmarks pit each vectorized kernel against the scalar
 reference implementation it replaced (the reference stays in the tree
 precisely so this comparison -- and the parity tests backing it --
-never rot).  Macro benchmarks drive whole pipeline runs through the
-Session API, including one sharded-backend configuration, so the
-BENCH_*.json trajectory also captures end-to-end regressions that no
-micro kernel would catch.
+never rot).  The two macro benchmarks time one GraphSAGE mini-batch
+(``sampler-batch``) and the fault hooks' tax on a clean pipeline run
+(``fault-overhead``).  Whole-spec wall-clock time, layer by layer, is
+the repository benchmark's job (``perfbench/``), not this registry's.
 
 Problem sizes follow ``ctx.scale(full, smoke)``: full sizes target
 roughly a second per benchmark on a laptop-class core; smoke sizes keep
@@ -360,122 +360,6 @@ def _bench_event_engine(ctx):
     return ctx.result(ops=ops, elapsed_s=elapsed, reference_s=reference)
 
 
-def _pipeline_result(ctx, design: str, mode: str, **system_kwargs):
-    """Shared body of the end-to-end pipeline benchmarks."""
-    import time
-
-    from repro.api import RunSpec, Session, SystemSpec
-
-    spec = RunSpec(
-        dataset="reddit",
-        edge_budget=ctx.scale(4e5, 1.2e5),
-        batch_size=ctx.scale(64, 32),
-        n_workloads=4,
-        n_batches=ctx.scale(24, 6),
-        n_workers=2,
-        mode=mode,
-        system=SystemSpec(design=design, **system_kwargs),
-    )
-    with ctx.stage("build"):
-        session = Session.from_spec(spec)
-        session.workloads  # materialize dataset + workload pool
-    with ctx.stage("simulate"):
-        t0 = time.perf_counter()
-        result = session.run()
-        elapsed = time.perf_counter() - t0
-    return ctx.result(
-        ops=spec.n_batches,
-        elapsed_s=elapsed,
-        simulated_s=result.elapsed_s,
-        gpu_idle_fraction=result.gpu_idle_fraction,
-        simulated_batches_per_s=result.throughput_batches_per_s,
-    )
-
-
-@register_benchmark(
-    "pipeline-event",
-    tags=("macro", "e2e"),
-    description="end-to-end event-mode pipeline run (simulated batches/sec of wall time)",
-)
-def _bench_pipeline_event(ctx):
-    return _pipeline_result(ctx, design="smartsage-hwsw", mode="event")
-
-
-@register_benchmark(
-    "pipeline-sharded",
-    tags=("macro", "e2e", "sharded"),
-    description="end-to-end sharded-backend run (K=2 shard-local device groups)",
-)
-def _bench_pipeline_sharded(ctx):
-    return _pipeline_result(
-        ctx, design="smartsage-sharded", mode="sharded", n_shards=2
-    )
-
-
-@register_benchmark(
-    "pipeline-gids",
-    tags=("macro", "e2e", "gids"),
-    description="end-to-end GPU-initiated direct-access run (gids-cached)",
-)
-def _bench_pipeline_gids(ctx):
-    return _pipeline_result(ctx, design="gids-cached", mode="gids")
-
-
-@register_benchmark(
-    "pipeline-distributed",
-    tags=("macro", "e2e", "distributed"),
-    description="end-to-end distributed-backend run (2 hosts over the rack fabric)",
-)
-def _bench_pipeline_distributed(ctx):
-    return _pipeline_result(
-        ctx, design="smartsage-sharded", mode="distributed", n_hosts=2
-    )
-
-
-@register_benchmark(
-    "service-throughput",
-    tags=("macro", "service"),
-    description="campaign service cold drain (process-pool vs thread-pool workers)",
-)
-def _bench_service_throughput(ctx):
-    import shutil
-    import tempfile
-
-    from repro.service.server import CampaignService
-    from repro.service.traffic import spec_pool
-
-    n_specs = ctx.scale(10, 4)
-    pool = spec_pool(
-        n_specs,
-        edge_budget=ctx.scale(1e5, 4e4),
-        batch_size=ctx.scale(16, 8),
-        n_batches=ctx.scale(6, 2),
-        seed=ctx.seed,
-    )
-
-    def drain(executor: str) -> None:
-        # fresh state per pass: a cold store, so every job simulates
-        # and the timing is pure worker-tier throughput
-        state = tempfile.mkdtemp(prefix=f"bench-svc-{executor}-")
-        try:
-            with CampaignService(
-                state, workers=2, executor=executor
-            ) as service:
-                for spec in pool:
-                    service.submit(spec)
-                report = service.drain()
-            if report.counts.get("failed", 0):
-                raise RuntimeError(
-                    f"service drain failed jobs: {report.counts}"
-                )
-        finally:
-            shutil.rmtree(state, ignore_errors=True)
-
-    elapsed = ctx.time(lambda: drain("process"))
-    reference = ctx.time(lambda: drain("thread"))
-    return ctx.result(ops=n_specs, elapsed_s=elapsed, reference_s=reference)
-
-
 @register_benchmark(
     "resource-churn",
     tags=("micro", "sim"),
@@ -517,45 +401,6 @@ def _bench_resource_churn(ctx):
     elapsed = ctx.time(lambda: run(True))
     reference = ctx.time(lambda: run(False))
     return ctx.result(ops=ops, elapsed_s=elapsed, reference_s=reference)
-
-
-@register_benchmark(
-    "sweep-batch",
-    tags=("macro", "api"),
-    description="100-point analytic sweep (batched grid evaluator vs per-point runs)",
-)
-def _bench_sweep_batch(ctx):
-    from repro.api import RunSpec, Session, SystemSpec
-
-    # The grid stays 100 points at every scale -- the target (>=10x on
-    # a 100-point grid) is defined on the grid size; ctx.scale only
-    # shrinks the per-point problem.
-    n_points = 100
-    spec = RunSpec(
-        dataset="reddit",
-        edge_budget=ctx.scale(2.4e5, 1.2e5),
-        batch_size=ctx.scale(48, 32),
-        n_workloads=6,
-        n_batches=8,
-        n_workers=2,
-        mode="analytic",
-        system=SystemSpec(design="smartsage-sw"),
-    )
-    values = list(range(1, n_points + 1))
-    with ctx.stage("build"):
-        base = Session.from_spec(spec)
-        base.workloads  # materialize dataset + workloads once, outside timing
-
-    def run(batch: bool):
-        session = Session(
-            spec, dataset=base.dataset, workloads=base.workloads
-        )
-        return session.sweep("n_workers", values, batch=batch)
-
-    run(True)  # warm lazy state (GPU model, registries)
-    elapsed = ctx.time(lambda: run(True))
-    reference = ctx.time(lambda: run(False))
-    return ctx.result(ops=n_points, elapsed_s=elapsed, reference_s=reference)
 
 
 @register_benchmark(

@@ -34,13 +34,10 @@ def test_builtin_benchmarks_registered():
     for expected in (
         "llc-trace", "lru-batch", "flash-plan", "frontier-dedup",
         "sampler-batch", "sampler-noreplace", "mmap-faultaround",
-        "event-engine", "pipeline-event", "pipeline-sharded",
-        "pipeline-gids", "pipeline-distributed",
+        "event-engine", "resource-churn", "fault-overhead",
     ):
         assert expected in names
-    assert "pipeline-sharded" in benchmarks_with_tag("sharded")
-    assert "pipeline-gids" in benchmarks_with_tag("gids")
-    assert "pipeline-distributed" in benchmarks_with_tag("distributed")
+    assert "fault-overhead" in benchmarks_with_tag("macro")
     assert set(benchmarks_with_tag("micro")) <= set(names)
 
 
@@ -131,7 +128,7 @@ def test_smoke_runs_every_builtin(smoke_results):
     _out, results = smoke_results
     assert len(results) == len(available_benchmarks())
     by_name = {r.name: r for r in results}
-    assert "pipeline-sharded" in by_name  # sharded-backend benchmark
+    assert "fault-overhead" in by_name  # a whole pipeline run
     for result in results:
         assert result.ops > 0
         assert result.elapsed_s > 0
@@ -167,10 +164,10 @@ def test_bench_json_schema(smoke_results):
             assert key in blob, (fname, key)
         assert blob["machine"]["numpy"] == np.__version__
         assert blob["smoke"] is True
-    with open(os.path.join(out, "BENCH_pipeline-event.json")) as fh:
+    with open(os.path.join(out, "BENCH_fault-overhead.json")) as fh:
         pipeline = json.load(fh)
-    assert set(pipeline["stages"]) == {"build", "simulate"}
-    assert pipeline["metrics"]["gpu_idle_fraction"] >= 0.0
+    assert set(pipeline["stages"]) == {"build"}
+    assert pipeline["metrics"]["overhead_fraction"] > -1.0
 
 
 # -- baseline comparison ---------------------------------------------------
@@ -236,7 +233,7 @@ def test_load_baseline_errors(tmp_path):
 def test_cli_bench_list(capsys):
     assert cli_main(["bench", "--list"]) == 0
     out = capsys.readouterr().out
-    assert "llc-trace" in out and "pipeline-sharded" in out
+    assert "llc-trace" in out and "fault-overhead" in out
 
 
 def test_cli_bench_unknown_name(capsys):
