@@ -166,6 +166,7 @@ def evaluate_specs(specs: Sequence) -> List[PipelineResult]:
             variant=sp.variant,
             edge_budget=sp.edge_budget,
             seed=sp.seed,
+            rmat_draw=sp.rmat_draw,
         )
         wl_key = spec_key(
             "batcheval-wl",

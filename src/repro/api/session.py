@@ -38,6 +38,7 @@ from repro.core.accounting import BatchCost, SamplingWorkload
 from repro.core.systems import TrainingSystem, build_gpu_model, build_system
 from repro.errors import ConfigError
 from repro.graph.datasets import DATASETS, LARGE_SCALE, GraphDataset
+from repro.graph.generators import DEFAULT_RMAT_DRAW
 from repro.pipeline.backends.base import ExecutionRequest, drive
 from repro.pipeline.gpu import GPUModel
 from repro.pipeline.runner import PipelineResult, run_pipeline
@@ -139,6 +140,7 @@ def scaled_dataset(
     edge_budget: float,
     variant: str = LARGE_SCALE,
     seed: int = 0,
+    rmat_draw: str = DEFAULT_RMAT_DRAW,
 ) -> GraphDataset:
     """Materialize ``name`` at ``edge_budget`` edges, true avg degree.
 
@@ -147,9 +149,12 @@ def scaled_dataset(
     degree, so a dense dataset at a small budget gets more edges than
     the budget.  At 1.5e5, ``reddit`` materializes 256 nodes and
     369,930 edges, and ``movielens`` 256 nodes and 682,667 edges.
+    ``rmat_draw`` names the RMAT draw contract (``RunSpec.rmat_draw``;
+    see :func:`~repro.graph.generators.rmat_graph`): ``"u16"``, the
+    default, or ``"f64"``, the draws of graphs made before it existed.
 
     Memoized through the active :mod:`repro.api.cache` (if any), so a
-    campaign materializes each (name, budget, variant, seed) once and
+    campaign materializes each (name, budget, variant, seed, draw) once and
     shares the instance across experiments and worker threads.  When
     the active cache has a :class:`~repro.graph.store.GraphStore` (a
     service pool worker's does: ``<state_dir>/graphs/``), a miss first
@@ -164,21 +169,29 @@ def scaled_dataset(
     avg_degree = spec.avg_degree(variant)
     paper_nodes = spec.paper_stats(variant)["nodes"]
     scale = (edge_budget / avg_degree) / paper_nodes
-    fields = dict(name=name, variant=variant, scale=scale, seed=seed)
+    fields = dict(
+        name=name, variant=variant, scale=scale, seed=seed,
+        rmat_draw=rmat_draw,
+    )
 
     def build() -> GraphDataset:
         cache = active_cache()
         store = cache.graph_store if cache is not None else None
         if store is None:
-            return spec.instantiate(variant=variant, scale=scale, seed=seed)
+            return spec.instantiate(
+                variant=variant, scale=scale, seed=seed, rmat_draw=rmat_draw
+            )
         key = spec_key("dataset", **fields)
         graph = store.load(key, *spec.shape(variant, scale))
         if graph is None:
-            dataset = spec.instantiate(variant=variant, scale=scale, seed=seed)
+            dataset = spec.instantiate(
+                variant=variant, scale=scale, seed=seed, rmat_draw=rmat_draw
+            )
             store.save(key, dataset.graph)
             return dataset
         return GraphDataset(
-            spec=spec, variant=variant, scale=scale, seed=seed, graph=graph
+            spec=spec, variant=variant, scale=scale, seed=seed, graph=graph,
+            rmat_draw=rmat_draw,
         )
 
     return cached("dataset", fields, build)
@@ -227,6 +240,7 @@ def generate_workloads(
         variant=dataset.variant,
         scale=dataset.scale,
         dataset_seed=dataset.seed,
+        rmat_draw=dataset.rmat_draw,
         nodes=dataset.num_nodes,
         edges=dataset.num_edges,
         batch_size=batch_size,
@@ -342,7 +356,9 @@ class DesignComparison:
 
 
 #: RunSpec fields that change the materialized dataset
-_DATASET_FIELDS = frozenset({"dataset", "variant", "edge_budget", "seed"})
+_DATASET_FIELDS = frozenset(
+    {"dataset", "variant", "edge_budget", "seed", "rmat_draw"}
+)
 #: fields that change the sampled workload pool ("hardware" because an
 #: override may redefine workload.fanouts, which the pool samples with)
 _WORKLOAD_FIELDS = frozenset(
@@ -413,6 +429,7 @@ class Session:
                 self.spec.edge_budget,
                 variant=self.spec.variant,
                 seed=self.spec.seed,
+                rmat_draw=self.spec.rmat_draw,
             )
         return self._dataset
 

@@ -33,10 +33,12 @@ from repro.api.validation import (
     check_fraction,
     check_partition,
     check_positive_real,
+    check_rmat_draw,
 )
 from repro.config import HardwareParams, default_hardware
 from repro.errors import ConfigError
 from repro.graph.datasets import DATASETS, LARGE_SCALE, _VARIANTS
+from repro.graph.generators import DEFAULT_RMAT_DRAW, RMAT_DRAWS
 
 __all__ = ["SystemSpec", "RunSpec"]
 
@@ -221,7 +223,7 @@ class RunSpec:
     """Declarative description of one end-to-end training run.
 
     Bundles the dataset instantiation (name, variant, edge budget,
-    seed), the workload shape (batch size, sampler, pool size), the
+    seed, RMAT draw contract), the workload shape (batch size, sampler, pool size), the
     system to build (:class:`SystemSpec`), and the pipeline execution
     parameters (mode, batches, workers, checkpointing).
     """
@@ -231,6 +233,11 @@ class RunSpec:
     variant: str = LARGE_SCALE
     edge_budget: float = 2e6
     seed: int = 0
+    #: RMAT draw contract of the graph (see
+    #: :func:`repro.graph.generators.rmat_graph`).  A spec dict without
+    #: it means ``"f64"``, the draws of every spec written before the
+    #: field existed, so their run keys and records stay reproducible
+    rmat_draw: str = DEFAULT_RMAT_DRAW
     # workload
     batch_size: int = 128
     n_workloads: int = 6
@@ -269,6 +276,7 @@ class RunSpec:
             and self.edge_budget > 0,
             f"edge_budget must be positive, got {self.edge_budget!r}",
         )
+        check_rmat_draw(self.rmat_draw)
         check_count("batch_size", self.batch_size)
         check_count("n_workloads", self.n_workloads)
         check_count("warmup_batches", self.warmup_batches, minimum=0)
@@ -316,10 +324,16 @@ class RunSpec:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["system"] = self.system.to_dict()
+        if out["rmat_draw"] == RMAT_DRAWS[0]:
+            # absence and the oldest draw are one state: specs written
+            # before the field keep their run keys
+            del out["rmat_draw"]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
+        if isinstance(data, dict) and "rmat_draw" not in data:
+            data = dict(data, rmat_draw=RMAT_DRAWS[0])
         return _from_dict(cls, data)
 
     def to_json(self, path: Optional[str] = None, indent: int = 2) -> str:

@@ -18,6 +18,7 @@ __all__ = [
     "check_fabric",
     "check_partition",
     "check_faults",
+    "check_rmat_draw",
 ]
 
 #: pipeline counts -> least accepted value; ``RunSpec.validate`` and
@@ -119,4 +120,16 @@ def check_faults(value):
             f"faults must be a FaultPlan or mapping, got {value!r}"
         )
     value.validate()
+    return value
+
+
+def check_rmat_draw(value) -> str:
+    """Validate an RMAT draw contract name
+    (see :func:`repro.graph.generators.rmat_graph`)."""
+    from repro.graph.generators import RMAT_DRAWS
+
+    if not isinstance(value, str) or value not in RMAT_DRAWS:
+        raise ConfigError(
+            f"rmat_draw must be one of {RMAT_DRAWS}, got {value!r}"
+        )
     return value

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import powerlaw_graph, rmat_graph, uniform_graph
+from repro.graph.generators import (
+    DEFAULT_RMAT_DRAW,
+    powerlaw_graph,
+    rmat_graph,
+    uniform_graph,
+)
 
 __all__ = [
     "DatasetSpec",
@@ -103,6 +108,7 @@ class DatasetSpec:
         seed: int = 0,
         generator: str = "rmat",
         min_nodes: int = 256,
+        rmat_draw: str = DEFAULT_RMAT_DRAW,
     ) -> "GraphDataset":
         """Materialize a scaled synthetic instance of this dataset.
 
@@ -112,6 +118,8 @@ class DatasetSpec:
         The node count is floored at ``min_nodes``, and the edge count
         follows the node count, so a small enough ``scale`` yields more
         edges than it asks for: ``min_nodes`` nodes at the true degree.
+        ``rmat_draw`` names the ``rmat`` generator's draw contract (see
+        :func:`~repro.graph.generators.rmat_graph`).
         """
         num_nodes, num_edges = self.shape(variant, scale, min_nodes)
         avg_degree = self.avg_degree(variant)
@@ -119,7 +127,7 @@ class DatasetSpec:
             _dataset_seed(self.name, variant, seed)
         )
         if generator == "rmat":
-            graph = rmat_graph(num_nodes, num_edges, rng)
+            graph = rmat_graph(num_nodes, num_edges, rng, rmat_draw=rmat_draw)
         elif generator == "powerlaw":
             graph = powerlaw_graph(num_nodes, avg_degree, rng)
         elif generator == "uniform":
@@ -132,6 +140,7 @@ class DatasetSpec:
             scale=scale,
             seed=seed,
             graph=graph,
+            rmat_draw=rmat_draw,
         )
 
 
@@ -163,6 +172,8 @@ class GraphDataset:
     scale: float
     seed: int
     graph: CSRGraph
+    #: the RMAT draw contract the graph was made with
+    rmat_draw: str = DEFAULT_RMAT_DRAW
     _features: Optional[np.ndarray] = field(default=None, repr=False)
     _labels: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -308,6 +319,7 @@ def load_dataset(
     scale: float = 1e-4,
     seed: int = 0,
     generator: str = "rmat",
+    rmat_draw: str = DEFAULT_RMAT_DRAW,
 ) -> GraphDataset:
     """Instantiate a Table I dataset by name (see :class:`DatasetSpec`)."""
     if name not in DATASETS:
@@ -315,7 +327,8 @@ def load_dataset(
             f"unknown dataset {name!r}; available: {DATASET_NAMES}"
         )
     return DATASETS[name].instantiate(
-        variant=variant, scale=scale, seed=seed, generator=generator
+        variant=variant, scale=scale, seed=seed, generator=generator,
+        rmat_draw=rmat_draw,
     )
 
 

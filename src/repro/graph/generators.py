@@ -17,7 +17,21 @@ from repro.affinity import allowed_cpu_count, place_on_cpu
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["rmat_graph", "powerlaw_graph", "uniform_graph", "complete_graph"]
+__all__ = [
+    "RMAT_DRAWS",
+    "DEFAULT_RMAT_DRAW",
+    "rmat_graph",
+    "powerlaw_graph",
+    "uniform_graph",
+    "complete_graph",
+]
+
+#: the draw contracts :func:`rmat_graph` knows, oldest first; a spec,
+#: key or file that names none predates the versioning and means the
+#: first
+RMAT_DRAWS = ("f64", "u16")
+#: the draw contract graphs are made with unless a caller names one
+DEFAULT_RMAT_DRAW = "u16"
 
 
 def _next_pow2_exponent(n: int) -> int:
@@ -34,36 +48,60 @@ def rmat_graph(
     a: float = 0.57,
     b: float = 0.19,
     c: float = 0.19,
+    rmat_draw: str = DEFAULT_RMAT_DRAW,
 ) -> CSRGraph:
     """Recursive-matrix (RMAT/Kronecker-style) power-law graph.
 
     Each edge picks its endpoints by descending a 2x2 probability matrix
     ``[[a, b], [c, d]]`` one bit at a time -- the classic generator behind
     Graph500 and the Kronecker graph model the paper's dataset methodology
-    builds on.  Node IDs are randomly permuted afterwards so that adjacency
-    is not correlated with ID order (matching the paper's observation that
+    builds on.  Level 0 decides the most significant bit of both IDs.
+    Node IDs are randomly permuted afterwards so that adjacency is not
+    correlated with ID order (matching the paper's observation that
     mini-batch targets are scattered across the graph).
 
-    The draw order is a contract: level by level, ``num_edges`` uniform
-    "right" draws, then ``num_edges`` uniform "down" draws, then one
-    ``rng.permutation`` of ``2**scale`` IDs.  Every dataset is seeded
-    from its name, so a fixed stream keeps each materialized graph --
+    Which draws decide which bits is a contract: every dataset is seeded
+    from its name, so a fixed contract keeps each materialized graph --
     and every run key, stored record and figure built on it --
-    byte-identical across versions.
+    byte-identical across versions.  ``rmat_draw`` names one of
+    :data:`RMAT_DRAWS`:
 
-    The draws are not made in that order, though.  Number the streams
-    ``s = 2 * level + (0 right, 1 down)``; draw ``k`` of stream ``s`` is
-    then the stream's ``s * num_edges + k``-th double.  ``rng.random``
+    ``"f64"``
+        Level by level, ``num_edges`` uniform "right" doubles (the
+        destination bit), then ``num_edges`` uniform "down" doubles (the
+        source bit, conditioned on the right draw).  Number the streams
+        ``s = 2 * level + (0 right, 1 down)``; draw ``k`` of stream ``s``
+        is then the stream's ``s * num_edges + k``-th double, and the
+        descent ends ``2 * scale * num_edges`` draws on.
+    ``"u16"``
+        Edge ``e`` takes ``words = 2 * ceil(scale / 8)`` raw 64-bit
+        words, edge-major: raw draws ``e * words`` up to
+        ``(e + 1) * words``.  Each word is read as four little-endian
+        16-bit lanes, so lane ``4 * w + j`` is bits ``16 j`` to
+        ``16 j + 15`` of the edge's word ``w``, and lane ``l`` decides
+        level ``l``; lanes from ``scale`` on are drawn and ignored.  A
+        lane value ``v`` falls in ``[0, 2**16)``, cut into quadrants in
+        the order a | b | d | c at ``t_a, t_ab, t_abd = round(p * 2**16)``
+        for the cumulative ``p = a, a + b, a + b + d``: the source bit is
+        ``v >= t_ab`` and the destination bit ``t_a <= v < t_abd``.  The
+        rounding moves each threshold by at most 2**-17, so a quadrant's
+        probability is off by at most 2**-16.  The descent ends
+        ``words * num_edges`` draws on.  It needs a quarter of the draws
+        ``"f64"`` does at 8 levels, and no float conversion.
+
+    Either way the draws are not made in that order.  ``rng.random``
     turns one 64-bit PCG64 output into one double, and PCG64 can jump to
     any position of its stream, so a copy of the bit generator advanced
-    to ``s * num_edges + lo`` yields stream ``s``'s draws for edges
-    ``lo`` onward.  That frees the descent to walk the edges in blocks
-    small enough for the CPU cache, and to split them into contiguous
-    parts that helper threads descend at the same time, one per allowed
-    CPU: every edge still gets the very doubles the sequential order
-    would give it.  Afterwards the caller's generator is moved past all
-    ``2 * scale * num_edges`` draws, as the sequential draws would have
-    left it.  ``rng`` must therefore be a PCG64 generator, as
+    to an edge's first draw yields that edge's draws.  That frees the
+    descent to walk the edges in blocks small enough for the CPU cache,
+    and to split them into contiguous parts that helper threads descend
+    at the same time, one per allowed CPU: every edge still gets the
+    very draws the sequential order would give it, so the graph's bytes
+    do not depend on how many CPUs the host has.  Afterwards the
+    caller's generator is moved past all of the descent's draws, as the
+    sequential draws would have left it, its buffered 32-bit half kept;
+    then one ``rng.permutation`` of ``2**scale`` IDs relabels the nodes.
+    ``rng`` must therefore be a PCG64 generator, as
     ``np.random.default_rng`` builds.
     """
     if num_nodes < 2:
@@ -81,6 +119,10 @@ def rmat_graph(
             raise GraphError(
                 f"rmat probability {name} is {p!r}, not in [0, 1]"
             )
+    if rmat_draw not in RMAT_DRAWS:
+        raise GraphError(
+            f"rmat_draw must be one of {RMAT_DRAWS}, got {rmat_draw!r}"
+        )
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.PCG64):
         raise GraphError(
@@ -88,37 +130,45 @@ def rmat_graph(
             f"got {type(bit_generator).__name__}"
         )
     scale = _next_pow2_exponent(num_nodes)
-    # Quadrant probabilities: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
-    p_right = b + d
-    probs = (
-        p_right,
-        d / p_right if p_right > 0 else 0.0,  # down, given right
-        c / (a + c) if (a + c) > 0 else 0.0,  # down, given left
-    )
+    if rmat_draw == "f64":
+        # Quadrant probabilities: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
+        p_right = b + d
+        probs = (
+            p_right,
+            d / p_right if p_right > 0 else 0.0,  # down, given right
+            c / (a + c) if (a + c) > 0 else 0.0,  # down, given left
+        )
+        descend, args = _descend, (num_edges, scale, probs)
+        draws = 2 * scale * num_edges
+    else:
+        words = 2 * -(-scale // 8)
+        thresholds = tuple(round(p * (1 << 16)) for p in (a, a + b, a + b + d))
+        descend, args = _descend_u16, (words, scale, thresholds)
+        draws = words * num_edges
     ids = np.min_scalar_type((1 << scale) - 1)
     src = np.zeros(num_edges, dtype=ids)
     dst = np.zeros(num_edges, dtype=ids)
     n_parts = max(1, min(allowed_cpu_count(), num_edges // _MIN_PART_EDGES))
     bounds = [num_edges * i // n_parts for i in range(n_parts + 1)]
     parts = [
-        (copy.deepcopy(bit_generator), src, dst, lo, hi, num_edges, scale,
-         probs)
+        (copy.deepcopy(bit_generator), src, dst, lo, hi) + args
         for lo, hi in zip(bounds, bounds[1:])
     ]
     if n_parts == 1:
-        _descend(*parts[0])
+        descend(*parts[0])
     else:
         with ThreadPoolExecutor(max_workers=n_parts) as pool:
             futures = [
-                pool.submit(_descend_on_cpu, i, *part)
+                pool.submit(_descend_on_cpu, i, descend, *part)
                 for i, part in enumerate(parts)
             ]
             for future in futures:
                 future.result()
     # Skip the caller past the descent's draws.  ``advance`` drops the
-    # buffered 32-bit half, which double draws leave alone: restore it.
+    # buffered 32-bit half, which double and raw draws leave alone:
+    # restore it.
     state = bit_generator.state
-    bit_generator.advance(2 * scale * num_edges)
+    bit_generator.advance(draws)
     advanced = bit_generator.state
     advanced["has_uint32"] = state["has_uint32"]
     advanced["uinteger"] = state["uinteger"]
@@ -131,8 +181,9 @@ def rmat_graph(
     return CSRGraph.from_edges(label[src], label[dst], num_nodes=num_nodes)
 
 
-#: edges per descent block: the float64 draw buffer (128 KiB) and the
-#: block's IDs and flags stay in the L2 cache across all levels
+#: edges per descent block: a block's draws (128 KiB of "f64" doubles,
+#: 256 KiB of "u16" words at 9-16 levels), IDs and flags stay in the L2
+#: cache across all levels
 _BLOCK_EDGES = 1 << 14
 
 #: fewest edges worth a helper thread of their own
@@ -142,11 +193,15 @@ _MIN_PART_EDGES = 1 << 16
 #: generator by ``delta`` draws, backwards included
 _PERIOD = 1 << 128
 
+#: ``(x * _PACK) >> 56`` gathers the low bits of ``x``'s eight bytes
+#: into one byte, byte 0's bit on top
+_PACK = np.uint64(0x8040201008040201)
 
-def _descend_on_cpu(part: int, *args) -> None:
-    """:func:`_descend` in a helper thread, on the ``part``-th CPU."""
+
+def _descend_on_cpu(part: int, descend, *args) -> None:
+    """``descend(*args)`` in a helper thread, on the ``part``-th CPU."""
     place_on_cpu(part)
-    _descend(*args)
+    descend(*args)
 
 
 def _descend(
@@ -198,6 +253,57 @@ def _descend(
             np.bitwise_or(src_block, down, out=src_block)
             np.left_shift(dst_block, 1, out=dst_block)
             np.bitwise_or(dst_block, right, out=dst_block)
+
+
+def _descend_u16(
+    cursor: np.random.PCG64,
+    src: np.ndarray,
+    dst: np.ndarray,
+    lo: int,
+    hi: int,
+    words: int,
+    scale: int,
+    thresholds: tuple,
+) -> None:
+    """Descend edges ``[lo, hi)`` under the ``"u16"`` contract.
+
+    ``cursor`` is a private copy of the caller's bit generator, still at
+    the caller's position; it jumps to edge ``lo``'s words once, and the
+    blocks then read the words in order.  A block compares all its lanes
+    at once into one bool per lane; an edge's eight lanes
+    ``8 k .. 8 k + 7`` are eight consecutive bytes, which one multiply
+    packs into ID byte ``k``, lane ``8 k`` on top.
+    """
+    t_a, t_ab, t_abd = thresholds
+    lanes = 4 * words
+    id_bytes = words // 2
+    cursor.advance(lo * words)
+    size = min(_BLOCK_EDGES, hi - lo)
+    lane_buf = np.empty((size, lanes), dtype=np.uint16)
+    bit_buf = np.empty((size, lanes), dtype=bool)
+    for start in range(lo, hi, _BLOCK_EDGES):
+        stop = min(start + _BLOCK_EDGES, hi)
+        n = stop - start
+        raw = cursor.random_raw(n * words).astype("<u8", copy=False)
+        value = raw.view("<u2").reshape(n, lanes)
+        shifted, bits = lane_buf[:n], bit_buf[:n]
+        packed = bits.view("<u8")
+        # byte 7 of each little-endian product is ``product >> 56``
+        top = bits.view(np.uint8)[:, 7::8]
+        for ids, is_src in ((src[start:stop], True), (dst[start:stop], False)):
+            if is_src:
+                np.greater_equal(value, t_ab, out=bits)
+            else:
+                # t_a <= v < t_abd as one unsigned compare: v - t_a
+                # wraps below t_a
+                np.subtract(value, t_a & 0xFFFF, out=shifted)
+                np.less(shifted, t_abd - t_a, out=bits)
+            np.multiply(packed, _PACK, out=packed)
+            np.copyto(ids, top[:, 0])
+            for k in range(1, id_bytes):
+                np.left_shift(ids, 8, out=ids)
+                np.bitwise_or(ids, top[:, k], out=ids)
+            np.right_shift(ids, 8 * id_bytes - scale, out=ids)
 
 
 def powerlaw_graph(

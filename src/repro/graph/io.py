@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASETS, GraphDataset
+from repro.graph.generators import RMAT_DRAWS
 
 __all__ = ["save_graph", "load_graph", "save_dataset", "load_dataset_file"]
 
@@ -59,6 +60,7 @@ def save_dataset(dataset: GraphDataset, path: Union[str, Path]) -> Path:
         "variant": dataset.variant,
         "scale": dataset.scale,
         "seed": dataset.seed,
+        "rmat_draw": dataset.rmat_draw,
     }
     np.savez_compressed(
         path,
@@ -90,4 +92,6 @@ def load_dataset_file(path: Union[str, Path]) -> GraphDataset:
         scale=float(meta["scale"]),
         seed=int(meta["seed"]),
         graph=graph,
+        # files written before the draw was versioned hold "f64" graphs
+        rmat_draw=meta.get("rmat_draw", RMAT_DRAWS[0]),
     )

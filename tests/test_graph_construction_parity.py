@@ -111,7 +111,7 @@ RMAT_SIZES = [
 def test_rmat_matches_reference(num_nodes, num_edges):
     rng = np.random.default_rng(num_nodes)
     ref_rng = np.random.default_rng(num_nodes)
-    graph = rmat_graph(num_nodes, num_edges, rng)
+    graph = rmat_graph(num_nodes, num_edges, rng, rmat_draw="f64")
     assert_same_csr(graph, reference_rmat(num_nodes, num_edges, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert_same_csr(
@@ -122,7 +122,8 @@ def test_rmat_matches_reference(num_nodes, num_edges):
 def test_rmat_matches_reference_with_custom_probabilities():
     rng = np.random.default_rng(3)
     ref_rng = np.random.default_rng(3)
-    graph = rmat_graph(1000, 5000, rng, a=0.25, b=0.25, c=0.25)
+    graph = rmat_graph(1000, 5000, rng, a=0.25, b=0.25, c=0.25,
+                       rmat_draw="f64")
     assert_same_csr(
         graph, reference_rmat(1000, 5000, ref_rng, a=0.25, b=0.25, c=0.25)
     )
@@ -132,7 +133,7 @@ def test_rmat_matches_reference_with_custom_probabilities():
 def test_rmat_without_edges_matches_reference():
     rng = np.random.default_rng(5)
     ref_rng = np.random.default_rng(5)
-    graph = rmat_graph(100, 0, rng)
+    graph = rmat_graph(100, 0, rng, rmat_draw="f64")
     assert graph.num_edges == 0
     assert_same_csr(graph, reference_rmat(100, 0, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -143,17 +144,18 @@ def test_rmat_without_edges_matches_reference():
 PART_SIZES = [(300, 340_025), (1000, 5000), (100, 0)]
 
 
-def spy_parts(monkeypatch, cpus):
-    """Pretend ``cpus`` CPUs are allowed; returns the descended ranges."""
+def spy_parts(monkeypatch, cpus, kernel="_descend"):
+    """Pretend ``cpus`` CPUs are allowed; returns the ranges that the
+    descent ``kernel`` walked."""
     ranges = []
-    descend = generators._descend
+    descend = getattr(generators, kernel)
 
     def spy(cursor, src, dst, lo, hi, *rest):
         ranges.append((lo, hi))
         descend(cursor, src, dst, lo, hi, *rest)
 
     monkeypatch.setattr(generators, "allowed_cpu_count", lambda: cpus)
-    monkeypatch.setattr(generators, "_descend", spy)
+    monkeypatch.setattr(generators, kernel, spy)
     return ranges
 
 
@@ -165,7 +167,7 @@ def test_rmat_does_not_depend_on_part_count(
     ranges = spy_parts(monkeypatch, cpus)
     rng = np.random.default_rng(cpus)
     ref_rng = np.random.default_rng(cpus)
-    graph = rmat_graph(num_nodes, num_edges, rng)
+    graph = rmat_graph(num_nodes, num_edges, rng, rmat_draw="f64")
     assert_same_csr(graph, reference_rmat(num_nodes, num_edges, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     n_parts = cpus if num_edges > 65_536 else 1
@@ -183,7 +185,7 @@ def test_rmat_keeps_a_buffered_32bit_half(monkeypatch, cpus):
     for r in (rng, ref_rng):
         r.integers(0, 2**32, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    graph = rmat_graph(277, 150_000, rng)
+    graph = rmat_graph(277, 150_000, rng, rmat_draw="f64")
     assert_same_csr(graph, reference_rmat(277, 150_000, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # and the buffered half is the next 32-bit draw on both
@@ -203,13 +205,121 @@ def test_rmat_reraises_a_helper_failure(monkeypatch):
     monkeypatch.setattr(generators, "allowed_cpu_count", lambda: 2)
     monkeypatch.setattr(generators, "_descend", failing)
     with pytest.raises(RuntimeError, match="part at 75000 failed"):
-        rmat_graph(277, 150_000, np.random.default_rng(0))
+        rmat_graph(277, 150_000, np.random.default_rng(0), rmat_draw="f64")
 
 
 def test_rmat_needs_a_pcg64_generator():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(GraphError, match="PCG64"):
         rmat_graph(100, 1000, rng)
+
+
+# -- rmat_graph, "u16" draws --------------------------------------------------
+
+
+def reference_rmat_u16(num_nodes, num_edges, rng, a=0.57, b=0.19, c=0.19):
+    """The "u16" contract read sequentially, word by word, lane by lane."""
+    d = 1.0 - a - b - c
+    scale = 0
+    while (1 << scale) < num_nodes:
+        scale += 1
+    words = 2 * -(-scale // 8)
+    t_a, t_ab, t_abd = (round(p * 2**16) for p in (a, a + b, a + b + d))
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    for edge in range(num_edges):
+        for word_index in range(words):
+            word = int(rng.bit_generator.random_raw())
+            for lane in range(4):
+                if 4 * word_index + lane >= scale:
+                    continue
+                v = (word >> (16 * lane)) & 0xFFFF
+                src[edge] = (src[edge] << 1) | (v >= t_ab)
+                dst[edge] = (dst[edge] << 1) | (t_a <= v < t_abd)
+    perm = rng.permutation(1 << scale)
+    return reference_from_edges(
+        perm[src] % num_nodes, perm[dst] % num_nodes, num_nodes=num_nodes
+    )
+
+
+#: (num_nodes, num_edges, probabilities): one ID byte (8 levels), two
+#: (reddit's 277 nodes, 9 levels), three (17 levels), one level, no
+#: edges, and custom and degenerate matrices
+U16_CASES = [
+    (256, 1500, {}),
+    (277, 1500, {}),
+    (70_000, 700, {}),
+    (2, 300, {}),
+    (100, 0, {}),
+    (1000, 1200, {"a": 0.25, "b": 0.25, "c": 0.25}),
+    (300, 600, {"a": 1.0, "b": 0.0, "c": 0.0}),
+    (300, 600, {"a": 0.0, "b": 0.0, "c": 0.0}),
+    (300, 600, {"a": 0.5, "b": 0.0, "c": 0.0}),
+]
+
+
+@pytest.mark.parametrize("num_nodes,num_edges,probs", U16_CASES)
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_rmat_u16_matches_sequential_reference(
+    monkeypatch, cpus, num_nodes, num_edges, probs
+):
+    # small parts and blocks, so that a part's bounds fall inside blocks
+    monkeypatch.setattr(generators, "_MIN_PART_EDGES", 64)
+    monkeypatch.setattr(generators, "_BLOCK_EDGES", 97)
+    ranges = spy_parts(monkeypatch, cpus, kernel="_descend_u16")
+    rng = np.random.default_rng(cpus + num_edges)
+    ref_rng = np.random.default_rng(cpus + num_edges)
+    for r in (rng, ref_rng):
+        r.integers(0, 2**32, dtype=np.uint32)  # a buffered 32-bit half
+    graph = rmat_graph(num_nodes, num_edges, rng, rmat_draw="u16", **probs)
+    assert_same_csr(
+        graph, reference_rmat_u16(num_nodes, num_edges, ref_rng, **probs)
+    )
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(ranges) == max(1, min(cpus, num_edges // 64))
+    bounds = sorted(ranges)
+    assert bounds[0][0] == 0 and bounds[-1][1] == num_edges
+
+
+def test_rmat_u16_degenerate_matrices_put_every_edge_in_one_quadrant():
+    for probs, expected in (
+        ({"a": 1.0, "b": 0.0, "c": 0.0}, "diagonal"),
+        ({"a": 0.0, "b": 0.0, "c": 0.0}, "diagonal"),
+        ({"a": 0.0, "b": 1.0, "c": 0.0}, "off"),
+    ):
+        # 256 nodes: the relabeling is a bijection, so quadrant (0, 0)
+        # and (1, 1) descents give self loops and b's never do
+        graph = rmat_graph(256, 500, np.random.default_rng(0), **probs)
+        src, dst = coo(graph)
+        assert graph.num_edges == 500
+        assert np.all(src == dst) == (expected == "diagonal")
+        assert len(np.unique(src)) == 1 and len(np.unique(dst)) == 1
+
+
+def test_rmat_u16_is_the_default_and_differs_from_f64():
+    default = rmat_graph(277, 5000, np.random.default_rng(4))
+    u16 = rmat_graph(277, 5000, np.random.default_rng(4), rmat_draw="u16")
+    f64 = rmat_graph(277, 5000, np.random.default_rng(4), rmat_draw="f64")
+    assert_same_csr(default, (u16.indptr, u16.indices))
+    assert not np.array_equal(u16.indices, f64.indices)
+
+
+def test_rmat_u16_quadrant_frequencies_follow_the_matrix():
+    # one level: every edge's IDs are its quadrant's bits
+    rng = np.random.default_rng(11)
+    n = 200_000
+    graph = rmat_graph(2, n, rng, a=0.57, b=0.19, c=0.19)
+    src, dst = coo(graph)
+    # the relabeling may swap IDs 0 and 1; undo it with the (0, 0) count
+    share = np.bincount(2 * src + dst, minlength=4) / n
+    if share[0] < share[3]:
+        share = share[::-1]
+    assert share == pytest.approx([0.57, 0.19, 0.19, 0.05], abs=0.005)
+
+
+def test_rmat_rejects_an_unknown_draw():
+    with pytest.raises(GraphError, match="rmat_draw"):
+        rmat_graph(100, 10, np.random.default_rng(0), rmat_draw="f32")
 
 
 # -- other generators and transforms -------------------------------------------

@@ -4,7 +4,8 @@
 on one topology engine that differs only in which axes a mode exposes.
 ``tests/data/pre_engine_records.json`` holds the serialized result of
 every spec below, captured while each preset still had its own backend
-module; the engine must reproduce every byte.
+module, on graphs of the "f64" RMAT draws; the engine must reproduce
+every byte.
 
 The matrix targets the places an engine can leak one preset's behavior
 into another: host-failure and link-flap draws on modes without a
@@ -36,7 +37,7 @@ _STATIC_STACK = {"cache_tiers": ("hbm", "uva"), "cache_policy": "static"}
 
 def _spec(mode, system=None, **kwargs):
     base = dict(
-        dataset="reddit", edge_budget=3e5, batch_size=24,
+        dataset="reddit", edge_budget=3e5, rmat_draw="f64", batch_size=24,
         n_workloads=5, n_batches=8, n_workers=2, mode=mode,
         system=SystemSpec(**(system or {})),
     )
