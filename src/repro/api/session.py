@@ -169,30 +169,21 @@ def scaled_dataset(
     avg_degree = spec.avg_degree(variant)
     paper_nodes = spec.paper_stats(variant)["nodes"]
     scale = (edge_budget / avg_degree) / paper_nodes
-    fields = dict(
-        name=name, variant=variant, scale=scale, seed=seed,
-        rmat_draw=rmat_draw,
-    )
+    params = dict(variant=variant, scale=scale, seed=seed, rmat_draw=rmat_draw)
+    fields = dict(name=name, **params)
 
     def build() -> GraphDataset:
         cache = active_cache()
         store = cache.graph_store if cache is not None else None
         if store is None:
-            return spec.instantiate(
-                variant=variant, scale=scale, seed=seed, rmat_draw=rmat_draw
-            )
+            return spec.instantiate(**params)
         key = spec_key("dataset", **fields)
         graph = store.load(key, *spec.shape(variant, scale))
         if graph is None:
-            dataset = spec.instantiate(
-                variant=variant, scale=scale, seed=seed, rmat_draw=rmat_draw
-            )
+            dataset = spec.instantiate(**params)
             store.save(key, dataset.graph)
             return dataset
-        return GraphDataset(
-            spec=spec, variant=variant, scale=scale, seed=seed, graph=graph,
-            rmat_draw=rmat_draw,
-        )
+        return GraphDataset(spec=spec, graph=graph, **params)
 
     return cached("dataset", fields, build)
 

@@ -223,9 +223,10 @@ class RunSpec:
     """Declarative description of one end-to-end training run.
 
     Bundles the dataset instantiation (name, variant, edge budget,
-    seed, RMAT draw contract), the workload shape (batch size, sampler, pool size), the
-    system to build (:class:`SystemSpec`), and the pipeline execution
-    parameters (mode, batches, workers, checkpointing).
+    seed, RMAT draw contract), the workload shape (batch size, sampler,
+    pool size), the system to build (:class:`SystemSpec`), and the
+    pipeline execution parameters (mode, batches, workers,
+    checkpointing).
     """
 
     # dataset

@@ -142,6 +142,7 @@ def rmat_graph(
         draws = 2 * scale * num_edges
     else:
         words = 2 * -(-scale // 8)
+        # t_a, t_ab, t_abd
         thresholds = tuple(round(p * (1 << 16)) for p in (a, a + b, a + b + d))
         descend, args = _descend_u16, (words, scale, thresholds)
         draws = words * num_edges
@@ -181,9 +182,10 @@ def rmat_graph(
     return CSRGraph.from_edges(label[src], label[dst], num_nodes=num_nodes)
 
 
-#: edges per descent block: a block's draws (128 KiB of "f64" doubles,
-#: 256 KiB of "u16" words at 9-16 levels), IDs and flags stay in the L2
-#: cache across all levels
+#: edges per descent block: an "f64" block's draw buffer (128 KiB), IDs
+#: and flags stay in the L2 cache across all levels.  A "u16" block
+#: holds 16 or 32 bytes of words per edge (up to 8 or 16 levels); 8K to
+#: 32K-edge blocks descended reddit@4e5 equally fast.
 _BLOCK_EDGES = 1 << 14
 
 #: fewest edges worth a helper thread of their own
@@ -270,13 +272,11 @@ def _descend_u16(
     ``cursor`` is a private copy of the caller's bit generator, still at
     the caller's position; it jumps to edge ``lo``'s words once, and the
     blocks then read the words in order.  A block compares all its lanes
-    at once into one bool per lane; an edge's eight lanes
-    ``8 k .. 8 k + 7`` are eight consecutive bytes, which one multiply
-    packs into ID byte ``k``, lane ``8 k`` on top.
+    at once, one bool per lane, for the source bits and then for the
+    destination bits.
     """
     t_a, t_ab, t_abd = thresholds
     lanes = 4 * words
-    id_bytes = words // 2
     cursor.advance(lo * words)
     size = min(_BLOCK_EDGES, hi - lo)
     lane_buf = np.empty((size, lanes), dtype=np.uint16)
@@ -287,23 +287,30 @@ def _descend_u16(
         raw = cursor.random_raw(n * words).astype("<u8", copy=False)
         value = raw.view("<u2").reshape(n, lanes)
         shifted, bits = lane_buf[:n], bit_buf[:n]
-        packed = bits.view("<u8")
-        # byte 7 of each little-endian product is ``product >> 56``
-        top = bits.view(np.uint8)[:, 7::8]
-        for ids, is_src in ((src[start:stop], True), (dst[start:stop], False)):
-            if is_src:
-                np.greater_equal(value, t_ab, out=bits)
-            else:
-                # t_a <= v < t_abd as one unsigned compare: v - t_a
-                # wraps below t_a
-                np.subtract(value, t_a & 0xFFFF, out=shifted)
-                np.less(shifted, t_abd - t_a, out=bits)
-            np.multiply(packed, _PACK, out=packed)
-            np.copyto(ids, top[:, 0])
-            for k in range(1, id_bytes):
-                np.left_shift(ids, 8, out=ids)
-                np.bitwise_or(ids, top[:, k], out=ids)
-            np.right_shift(ids, 8 * id_bytes - scale, out=ids)
+        np.greater_equal(value, t_ab, out=bits)
+        _pack_ids(src[start:stop], bits, scale)
+        # t_a <= v < t_abd as one unsigned compare: v - t_a wraps below t_a
+        np.subtract(value, t_a & 0xFFFF, out=shifted)
+        np.less(shifted, t_abd - t_a, out=bits)
+        _pack_ids(dst[start:stop], bits, scale)
+
+
+def _pack_ids(ids: np.ndarray, bits: np.ndarray, scale: int) -> None:
+    """Write each row of lane bools ``bits`` into ``ids`` as a
+    ``scale``-bit ID, lane 0 the most significant bit.
+
+    A row's lanes ``8 k .. 8 k + 7`` are eight bytes of one little-endian
+    word, which one multiply packs into the word's top byte: ID byte
+    ``k``.  ``bits`` is clobbered.
+    """
+    packed = bits.view("<u8")
+    np.multiply(packed, _PACK, out=packed)
+    top = bits.view(np.uint8)[:, 7::8]  # each product's byte 7: >> 56
+    np.copyto(ids, top[:, 0])
+    for k in range(1, top.shape[1]):
+        np.left_shift(ids, 8, out=ids)
+        np.bitwise_or(ids, top[:, k], out=ids)
+    np.right_shift(ids, 8 * top.shape[1] - scale, out=ids)
 
 
 def powerlaw_graph(
