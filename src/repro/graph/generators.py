@@ -86,8 +86,9 @@ def rmat_graph(
         ``v >= t_ab`` and the destination bit ``t_a <= v < t_abd``.  The
         rounding moves each threshold by at most 2**-17, so a quadrant's
         probability is off by at most 2**-16.  The descent ends
-        ``words * num_edges`` draws on.  It needs a quarter of the draws
-        ``"f64"`` does at 8 levels, and no float conversion.
+        ``words * num_edges`` draws on.  At 8 levels an edge takes 2
+        words where ``"f64"`` takes 16 doubles, and no draw becomes a
+        float.
 
     Either way the draws are not made in that order.  ``rng.random``
     turns one 64-bit PCG64 output into one double, and PCG64 can jump to
