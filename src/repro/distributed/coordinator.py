@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.net.collectives import (
+from repro.net import (
+    ALLREDUCE,
+    RpcChannel,
+    TrafficAccount,
     allreduce_host_share_bytes,
     allreduce_time,
 )
-from repro.net.fabric import ALLREDUCE, TrafficAccount
-from repro.net.rpc import RpcChannel
 from repro.pipeline.backends.base import ExecutionRequest, PipelineResult
 from repro.pipeline.engine import HOSTS, SHARDS, TopologyEngine
 

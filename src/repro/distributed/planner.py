@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, partition_graph
-from repro.net.fabric import FEATURE_PULL, SAMPLING_RPC
+from repro.net import FEATURE_PULL, SAMPLING_RPC
 
 __all__ = [
     "HostPartitionPlan",

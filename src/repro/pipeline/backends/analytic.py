@@ -162,7 +162,7 @@ def _plan_distributed_analytic(
 ) -> PipelineResult:
     # repro.distributed (and with it repro.net) loads only for the
     # hosts axis, never on a single-device run
-    from repro.distributed.coordinator import DistributedCoordinator
+    from repro.distributed import DistributedCoordinator
 
     return DistributedCoordinator(
         request, mode="distributed-analytic"

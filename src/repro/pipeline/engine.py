@@ -111,9 +111,9 @@ def _graph_cut(graph, hosts: bool, n_hosts: int, n_shards: int,
         cuts = _CUTS.setdefault(graph, {})
         if key not in cuts:
             if hosts:
-                from repro.distributed.planner import plan_hosts
+                from repro.distributed import planner
 
-                host_plan = plan_hosts(
+                host_plan = planner.plan_hosts(
                     graph, n_hosts,
                     shards_per_host=n_shards,
                     method=method,
@@ -161,12 +161,12 @@ def _host_traffic(graph, cut: tuple, host_plan, workloads, host: int):
     """Each workload's cross-host traffic when ``host`` runs it
     (:func:`~repro.distributed.planner.host_workload_traffic`), planned
     once per workload and cut."""
-    from repro.distributed.planner import host_workload_traffic
+    from repro.distributed import planner
 
     row_bytes, edge_id_bytes = cut[-2:]
 
     def build(w):
-        (traffic,) = host_workload_traffic(
+        (traffic,) = planner.host_workload_traffic(
             host_plan, graph, [w], host, row_bytes, edge_id_bytes
         )
         for array in (traffic.sampling_req, traffic.sampling_resp,
@@ -293,8 +293,8 @@ class TopologyEngine:
                 )
 
         if self.n_hosts > 1:
-            from repro.distributed.coordinator import model_gradient_bytes
-            from repro.net.fabric import NetworkFabric
+            from repro.distributed import model_gradient_bytes
+            from repro.net import NetworkFabric
 
             plan.fabric = NetworkFabric(
                 hw.fabric, self.n_hosts, topology=req.fabric
@@ -383,12 +383,12 @@ class TopologyEngine:
         state = rpc = charge_allreduce = None
         allreduce_s = 0.0
         if plan.fabric is not None:
-            from repro.net.collectives import (
+            from repro.net import (
+                ALLREDUCE,
+                RpcChannel,
                 allreduce_host_share_bytes,
                 allreduce_time,
             )
-            from repro.net.fabric import ALLREDUCE
-            from repro.net.rpc import RpcChannel
 
             state = plan.fabric.attach(sim, faults=inj)
             rpc = RpcChannel(plan.fabric, state)
@@ -466,7 +466,7 @@ class TopologyEngine:
         busy = sum(c.utilization.busy_time(elapsed) for c in consumers)
         stats = self.topology_stats(plan)
         if HOSTS in self.axes:
-            from repro.net.fabric import TrafficAccount
+            from repro.net import TrafficAccount
 
             account = state.account if state is not None else TrafficAccount()
             stats.update(account.stats())
