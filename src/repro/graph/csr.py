@@ -73,13 +73,14 @@ class CSRGraph:
         """Build from parallel source/destination arrays (COO form).
 
         The edge order is stable: edges that share a source keep their
-        input order inside that node's neighbor list.  The sort is a
-        least-significant-digit radix sort over 16-bit digits of the
-        source ID, one stable pass per digit (numpy sorts 16-bit keys
-        by radix), so the build is O(E) per digit.
+        input order inside that node's neighbor list.  Each edge is
+        packed into one key, ``src << edge_bits | edge_index``, a
+        ``uint32`` when the node and edge index bits fit in 32, else a
+        ``uint64``.  The keys are unique, so one plain sort of them
+        (numpy's SIMD sort) gives the stable order in their low bits.
 
         Unsigned IDs of up to 32 bits (the narrow dtypes
-        :func:`~repro.graph.generators.rmat_graph` draws in) are sorted
+        :func:`~repro.graph.generators.rmat_graph` draws in) are packed
         and gathered as they are, without a widening copy; any other
         input is read as ``int64``.  Either way ``indices`` is ``int32``
         below 2**31 nodes, and out-of-range IDs raise
@@ -95,16 +96,25 @@ class CSRGraph:
             raise GraphError("negative node IDs")
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
             raise GraphError("node IDs exceed num_nodes")
-        key = src if src.dtype.itemsize <= 2 else src.astype(np.uint16)
-        order = np.argsort(key, kind="stable")
-        for shift in range(16, max(int(num_nodes) - 1, 0).bit_length(), 16):
-            digit = (src[order] >> shift).astype(np.uint16)
-            order = order[np.argsort(digit, kind="stable")]
+        num_nodes = int(num_nodes)
+        node_bits = max(num_nodes - 1, 0).bit_length()
+        edge_bits = max(src.size - 1, 0).bit_length()
+        if node_bits + edge_bits > 64:
+            raise GraphError(
+                f"{num_nodes} nodes and {src.size} edges need a "
+                f"{node_bits + edge_bits}-bit sort key, more than 64"
+            )
+        key_type = np.uint32 if node_bits + edge_bits <= 32 else np.uint64
+        key = src.astype(key_type)
+        np.left_shift(key, key_type(edge_bits), out=key)
+        np.bitwise_or(key, np.arange(src.size, dtype=key_type), out=key)
+        key.sort()
+        order = key & key_type((1 << edge_bits) - 1)
         counts = np.bincount(src, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         dtype = np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
-        return cls(indptr, dst[order].astype(dtype))
+        return cls(indptr, np.take(dst, order).astype(dtype))
 
     @classmethod
     def from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "CSRGraph":

@@ -98,11 +98,12 @@ def rmat_graph(
     and to split them into contiguous parts that helper threads descend
     at the same time, one per allowed CPU: every edge still gets the
     very draws the sequential order would give it, so the graph's bytes
-    do not depend on how many CPUs the host has.  Afterwards the
-    caller's generator is moved past all of the descent's draws, as the
-    sequential draws would have left it, its buffered 32-bit half kept;
-    then one ``rng.permutation`` of ``2**scale`` IDs relabels the nodes.
-    ``rng`` must therefore be a PCG64 generator, as
+    do not depend on how many CPUs the host has.  Before the parts run,
+    the caller's generator is moved past all of the descent's draws, as
+    the sequential draws would have left it, its buffered 32-bit half
+    kept; then one ``rng.permutation`` of ``2**scale`` IDs draws the node
+    labels, and each part maps its own edges through them once its
+    descent is done.  ``rng`` must therefore be a PCG64 generator, as
     ``np.random.default_rng`` builds.
     """
     if num_nodes < 2:
@@ -156,16 +157,6 @@ def rmat_graph(
         (copy.deepcopy(bit_generator), src, dst, lo, hi) + args
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    if n_parts == 1:
-        descend(*parts[0])
-    else:
-        with ThreadPoolExecutor(max_workers=n_parts) as pool:
-            futures = [
-                pool.submit(_descend_on_cpu, i, descend, *part)
-                for i, part in enumerate(parts)
-            ]
-            for future in futures:
-                future.result()
     # Skip the caller past the descent's draws.  ``advance`` drops the
     # buffered 32-bit half, which double and raw draws leave alone:
     # restore it.
@@ -177,10 +168,20 @@ def rmat_graph(
     bit_generator.state = advanced
     # Random relabeling folded into [0, num_nodes): the modulo runs over
     # the 2**scale-entry table once instead of over every edge, and the
-    # labels keep the descent's narrow dtype, which the CSR build sorts
-    # and gathers without widening.
+    # labels keep the descent's narrow dtype, which the CSR build packs
+    # and gathers without widening.  Each part relabels its own edges.
     label = (rng.permutation(1 << scale) % num_nodes).astype(ids)
-    return CSRGraph.from_edges(label[src], label[dst], num_nodes=num_nodes)
+    if n_parts == 1:
+        _descend_part(label, descend, *parts[0])
+    else:
+        with ThreadPoolExecutor(max_workers=n_parts) as pool:
+            futures = [
+                pool.submit(_descend_on_cpu, i, label, descend, *part)
+                for i, part in enumerate(parts)
+            ]
+            for future in futures:
+                future.result()
+    return CSRGraph.from_edges(src, dst, num_nodes=num_nodes)
 
 
 #: edges per descent block: an "f64" block's draw buffer (128 KiB), IDs
@@ -201,10 +202,20 @@ _PERIOD = 1 << 128
 _PACK = np.uint64(0x8040201008040201)
 
 
-def _descend_on_cpu(part: int, descend, *args) -> None:
-    """``descend(*args)`` in a helper thread, on the ``part``-th CPU."""
+def _descend_on_cpu(part: int, *args) -> None:
+    """:func:`_descend_part` in a helper thread, on the ``part``-th CPU."""
     place_on_cpu(part)
-    descend(*args)
+    _descend_part(*args)
+
+
+def _descend_part(label: np.ndarray, descend, cursor, src, dst, lo, hi,
+                  *args) -> None:
+    """``descend`` edges ``[lo, hi)``, then map their IDs through
+    ``label``.  ``np.take`` gathers from a narrow-typed index array about
+    twice as fast as fancy indexing does."""
+    descend(cursor, src, dst, lo, hi, *args)
+    for ids in (src[lo:hi], dst[lo:hi]):
+        np.take(label, ids, out=ids)
 
 
 def _descend(

@@ -1,9 +1,9 @@
 """Bit-identity of the graph construction kernels against frozen references.
 
-``rmat_graph`` descends into preallocated buffers and ``CSRGraph.from_edges``
-orders edges with 16-bit least-significant-digit radix passes.  Both must
-reproduce the original allocation-per-level descent and int64 stable
-argsort exactly: the same ``indptr``, the same ``indices`` (values and
+``rmat_graph`` descends into preallocated buffers and relabels inside its
+parts, and ``CSRGraph.from_edges`` orders edges with one sort of packed
+``src << edge_bits | edge_index`` keys.  Both must reproduce the original
+allocation-per-level descent and int64 stable argsort exactly: the same ``indptr``, the same ``indices`` (values and
 dtype) and the same generator state afterwards, since every dataset, run
 key and stored record is derived from them.  The references below are
 the original kernels, kept here so that only tests see them.
@@ -96,8 +96,8 @@ def with_reference_build(monkeypatch, fn):
 # -- rmat_graph ---------------------------------------------------------------
 
 #: (num_nodes, num_edges): the smallest graph, reddit at a 4e5-edge
-#: budget, both sides of the one-digit/two-digit boundary at 2**16
-#: nodes, and a 19-level graph
+#: budget, both sides of the 16-bit/32-bit ID boundary at 2**16 nodes,
+#: and a 19-level graph
 RMAT_SIZES = [
     (2, 50),
     (277, 400_000),
@@ -383,7 +383,7 @@ def test_from_edges_inferred_num_nodes_matches_reference(high):
 
 
 def test_from_edges_is_stable_within_a_source():
-    # one source across both radix digits, destinations in input order
+    # sources above and below 2**16, destinations in input order
     src = np.array([70_000, 3, 70_000, 65_539, 3, 70_000])
     dst = np.array([5, 9, 4, 1, 8, 3])
     graph = CSRGraph.from_edges(src, dst, num_nodes=70_001)
@@ -401,8 +401,7 @@ def test_from_edges_is_stable_within_a_source():
 )
 def test_from_edges_property_matches_reference(num_nodes, seed, num_edges):
     rng = np.random.default_rng(seed)
-    # cluster some IDs at the ends of a 16-bit digit, where the two
-    # radix passes interact
+    # cluster some IDs at the ends of a 16-bit half and of the ID range
     hot = np.minimum([0, 65_535, 65_536, num_nodes - 1], num_nodes - 1)
     src = np.where(rng.random(num_edges) < 0.3,
                    rng.choice(hot, num_edges),
@@ -414,7 +413,34 @@ def test_from_edges_property_matches_reference(num_nodes, seed, num_edges):
     )
 
 
-# -- error paths through the radix build ---------------------------------------
+#: (num_nodes, num_edges) whose packed keys take node_bits + edge_bits =
+#: 31 and 32 bits (``uint32`` keys; at 32, ``num_nodes << edge_bits``
+#: is 2**32 and would wrap) and 33 bits (``uint64`` keys)
+KEY_WIDTHS = [(8192, 2**18), (8192, 2**19), (8192, 2**19 + 1)]
+
+
+@pytest.mark.parametrize("num_nodes,num_edges", KEY_WIDTHS,
+                         ids=["31-bit", "32-bit", "33-bit"])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint32])
+def test_from_edges_packed_key_widths_match_reference(
+    num_nodes, num_edges, dtype
+):
+    assert ((num_nodes - 1).bit_length()
+            + (num_edges - 1).bit_length()) in (31, 32, 33)
+    rng = np.random.default_rng(num_edges)
+    src = rng.integers(0, num_nodes, num_edges)
+    dst = rng.integers(0, num_nodes, num_edges)
+    # the first and last node own edges at both ends of the input
+    src[:3] = src[-3:] = [num_nodes - 1, 0, num_nodes - 1]
+    src, dst = src.astype(dtype), dst.astype(dtype)
+    graph = CSRGraph.from_edges(src, dst, num_nodes=num_nodes)
+    assert_same_csr(graph, reference_from_edges(src, dst, num_nodes))
+    assert_same_csr(
+        CSRGraph.from_edges(src, dst), reference_from_edges(src, dst)
+    )
+
+
+# -- error paths through the packed-key build ----------------------------------
 
 
 @pytest.mark.parametrize("num_nodes", [10, 70_000])
@@ -432,6 +458,16 @@ def test_from_edges_rejects_ids_past_num_nodes(num_nodes):
     with pytest.raises(GraphError, match="exceed"):
         CSRGraph.from_edges([0, 1], [num_nodes + 5, 2],
                             num_nodes=num_nodes)
+
+
+@pytest.mark.parametrize("num_nodes,edges", [
+    (2**65, ([], [])),  # 65 node bits, no edges
+    (2**63 + 1, ([0, 5], [1, 2])),  # 64 node bits and 1 edge bit
+])
+def test_from_edges_rejects_a_key_wider_than_64_bits(num_nodes, edges):
+    with pytest.raises(GraphError, match=f"{num_nodes} nodes and "
+                       f"{len(edges[0])} edges need a 65-bit sort key"):
+        CSRGraph.from_edges(*edges, num_nodes=num_nodes)
 
 
 def test_from_edges_rejects_mismatched_shapes():
