@@ -300,6 +300,34 @@ def _bench_sampler_noreplace(ctx):
 
 
 @register_benchmark(
+    "csr-build",
+    tags=("micro", "graph"),
+    description="CSR build from narrow IDs (packed-key sort vs stable argsort)",
+)
+def _bench_csr_build(ctx):
+    from repro.graph.csr import CSRGraph
+
+    # reddit at a 4e5-edge budget: 277 nodes, IDs as rmat_graph draws them
+    n_nodes = 277
+    n_edges = ctx.scale(4_000_000, 400_276)
+    rng = ctx.rng()
+    src = rng.integers(0, n_nodes, size=n_edges).astype(np.uint16)
+    dst = rng.integers(0, n_nodes, size=n_edges).astype(np.uint16)
+
+    def argsort_build():
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
+        return CSRGraph(indptr, dst[order].astype(np.int32))
+
+    elapsed = ctx.time(
+        lambda: CSRGraph.from_edges(src, dst, num_nodes=n_nodes)
+    )
+    reference = ctx.time(argsort_build)
+    return ctx.result(ops=n_edges, elapsed_s=elapsed, reference_s=reference)
+
+
+@register_benchmark(
     "mmap-faultaround",
     tags=("micro", "host"),
     description="fault-around window planning (ceil-div kernel vs loop)",

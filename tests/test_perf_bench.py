@@ -34,7 +34,7 @@ def test_builtin_benchmarks_registered():
     for expected in (
         "llc-trace", "lru-batch", "flash-plan", "frontier-dedup",
         "sampler-batch", "sampler-noreplace", "mmap-faultaround",
-        "event-engine", "resource-churn", "fault-overhead",
+        "event-engine", "resource-churn", "fault-overhead", "csr-build",
     ):
         assert expected in names
     assert "fault-overhead" in benchmarks_with_tag("macro")
