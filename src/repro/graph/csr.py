@@ -109,7 +109,7 @@ class CSRGraph:
         np.left_shift(key, key_type(edge_bits), out=key)
         np.bitwise_or(key, np.arange(src.size, dtype=key_type), out=key)
         key.sort()
-        order = key & key_type((1 << edge_bits) - 1)
+        order = np.bitwise_and(key, key_type((1 << edge_bits) - 1), out=key)
         counts = np.bincount(src, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
