@@ -81,7 +81,7 @@ class CSRGraph:
 
         Unsigned IDs of up to 32 bits (the narrow dtypes
         :func:`~repro.graph.generators.rmat_graph` draws in) are packed
-        and gathered as they are, without a widening copy; any other
+        and gathered as they are, without an ``int64`` copy; any other
         input is read as ``int64``.  Either way ``indices`` is ``int32``
         below 2**31 nodes, and out-of-range IDs raise
         :class:`~repro.errors.GraphError`.
