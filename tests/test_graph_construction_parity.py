@@ -3,8 +3,9 @@
 ``rmat_graph`` descends into preallocated buffers and relabels inside its
 parts, and ``CSRGraph.from_edges`` orders edges with one sort of packed
 ``src << edge_bits | edge_index`` keys.  Both must reproduce the original
-allocation-per-level descent and int64 stable argsort exactly: the same ``indptr``, the same ``indices`` (values and
-dtype) and the same generator state afterwards, since every dataset, run
+allocation-per-level descent and int64 stable argsort exactly: the same
+``indptr``, the same ``indices`` (values and dtype) and the same
+generator state afterwards, since every dataset, run
 key and stored record is derived from them.  The references below are
 the original kernels, kept here so that only tests see them.
 """
@@ -413,20 +414,18 @@ def test_from_edges_property_matches_reference(num_nodes, seed, num_edges):
     )
 
 
-#: (num_nodes, num_edges) whose packed keys take node_bits + edge_bits =
-#: 31 and 32 bits (``uint32`` keys; at 32, ``num_nodes << edge_bits``
-#: is 2**32 and would wrap) and 33 bits (``uint64`` keys)
-KEY_WIDTHS = [(8192, 2**18), (8192, 2**19), (8192, 2**19 + 1)]
+#: (key bits, num_nodes, num_edges): packed keys of node_bits +
+#: edge_bits = 31 and 32 bits are ``uint32`` (at 32, ``num_nodes <<
+#: edge_bits`` is 2**32, one past the type), 33 bits ``uint64``
+KEY_WIDTHS = [(31, 8192, 2**18), (32, 8192, 2**19), (33, 8192, 2**19 + 1)]
 
 
-@pytest.mark.parametrize("num_nodes,num_edges", KEY_WIDTHS,
-                         ids=["31-bit", "32-bit", "33-bit"])
+@pytest.mark.parametrize("bits,num_nodes,num_edges", KEY_WIDTHS)
 @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint32])
 def test_from_edges_packed_key_widths_match_reference(
-    num_nodes, num_edges, dtype
+    bits, num_nodes, num_edges, dtype
 ):
-    assert ((num_nodes - 1).bit_length()
-            + (num_edges - 1).bit_length()) in (31, 32, 33)
+    assert (num_nodes - 1).bit_length() + (num_edges - 1).bit_length() == bits
     rng = np.random.default_rng(num_edges)
     src = rng.integers(0, num_nodes, num_edges)
     dst = rng.integers(0, num_nodes, num_edges)
