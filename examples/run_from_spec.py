@@ -69,7 +69,7 @@ def main() -> None:
             ssd = ctx.make_ssd()
             sw = ctx.host_software()
             scratch = ctx.edge_scratchpad()
-            scratch.capacity_entries *= 2
+            scratch.capacity *= 2
             return ctx.make_system(
                 ssd=ssd,
                 sampling_engine=DirectIOSamplingEngine(

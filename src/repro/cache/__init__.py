@@ -7,10 +7,10 @@ the ``gids`` backend:
 
 * :mod:`repro.cache.policy` -- a ``@register_cache_policy`` registry
   (mirroring the design/backend registries) with three built-in
-  replacement policies: exact LRU on the batched kernel in
-  :mod:`repro.memory.lru`, static degree-ordered pinning, and a
-  CLOCK-style frequency policy.  Every policy has a vectorized kernel
-  plus a scalar parity reference, bit-identical by construction.
+  replacement policies: exact LRU (the :class:`~repro.memory.lru.ExactLRU`
+  the host and storage caches share), static degree-ordered pinning
+  (with a vectorized lookup once its resident set is frozen), and a
+  CLOCK-style frequency policy.
 * :mod:`repro.cache.tiers` -- :class:`FeatureCacheTier` (one priced
   cache level with per-tier hit/byte accounting) and
   :class:`TieredFeatureCache` (miss in tier N falls through to tier

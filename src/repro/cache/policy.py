@@ -1,4 +1,4 @@
-"""Registered cache replacement policies (vectorized + scalar parity).
+"""Registered cache replacement policies.
 
 A cache policy owns the *membership* question of one cache tier: given
 a batch of page keys, which are resident (hit) and which must be
@@ -11,29 +11,24 @@ plug in without touching this module::
     class MyPolicy(CachePolicy):
         ...
 
-Every built-in policy ships two kernels over one shared state:
-
-* ``access`` -- the vectorized fast path.  Each policy vectorizes its
-  *eviction-free* case (the batch's distinct new keys fit in the
-  remaining capacity, so nothing can be displaced mid-batch) and
-  replays the scalar loop otherwise, the same structure as
-  :func:`repro.memory.lru.lru_batch_access`.
-* ``access_scalar`` -- the one-key-at-a-time reference the parity
-  tests (and the ``cache-tiered`` benchmark) pit the fast path
-  against.  Both mutate state identically, so results are
-  bit-identical in every case.
+``access_scalar`` is each policy's one-key-at-a-time loop, and
+``access`` answers a batch through it unless the policy's optional
+``_batch_access`` fast path answers first.  Only ``static`` has one:
+its frozen resident set makes membership one sorted lookup.  ``lru``
+is the shared :class:`~repro.memory.lru.ExactLRU` and ``clock`` its
+own loop; their callers pass de-duplicated, evicting batches, where an
+eviction-free shortcut never answers.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.memory.lru import lru_batch_access, lru_scalar_access
+from repro.memory.lru import ExactLRU
 
 __all__ = [
     "CachePolicy",
@@ -49,7 +44,6 @@ __all__ = [
 ]
 
 #: below this batch size the fixed numpy overhead beats the scalar loop
-#: (same crossover the shared LRU kernel uses)
 _VECTOR_MIN = 96
 
 
@@ -140,11 +134,12 @@ def build_cache_policy(
 class CachePolicy:
     """Protocol base: batched membership with insert-on-miss.
 
-    Subclasses implement ``_batch_access`` (vectorized; return ``None``
-    to request a scalar replay) and ``access_scalar`` (the reference
-    loop).  ``priority_pages`` is an optional page-ID array in
-    descending priority order; replacement policies ignore it, the
-    static pinning policy reads its pinned set from it.
+    Subclasses implement ``access_scalar`` (the reference loop) and
+    may override ``_batch_access`` with a vectorized path (return
+    ``None`` to request a scalar replay).  ``priority_pages`` is an
+    optional page-ID array in descending priority order; replacement
+    policies ignore it, the static pinning policy reads its pinned set
+    from it.
     """
 
     name = "base"
@@ -161,7 +156,7 @@ class CachePolicy:
         return out
 
     def _batch_access(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        raise NotImplementedError
+        return None
 
     def access_scalar(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -181,33 +176,26 @@ class CachePolicy:
 
 
 @register_cache_policy(
-    "lru", description="exact LRU on the shared batched kernel"
+    "lru", description="exact LRU (the shared ExactLRU)"
 )
 class LRUPolicy(CachePolicy):
     """Exact LRU, the default policy of every cache tier.
 
-    Delegates to the batched kernel behind the host page cache,
-    scratchpads, and the SSD page buffer
-    (:func:`repro.memory.lru.lru_batch_access`), falling back to the
-    scalar loop whenever the batch could evict.
+    Holds the same :class:`~repro.memory.lru.ExactLRU` as the host page
+    cache, the scratchpads and the SSD page buffer.
     """
 
     name = "lru"
 
     def __init__(self, capacity: int, priority_pages=None):
         super().__init__(capacity)
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
-
-    def _batch_access(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        return lru_batch_access(self._lru, self.capacity, keys)
+        self._lru = ExactLRU(self.capacity)
 
     def access_scalar(self, keys: np.ndarray) -> np.ndarray:
-        return lru_scalar_access(
-            self._lru, self.capacity, np.asarray(keys, dtype=np.int64)
-        )
+        return self._lru.hit_mask(keys)
 
     def residents(self) -> Tuple[int, ...]:
-        return tuple(self._lru)
+        return self._lru.residents()
 
     def clear(self) -> None:
         self._lru.clear()
@@ -358,50 +346,18 @@ class ClockPolicy(CachePolicy):
         self._ref[self._hand] = True
         self._hand = (self._hand + 1) % self.capacity
 
-    def _batch_access(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        n = int(keys.size)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if n < _VECTOR_MIN:
-            return None
-        uniq, first_idx = np.unique(keys, return_index=True)
-        if int(uniq.size) * 2 > n:
-            # nearly duplicate-free: per-distinct dict work matches the
-            # scalar loop's, the sort cannot pay for itself
-            return None
-        resident = np.fromiter(
-            (k in self._index for k in uniq.tolist()),
-            dtype=bool,
-            count=int(uniq.size),
-        )
-        n_new = int(uniq.size) - int(resident.sum())
-        if len(self._keys) + n_new > self.capacity:
-            return None  # an eviction sweep is possible; replay scalar
-        # Eviction-free: only the first occurrence of a new key misses;
-        # every touched slot ends with its reference bit set and the
-        # hand never moves -- exactly the scalar loop's end state.
-        mask = np.ones(n, dtype=bool)
-        mask[first_idx[~resident]] = False
-        for k in uniq[resident].tolist():
-            self._ref[self._index[k]] = True
-        order = np.argsort(first_idx[~resident], kind="stable")
-        for k in uniq[~resident][order].tolist():
-            self._index[k] = len(self._keys)
-            self._keys.append(k)
-            self._ref.append(True)
-        return mask
-
     def access_scalar(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        mask = np.zeros(int(keys.size), dtype=bool)
-        for i, k in enumerate(keys.tolist()):
-            slot = self._index.get(k)
+        slot_of, ref = self._index.get, self._ref
+        out = []
+        for k in np.asarray(keys, dtype=np.int64).tolist():
+            slot = slot_of(k)
             if slot is not None:
-                self._ref[slot] = True
-                mask[i] = True
+                ref[slot] = True
+                out.append(True)
             else:
                 self._insert_scalar(k)
-        return mask
+                out.append(False)
+        return np.array(out, dtype=bool)
 
     def residents(self) -> Tuple[int, ...]:
         return tuple(self._keys)

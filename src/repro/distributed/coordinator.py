@@ -45,16 +45,14 @@ __all__ = ["DistributedCoordinator", "model_gradient_bytes"]
 def model_gradient_bytes(gpu, n_layers: int, dtype_bytes: int) -> int:
     """Gradient payload of one synchronous update (all model weights).
 
-    SAGE convolutions transform ``[self || neighbor-agg]``, so layer
-    ``l`` carries a ``(2*in_dim, hidden)`` weight plus bias, and the
-    classification head maps ``hidden -> num_classes``.
+    Every layer of :meth:`~repro.pipeline.gpu.GPUModel.layer_shapes`
+    (the shapes the GPU timing prices) carries an ``(in, out)`` weight
+    plus an ``out`` bias.
     """
-    params = 0
-    in_dim = gpu.feature_dim
-    for _ in range(max(1, n_layers)):
-        params += (2 * in_dim) * gpu.hidden_dim + gpu.hidden_dim
-        in_dim = gpu.hidden_dim
-    params += gpu.hidden_dim * gpu.num_classes + gpu.num_classes
+    params = sum(
+        w_in * w_out + w_out
+        for w_in, w_out in gpu.layer_shapes(max(1, n_layers))
+    )
     return params * dtype_bytes
 
 

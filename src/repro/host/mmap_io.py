@@ -111,7 +111,7 @@ class MmapReader:
         pages = expand_extents(first_lbas, lba_counts)
         if pages.size == 0:
             return 0, np.empty(0, dtype=np.int64)
-        mask = self.page_cache.access_batch_mask(pages)
+        mask = self.page_cache.hit_mask(pages)
         hits = int(mask.sum())
         nonzero = lba_counts[lba_counts > 0]
         if nonzero.size == 0:

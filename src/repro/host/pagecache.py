@@ -9,77 +9,16 @@ miss.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.memory.lru import lru_batch_access, lru_scalar_access
+from repro.memory.lru import ExactLRU
 
 __all__ = ["OSPageCache"]
 
 
-class OSPageCache:
+class OSPageCache(ExactLRU):
     """Exact-LRU page cache over page IDs (LBA-sized pages)."""
 
     def __init__(self, capacity_bytes: int, page_bytes: int = 4096):
         if page_bytes <= 0:
             raise ConfigError("page_bytes must be positive")
-        self.capacity_pages = max(1, capacity_bytes // page_bytes)
-        self.page_bytes = page_bytes
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._lru
-
-    def access(self, page: int) -> bool:
-        """Touch one page; faults it in on miss. Returns True on hit.
-
-        Scalar reference path; hot paths should use
-        :meth:`access_batch` / :meth:`access_batch_mask` instead.
-        """
-        if page in self._lru:
-            self._lru.move_to_end(page)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._lru[page] = None
-        if len(self._lru) > self.capacity_pages:
-            self._lru.popitem(last=False)
-        return False
-
-    def access_batch(self, pages: np.ndarray) -> int:
-        """Touch pages in order; returns the number of hits."""
-        return int(self.access_batch_mask(pages).sum())
-
-    def access_batch_mask(self, pages: np.ndarray) -> np.ndarray:
-        """Touch pages in order; returns the per-page hit mask."""
-        mask = lru_batch_access(self._lru, self.capacity_pages, pages)
-        if mask is None:
-            mask = lru_scalar_access(self._lru, self.capacity_pages, pages)
-        hits = int(mask.sum())
-        self.hits += hits
-        self.misses += int(mask.size) - hits
-        return mask
-
-    def access_batch_mask_scalar(self, pages: np.ndarray) -> np.ndarray:
-        """Reference implementation of :meth:`access_batch_mask`."""
-        mask = lru_scalar_access(self._lru, self.capacity_pages, pages)
-        hits = int(mask.sum())
-        self.hits += hits
-        self.misses += int(mask.size) - hits
-        return mask
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def drop(self) -> None:
-        """Drop all cached pages (echo 3 > drop_caches)."""
-        self._lru.clear()
+        super().__init__(max(1, capacity_bytes // page_bytes))

@@ -9,68 +9,16 @@ runtime knows exactly which node's edge list or feature row it holds.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.memory.lru import lru_batch_access, lru_scalar_access
+from repro.memory.lru import ExactLRU
 
 __all__ = ["Scratchpad"]
 
 
-class Scratchpad:
+class Scratchpad(ExactLRU):
     """LRU of application objects with a byte-budgeted capacity."""
 
     def __init__(self, capacity_bytes: int, avg_entry_bytes: int):
         if avg_entry_bytes <= 0:
             raise ConfigError("avg_entry_bytes must be positive")
-        self.capacity_entries = max(1, capacity_bytes // avg_entry_bytes)
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._lru
-
-    def access(self, key: int) -> bool:
-        """Touch one key (scalar reference path; prefer :meth:`hit_mask`
-        on hot paths -- per-key calls pay Python dispatch per access)."""
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._lru[key] = None
-        if len(self._lru) > self.capacity_entries:
-            self._lru.popitem(last=False)
-        return False
-
-    def hit_mask(self, keys: np.ndarray) -> np.ndarray:
-        """Per-key hit mask (inserting misses as it goes)."""
-        out = lru_batch_access(self._lru, self.capacity_entries, keys)
-        if out is None:
-            out = lru_scalar_access(self._lru, self.capacity_entries, keys)
-        hits = int(out.sum())
-        self.hits += hits
-        self.misses += int(out.size) - hits
-        return out
-
-    def hit_mask_scalar(self, keys: np.ndarray) -> np.ndarray:
-        """Reference implementation of :meth:`hit_mask` (parity tests)."""
-        out = lru_scalar_access(self._lru, self.capacity_entries, keys)
-        hits = int(out.sum())
-        self.hits += hits
-        self.misses += int(out.size) - hits
-        return out
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        self._lru.clear()
+        super().__init__(max(1, capacity_bytes // avg_entry_bytes))

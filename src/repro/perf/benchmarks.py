@@ -60,38 +60,6 @@ def _bench_llc_trace(ctx):
 
 
 @register_benchmark(
-    "lru-batch",
-    tags=("micro", "host", "storage"),
-    description="batched exact-LRU caches (scratchpad/page cache/page buffer)",
-)
-def _bench_lru_batch(ctx):
-    from repro.host.pagecache import OSPageCache
-    from repro.host.scratchpad import Scratchpad
-    from repro.storage.pagebuffer import PageBuffer
-
-    n = ctx.scale(200_000, 10_000)
-    rng = ctx.rng()
-    keys = _zipf_keys(rng, n, domain=max(64, n // 8), a=1.1)
-
-    def batched():
-        with ctx.stage("scratchpad"):
-            Scratchpad(n * 64, 1).hit_mask(keys)
-        with ctx.stage("pagecache"):
-            OSPageCache(n * 4096 * 4, 4096).access_batch_mask(keys)
-        with ctx.stage("pagebuffer"):
-            PageBuffer(4 * n).hit_mask(keys)
-
-    def scalar():
-        Scratchpad(n * 64, 1).hit_mask_scalar(keys)
-        OSPageCache(n * 4096 * 4, 4096).access_batch_mask_scalar(keys)
-        PageBuffer(4 * n).hit_mask_scalar(keys)
-
-    elapsed = ctx.time(batched)
-    reference = ctx.time(scalar)
-    return ctx.result(ops=3 * n, elapsed_s=elapsed, reference_s=reference)
-
-
-@register_benchmark(
     "cache-tiered",
     tags=("micro", "cache", "gids"),
     description="tiered feature-cache lookup, per policy (vectorized vs scalar)",
@@ -105,7 +73,7 @@ def _bench_cache_tiered(ctx):
     rng = ctx.rng()
     domain = 16 * 1024
     # hub-heavy stream whose hot set fits the near tier: batches are
-    # mostly resident, the eviction-free vector regime of every policy
+    # mostly resident, so ``static`` answers from its frozen lookup
     batches = [
         _zipf_keys(rng, batch, domain=domain, a=1.8)
         for _ in range(n_batches)

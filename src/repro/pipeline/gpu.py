@@ -8,7 +8,7 @@ batch's block sizes.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.config import GPUParams, PCIeParams
 from repro.core.accounting import SamplingWorkload
@@ -52,19 +52,36 @@ class GPUModel:
     def transfer_time(self, workload: SamplingWorkload) -> float:
         return self.fabric.gpu_transfer_time(self.transfer_bytes(workload))
 
+    def layer_shapes(self, n_layers: int) -> List[Tuple[int, int]]:
+        """Weight shapes ``(in, out)``: ``n_layers`` SAGE convolutions,
+        then the classification head.
+
+        A convolution transforms ``[self || neighbor-agg]``, so its
+        input is twice the previous layer's width.
+        """
+        shapes = []
+        in_dim = self.feature_dim
+        for _ in range(n_layers):
+            shapes.append((2 * in_dim, self.hidden_dim))
+            in_dim = self.hidden_dim
+        shapes.append((self.hidden_dim, self.num_classes))
+        return shapes
+
     def flops(self, block_sizes: Sequence[Tuple[int, int, int]]) -> float:
         """Forward+backward FLOPs of the SAGE convolutions + head."""
         total = 0.0
-        in_dim = self.feature_dim
-        for n_dst, _n_src, n_edges in block_sizes:
+        shapes = self.layer_shapes(len(block_sizes))
+        for (n_dst, _n_src, n_edges), (w_in, w_out) in zip(
+            block_sizes, shapes
+        ):
             # aggregation: one FMA per edge per input feature
-            total += 2.0 * n_edges * in_dim
+            total += 2.0 * n_edges * (w_in // 2)
             # dense transform on [self || agg], fwd + bwd ~ 3x fwd
-            total += 3 * 2.0 * n_dst * (2 * in_dim) * self.hidden_dim
-            in_dim = self.hidden_dim
+            total += 3 * 2.0 * n_dst * w_in * w_out
         if block_sizes:
             seeds = block_sizes[-1][0]
-            total += 3 * 2.0 * seeds * self.hidden_dim * self.num_classes
+            head_in, head_out = shapes[-1]
+            total += 3 * 2.0 * seeds * head_in * head_out
         return total
 
     def train_time(self, workload: SamplingWorkload) -> float:

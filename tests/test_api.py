@@ -172,8 +172,8 @@ def test_roundtripped_spec_builds_equivalent_system(dataset):
     assert type(s1.sampling_engine) is type(s2.sampling_engine)
     assert type(s1.feature_engine) is type(s2.feature_engine)
     assert (
-        s1.ssd.page_buffer.capacity_pages
-        == s2.ssd.page_buffer.capacity_pages
+        s1.ssd.page_buffer.capacity
+        == s2.ssd.page_buffer.capacity
     )
 
 

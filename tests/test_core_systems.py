@@ -246,4 +246,4 @@ def test_page_buffer_scaled_to_dataset(setup):
         int(system.edge_layout.total_bytes * 0.01)
         // system.ssd.nand.page_bytes,
     )
-    assert system.ssd.page_buffer.capacity_pages == expected
+    assert system.ssd.page_buffer.capacity == expected

@@ -30,24 +30,24 @@ def ssd():
 
 def test_pagecache_lru_semantics():
     pc = OSPageCache(capacity_bytes=2 * 4096)
-    assert not pc.access(1)
-    assert not pc.access(2)
-    assert pc.access(1)
-    assert not pc.access(3)  # evicts 2
-    assert not pc.access(2)
+    assert not pc.hit_mask([1])[0]
+    assert not pc.hit_mask([2])[0]
+    assert pc.hit_mask([1])[0]
+    assert not pc.hit_mask([3])[0]  # evicts 2
+    assert not pc.hit_mask([2])[0]
 
 
 def test_pagecache_batch_hit_count():
     pc = OSPageCache(capacity_bytes=10 * 4096)
-    hits = pc.access_batch(np.array([1, 2, 1, 2, 3]))
+    hits = pc.hit_mask(np.array([1, 2, 1, 2, 3])).sum()
     assert hits == 2
     assert pc.hit_rate == pytest.approx(2 / 5)
 
 
 def test_pagecache_drop():
     pc = OSPageCache(capacity_bytes=10 * 4096)
-    pc.access(7)
-    pc.drop()
+    pc.hit_mask([7])
+    pc.clear()
     assert 7 not in pc
 
 
@@ -137,9 +137,9 @@ def test_scratchpad_hit_mask_and_rate():
 
 def test_scratchpad_eviction():
     sp = Scratchpad(capacity_bytes=2048, avg_entry_bytes=1024)  # 2 entries
-    sp.access(1)
-    sp.access(2)
-    sp.access(3)  # evicts 1
+    sp.hit_mask([1])
+    sp.hit_mask([2])
+    sp.hit_mask([3])  # evicts 1
     assert 1 not in sp
     assert 2 in sp
 

@@ -169,21 +169,3 @@ def test_hierarchy_characterization_fields():
     assert result.accesses == 5000
     assert result.elapsed_s > 0
 
-
-def test_lru_batch_gives_up_on_a_strictly_increasing_batch():
-    from collections import OrderedDict
-
-    from repro.memory.lru import lru_batch_access, lru_scalar_access
-
-    lru = OrderedDict((k, None) for k in range(0, 400, 3))
-    before = list(lru)
-    keys = np.arange(100, 400, 2)  # a sorted, duplicate-free page set
-    assert lru_batch_access(lru, 10_000, keys) is None
-    assert list(lru) == before  # untouched: the caller replays scalar
-    # a batch with repeats is still answered, as the scalar loop would
-    dup = np.repeat(np.arange(100, 160, 2), 4)
-    expect = OrderedDict(lru)
-    mask = lru_batch_access(lru, 10_000, dup)
-    assert mask is not None
-    assert np.array_equal(mask, lru_scalar_access(expect, 10_000, dup))
-    assert list(lru) == list(expect)

@@ -32,7 +32,7 @@ def test_builtin_benchmarks_registered():
     names = available_benchmarks()
     assert len(names) >= 6
     for expected in (
-        "llc-trace", "lru-batch", "flash-plan", "frontier-dedup",
+        "llc-trace", "flash-plan", "frontier-dedup",
         "sampler-batch", "sampler-noreplace", "mmap-faultaround",
         "event-engine", "resource-churn", "fault-overhead", "csr-build",
     ):

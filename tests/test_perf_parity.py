@@ -12,7 +12,6 @@ from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.gnn.sampler import FrontierDedup, NeighborSampler
 from repro.host.pagecache import OSPageCache
-from repro.host.scratchpad import Scratchpad
 from repro.memory.llc import CacheSim
 from repro.sim.engine import Simulator, all_of
 from repro.sim.resources import Resource
@@ -80,74 +79,17 @@ def test_llc_auto_dispatch_preserves_stats():
 # -- exact-LRU caches ------------------------------------------------------
 
 
-def _lru_pairs():
-    return [
-        (Scratchpad(60 * 8, 8), Scratchpad(60 * 8, 8)),
-        (Scratchpad(50_000 * 8, 8), Scratchpad(50_000 * 8, 8)),
-    ]
-
-
-def test_scratchpad_batch_matches_scalar_including_evictions():
-    rng = np.random.default_rng(3)
-    for fast, ref in _lru_pairs():
-        for _ in range(10):
-            keys = (rng.zipf(1.2, size=500) % 3000).astype(np.int64)
-            assert np.array_equal(fast.hit_mask(keys),
-                                  ref.hit_mask_scalar(keys))
-            assert (fast.hits, fast.misses) == (ref.hits, ref.misses)
-            # identical LRU order => identical future evictions
-            assert list(fast._lru) == list(ref._lru)
-
-
-def test_scratchpad_scalar_access_interleaves_with_batch():
-    fast, ref = Scratchpad(4096, 8), Scratchpad(4096, 8)
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        keys = (rng.zipf(1.3, size=300) % 900).astype(np.int64)
-        np.testing.assert_array_equal(
-            fast.hit_mask(keys), ref.hit_mask_scalar(keys)
-        )
-        for k in rng.integers(0, 900, size=20):
-            assert fast.access(int(k)) == ref.access(int(k))
-    assert list(fast._lru) == list(ref._lru)
-
-
-def test_pagecache_batch_matches_scalar():
-    fast = OSPageCache(4096 * 2000)
-    ref = OSPageCache(4096 * 2000)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        pages = (rng.zipf(1.1, size=600) % 5000).astype(np.int64)
-        assert np.array_equal(fast.access_batch_mask(pages),
-                              ref.access_batch_mask_scalar(pages))
-        assert (fast.hits, fast.misses) == (ref.hits, ref.misses)
-        assert list(fast._lru) == list(ref._lru)
-
-
 def test_pagecache_access_batch_counts_hits():
     cache = OSPageCache(4096 * 64)
     pages = np.array([1, 2, 1, 3, 2, 2], dtype=np.int64)
-    assert cache.access_batch(pages) == 3
+    assert cache.hit_mask(pages).sum() == 3
     assert cache.hits == 3 and cache.misses == 3
-
-
-def test_pagebuffer_batch_matches_scalar():
-    fast, ref = PageBuffer(80), PageBuffer(80)
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        pages = (rng.zipf(1.2, size=400) % 500).astype(np.int64)
-        hits, misses = fast.access_batch(pages)
-        mask = ref.hit_mask_scalar(pages)
-        assert hits == int(mask.sum())
-        assert misses == int(mask.size - mask.sum())
-        assert list(fast._lru) == list(ref._lru)
-    assert (fast.hits, fast.misses) == (ref.hits, ref.misses)
 
 
 def test_pagebuffer_accepts_plain_iterables():
     buf = PageBuffer(16)
-    hits, misses = buf.access_batch([1, 2, 1])
-    assert (hits, misses) == (1, 2)
+    buf.hit_mask([1, 2, 1])
+    assert (buf.hits, buf.misses) == (1, 2)
 
 
 # -- flash controller / FTL ------------------------------------------------
@@ -485,7 +427,7 @@ def test_plan_extents_uses_vectorized_windows():
             np.arange(int(counts.sum()))
             - np.repeat(np.cumsum(counts) - counts, counts)
         )
-        mask = ref.page_cache.access_batch_mask(pages)
+        mask = ref.page_cache.hit_mask(pages)
         nonzero = counts[counts > 0]
         offsets = np.concatenate([[0], np.cumsum(nonzero)[:-1]])
         misses = np.add.reduceat((~mask).astype(np.int64), offsets)

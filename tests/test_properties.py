@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import LRUPolicy
 from repro.core.accounting import BatchCost
 from repro.graph import CSRGraph, kronecker_expand
 from repro.host import OSPageCache, Scratchpad, align_up, expand_extents
 from repro.host.mmap_io import MmapReader
 from repro.host.syscall import HostSoftware
 from repro.sim.stats import PhaseBreakdown, RunningStat, geometric_mean
-from repro.storage import SSDevice
+from repro.storage import PageBuffer, SSDevice
 from repro.config import HardwareParams
 
 
@@ -68,28 +69,62 @@ def test_align_up_properties(sizes, alignment):
 def test_pagecache_never_exceeds_capacity(accesses, capacity):
     pc = OSPageCache(capacity_bytes=capacity * 4096)
     for page in accesses:
-        pc.access(page)
+        pc.hit_mask([page])
         assert len(pc) <= capacity
 
 
+def _touch_reference_lru(reference, key, capacity):
+    """List-model LRU (least recent first): touch ``key``; True on hit."""
+    hit = key in reference
+    if hit:
+        reference.remove(key)
+    reference.append(key)
+    if len(reference) > capacity:
+        reference.pop(0)
+    return hit
+
+
 @given(
-    st.lists(st.integers(min_value=0, max_value=30), min_size=1,
-             max_size=200),
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=60),
+        min_size=1, max_size=8,
+    ),
     st.integers(min_value=1, max_value=10),
 )
-@settings(max_examples=50, deadline=None)
-def test_scratchpad_matches_reference_lru(accesses, capacity):
-    """The scratchpad must behave exactly like a reference LRU."""
-    sp = Scratchpad(capacity_bytes=capacity, avg_entry_bytes=1)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_scratchpad_matches_reference_lru(batches, capacity):
+    """Every exact-LRU cache must behave exactly like a reference LRU.
+
+    Batches draw from 31 keys against at most 10 slots, so they repeat
+    keys and evict mid-batch.  Each cache takes whole batches; one more
+    scratchpad takes the same keys one at a time.
+    """
+    caches = [
+        Scratchpad(capacity_bytes=capacity, avg_entry_bytes=1),
+        OSPageCache(capacity_bytes=capacity * 4096),
+        PageBuffer(capacity),
+    ]
+    policy = LRUPolicy(capacity)
+    single = Scratchpad(capacity_bytes=capacity, avg_entry_bytes=1)
     reference = []
-    for key in accesses:
-        expected_hit = key in reference
-        if expected_hit:
-            reference.remove(key)
-        reference.append(key)
-        if len(reference) > capacity:
-            reference.pop(0)
-        assert sp.access(key) == expected_hit
+    hits = misses = 0
+    for batch in batches:
+        expected = [
+            _touch_reference_lru(reference, key, capacity) for key in batch
+        ]
+        hits += sum(expected)
+        misses += len(expected) - sum(expected)
+        keys = np.array(batch, dtype=np.int64)
+        for cache in caches:
+            assert cache.hit_mask(keys).tolist() == expected
+            assert (cache.hits, cache.misses) == (hits, misses)
+            assert cache.residents() == tuple(reference)
+        assert policy.access(keys).tolist() == expected
+        assert policy.residents() == tuple(reference)
+        for key, expected_hit in zip(batch, expected):
+            assert single.hit_mask([key])[0] == expected_hit
+    assert (single.hits, single.misses) == (hits, misses)
+    assert single.residents() == tuple(reference)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1,
@@ -97,7 +132,7 @@ def test_scratchpad_matches_reference_lru(accesses, capacity):
 @settings(max_examples=40, deadline=None)
 def test_pagecache_mask_consistent_with_counts(accesses):
     pc = OSPageCache(capacity_bytes=16 * 4096)
-    mask = pc.access_batch_mask(np.array(accesses))
+    mask = pc.hit_mask(np.array(accesses))
     assert int(mask.sum()) == pc.hits
     assert int((~mask).sum()) == pc.misses
 

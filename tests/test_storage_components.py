@@ -138,18 +138,18 @@ def test_ftl_bijectivity_property(total_pages, seed):
 
 def test_page_buffer_lru():
     buf = PageBuffer(capacity_pages=2)
-    assert not buf.access(1)
-    assert not buf.access(2)
-    assert buf.access(1)      # 1 MRU
-    assert not buf.access(3)  # evicts 2
-    assert not buf.access(2)
+    assert not buf.hit_mask([1])[0]
+    assert not buf.hit_mask([2])[0]
+    assert buf.hit_mask([1])[0]      # 1 MRU
+    assert not buf.hit_mask([3])[0]  # evicts 2
+    assert not buf.hit_mask([2])[0]
     assert buf.hits == 1
 
 
 def test_page_buffer_batch():
     buf = PageBuffer(capacity_pages=10)
-    hits, misses = buf.access_batch([1, 2, 1, 3, 2])
-    assert (hits, misses) == (2, 3)
+    buf.hit_mask([1, 2, 1, 3, 2])
+    assert (buf.hits, buf.misses) == (2, 3)
 
 
 def test_page_buffer_hit_mask():
