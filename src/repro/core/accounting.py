@@ -2,11 +2,13 @@
 
 A :class:`SamplingWorkload` is read-only once sampled, and a warm
 session (or a campaign sharing one workload pool) replays the same
-workload objects on every run.  Whatever an engine derives from a
-workload and a graph alone -- the ISP command's flash-page set, the GIDS
-hop reads, the cross-group and cross-host traffic of a graph cut -- is
-therefore planned once per process by :func:`workload_plan` and reused;
-each run keeps only its stateful passes (cache and page-buffer replays,
+workload objects on every run.  Sampling and feature engines alike take
+the whole workload (``batch_cost(workload)``, ``batch_process(runtime,
+workload)``), so whatever an engine derives from a workload and a graph
+alone -- the ISP command's flash-page set, the GIDS hop reads, the GIDS
+feature pages, the cross-group and cross-host traffic of a graph cut --
+is planned once per process by :func:`workload_plan` and reused; each
+run keeps only its stateful passes (cache and page-buffer replays,
 device accounting).
 """
 

@@ -5,6 +5,19 @@ on the host I/O path of each design (mmap for the baseline, direct I/O
 for SmartSAGE).  That is why the end-to-end Fig 18 gains (3.5x) are much
 smaller than the sampling-only Fig 14 gains (10.1x): feature lookup
 remains a large SSD-bound component.
+
+Like the sampling engines, every feature engine takes the batch's whole
+:class:`~repro.core.accounting.SamplingWorkload` and reads its
+``input_nodes``:
+
+* ``batch_cost(workload)`` -- closed-form cost of gathering the batch's
+  feature rows;
+* ``batch_process(runtime, workload)`` -- a DES generator performing the
+  same gathers against the shared device resources.
+
+Taking the workload lets an engine plan what depends on the batch alone
+once per process (:func:`~repro.core.accounting.workload_plan`), as
+the GIDS engine does with its distinct feature pages.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config import HardwareParams
-from repro.core.accounting import BatchCost
+from repro.core.accounting import BatchCost, SamplingWorkload
 from repro.errors import ConfigError
 from repro.graph.layout import FeatureTableLayout
 from repro.host.mmap_io import MmapReader
@@ -36,15 +49,19 @@ _FAULT_BUNDLE = 32
 
 
 class FeatureEngineBase:
-    """Common interface; default event mode replays the analytic cost."""
+    """Common interface; default event mode replays the analytic cost.
+
+    Both faces take the batch's :class:`SamplingWorkload` and gather
+    the feature rows of its ``input_nodes``.
+    """
 
     design = "base"
 
-    def batch_cost(self, nodes: np.ndarray) -> BatchCost:
+    def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
         raise NotImplementedError
 
-    def batch_process(self, runtime, nodes: np.ndarray):
-        cost = self.batch_cost(nodes)
+    def batch_process(self, runtime, workload: SamplingWorkload):
+        cost = self.batch_cost(workload)
         yield cost.total_s
 
 
@@ -59,8 +76,8 @@ class DRAMFeatureEngine(FeatureEngineBase):
         self.dram = DRAMModel(hw.dram)
         self.row_bytes = row_bytes
 
-    def batch_cost(self, nodes: np.ndarray) -> BatchCost:
-        n = int(np.asarray(nodes).size)
+    def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
+        n = workload.num_input_nodes
         cost = BatchCost(design=self.design)
         cost.add(
             "dram_gather",
@@ -81,8 +98,8 @@ class PMEMFeatureEngine(FeatureEngineBase):
         self.pmem = PMEMModel(hw.pmem)
         self.row_bytes = row_bytes
 
-    def batch_cost(self, nodes: np.ndarray) -> BatchCost:
-        n = int(np.asarray(nodes).size)
+    def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
+        n = workload.num_input_nodes
         cost = BatchCost(design=self.design)
         cost.add("pmem_gather", self.pmem.gather_time(n, self.row_bytes))
         return cost
@@ -106,8 +123,8 @@ class MmapFeatureEngine(FeatureEngineBase):
         self.reader = MmapReader(ssd, page_cache, self.sw)
         self.lba_bytes = ssd.hw.ssd.lba_bytes
 
-    def batch_cost(self, nodes: np.ndarray) -> BatchCost:
-        nodes = np.asarray(nodes, dtype=np.int64)
+    def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
+        nodes = np.asarray(workload.input_nodes, dtype=np.int64)
         cost = BatchCost(design=self.design)
         if nodes.size == 0:
             return cost
@@ -125,9 +142,9 @@ class MmapFeatureEngine(FeatureEngineBase):
         cost.requests += out.major_faults
         return cost
 
-    def batch_process(self, runtime, nodes: np.ndarray):
+    def batch_process(self, runtime, workload: SamplingWorkload):
         params = self.sw.params
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.asarray(workload.input_nodes, dtype=np.int64)
         if nodes.size == 0:
             return
         first, counts = self.layout.row_blocks(nodes)
@@ -178,15 +195,16 @@ class DirectIOFeatureEngine(FeatureEngineBase):
             -(-layout.row_bytes // self.lba_bytes) * self.lba_bytes,
         )
 
-    def _misses(self, nodes: np.ndarray):
-        nodes = np.asarray(nodes, dtype=np.int64)
+    def _misses(self, workload: SamplingWorkload):
+        """``(misses, hits)`` of the batch's rows in the scratchpad."""
+        n = workload.num_input_nodes
         if self.scratchpad is None:
-            return int(nodes.size), 0
-        hit_mask = self.scratchpad.hit_mask(nodes)
-        return int((~hit_mask).sum()), int(hit_mask.sum())
+            return n, 0
+        misses = self.scratchpad.miss_count(workload.input_nodes)
+        return misses, n - misses
 
-    def batch_cost(self, nodes: np.ndarray) -> BatchCost:
-        misses, hits = self._misses(nodes)
+    def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
+        misses, hits = self._misses(workload)
         cost = BatchCost(design=self.design)
         cost.add(
             "sw_syscall",
@@ -204,8 +222,8 @@ class DirectIOFeatureEngine(FeatureEngineBase):
         cost.requests += misses
         return cost
 
-    def batch_process(self, runtime, nodes: np.ndarray):
-        misses, hits = self._misses(nodes)
+    def batch_process(self, runtime, workload: SamplingWorkload):
+        misses, hits = self._misses(workload)
         sw_time = (
             self.sw.syscall_cost(misses)
             + hits * self.sw.params.scratchpad_hit_s

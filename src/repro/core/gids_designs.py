@@ -34,6 +34,7 @@ from repro.core.accounting import (
 from repro.core.feature_engines import FeatureEngineBase
 from repro.core.sampling_engines import SamplingEngineBase
 from repro.core.systems import DesignContext, TrainingSystem
+from repro.graph.csr import CSRGraph
 from repro.graph.layout import EdgeListLayout, FeatureTableLayout
 from repro.host.direct_io import align_up
 from repro.host.mmap_io import expand_extents
@@ -144,32 +145,53 @@ class GIDSFeatureEngine(FeatureEngineBase):
     design = "gids"
 
     def __init__(
-        self, controller: GIDSController, layout: FeatureTableLayout
+        self,
+        controller: GIDSController,
+        layout: FeatureTableLayout,
+        graph: CSRGraph,
     ):
         self.controller = controller
         self.layout = layout
+        #: the graph the workloads were sampled from: the memo key of
+        #: the planned page sets (:meth:`_pages`)
+        self.graph = graph
         self.lba_bytes = layout.lba_bytes
 
-    def _plan(self, nodes: np.ndarray):
+    def _batch_pages(self, nodes: np.ndarray) -> np.ndarray:
+        """Distinct feature-table pages holding the rows of ``nodes``."""
+        first, counts = self.layout.row_blocks(nodes)
+        return np.unique(expand_extents(first, counts))
+
+    def _pages(self, workload: SamplingWorkload) -> np.ndarray:
+        """The batch's distinct feature pages, read-only; a pure
+        function of the workload and the feature layout, planned once
+        per process (:func:`~repro.core.accounting.workload_plan`)."""
+        layout = self.layout
+        key = ("gids-pages", layout.row_bytes, layout.lba_bytes,
+               layout.base_byte)
+
+        def build():
+            return read_only(self._batch_pages(workload.input_nodes))
+
+        return workload_plan(self.graph, workload, key, build)
+
+    def _plan(self, workload: SamplingWorkload):
         """(miss pages, per-tier hit costs) for one feature-row batch.
 
         The second element is a tuple of ``(component, n_hits,
         cost_s)`` per cache level that served hits -- empty when the
-        design is uncached.
+        design is uncached.  Only this tier lookup is stateful; the
+        page set comes from the plan.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return 0, ()
-        first, counts = self.layout.row_blocks(nodes)
-        pages = np.unique(expand_extents(first, counts))
+        pages = self._pages(workload)
         cache = self.controller.cache
-        if cache is None:
+        if cache is None or pages.size == 0:
             return int(pages.size), ()
         look = cache.lookup(pages)
         return look.misses, look.hit_costs()
 
-    def batch_cost(self, nodes: np.ndarray) -> BatchCost:
-        misses, hit_costs = self._plan(nodes)
+    def batch_cost(self, workload: SamplingWorkload) -> BatchCost:
+        misses, hit_costs = self._plan(workload)
         cost = BatchCost(design=self.design)
         for component, _n_hits, cost_s in hit_costs:
             cost.add(component, cost_s)
@@ -190,9 +212,9 @@ class GIDSFeatureEngine(FeatureEngineBase):
         cost.requests += misses
         return cost
 
-    def batch_process(self, runtime, nodes: np.ndarray):
+    def batch_process(self, runtime, workload: SamplingWorkload):
         state = _gids_state(self.controller, runtime)
-        misses, hit_costs = self._plan(nodes)
+        misses, hit_costs = self._plan(workload)
         yield from state.cache_service(hit_costs)
         if misses:
             yield from state.gpu_read_sequence(
@@ -209,7 +231,9 @@ def _build_gids(ctx: DesignContext, cached: bool) -> TrainingSystem:
         ssd=ssd,
         gids=controller,
         sampling_engine=GIDSSamplingEngine(controller, ctx.edge_layout),
-        feature_engine=GIDSFeatureEngine(controller, ctx.feature_layout),
+        feature_engine=GIDSFeatureEngine(
+            controller, ctx.feature_layout, ctx.dataset.graph
+        ),
     )
 
 

@@ -76,7 +76,7 @@ class SubgraphGenerator:
         )
         # Across commands the device page buffer (stateful) catches
         # re-referenced hub pages.
-        hit = self.ssd.page_buffer.hit_mask(unique_pages)
+        from_flash = self.ssd.page_buffer.miss_count(unique_pages)
         n_samples = int(round(workload.total_samples * fraction))
         core_s = self.ssd.cores.isp_sampling_cost(
             n_targets=n_targets,
@@ -88,7 +88,7 @@ class SubgraphGenerator:
             n_targets=n_targets,
             n_samples=n_samples,
             pages_touched=n_refs,
-            pages_from_flash=int(hit.size - hit.sum()),
+            pages_from_flash=from_flash,
             core_seconds=core_s,
             return_bytes=int(round(workload.subgraph_bytes * fraction)),
         )

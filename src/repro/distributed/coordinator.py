@@ -112,9 +112,7 @@ class DistributedCoordinator(TopologyEngine):
             for idx in batch_ids:
                 w = workloads[idx % len(workloads)]
                 samp = system.sampling_engine.batch_cost(w).total_s
-                feat = system.feature_engine.batch_cost(
-                    w.input_nodes
-                ).total_s
+                feat = system.feature_engine.batch_cost(w).total_s
                 add_phase("neighbor_sampling", samp)
                 add_phase("feature_lookup", feat)
                 prep = samp + feat

@@ -412,7 +412,9 @@ def _bench_fault_overhead(ctx):
     asserts the two produce byte-identical result dicts (the parity
     contract).  ``reference_s`` is the no-plan run, so the regression
     gate bounds the hook overhead itself; ``overhead_fraction`` reports
-    it directly.
+    it directly.  One run takes only a few milliseconds, so each timed
+    repeat runs the pipeline ``laps`` times (~20 ms or more): a repeat
+    that short is at the mercy of a single scheduler hiccup.
     """
     import dataclasses
     import time
@@ -448,10 +450,16 @@ def _bench_fault_overhead(ctx):
         raise AssertionError(
             "zero-rate fault plan changed the pipeline result"
         )
-    elapsed = ctx.time(lambda: run(zero_spec))
-    reference = ctx.time(lambda: run(spec))
+    laps = ctx.scale(3, 10)
+
+    def timed(s):
+        for _ in range(laps):
+            run(s)
+
+    elapsed = ctx.time(lambda: timed(zero_spec))
+    reference = ctx.time(lambda: timed(spec))
     return ctx.result(
-        ops=spec.n_batches,
+        ops=laps * spec.n_batches,
         elapsed_s=elapsed,
         reference_s=reference,
         overhead_fraction=(

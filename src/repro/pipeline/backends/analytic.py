@@ -49,7 +49,7 @@ def phase_costs(system, gpu, workloads) -> Tuple[float, float, float, float]:
     samp = feat = trans = train = 0.0
     for w in workloads:
         samp += system.sampling_engine.batch_cost(w).total_s
-        feat += system.feature_engine.batch_cost(w.input_nodes).total_s
+        feat += system.feature_engine.batch_cost(w).total_s
         trans += gpu.transfer_time(w)
         train += gpu.train_time(w)
     k = len(workloads)

@@ -365,7 +365,7 @@ class TopologyEngine:
         w = self.request.workloads[batch_ids[at] % len(self.request.workloads)]
         rewarm_s = (
             system.sampling_engine.batch_cost(w).total_s
-            + system.feature_engine.batch_cost(w.input_nodes).total_s
+            + system.feature_engine.batch_cost(w).total_s
         )
         recovery_s = inj.plan.host_recovery_s + rewarm_s
         inj.charge("host_recovery_s", recovery_s)

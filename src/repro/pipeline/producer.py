@@ -118,7 +118,7 @@ class ProducerPool:
         sim = self.runtime.sim
         t0 = sim.now
         yield from self.system.feature_engine.batch_process(
-            self.runtime, workload.input_nodes
+            self.runtime, workload
         )
         self.phases.record(
             "feature_lookup", sim.now - t0, worker=name, start_s=t0

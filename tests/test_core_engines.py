@@ -168,7 +168,7 @@ def test_feature_engine_dram_default(setup):
     for design in ("ssd-mmap", "smartsage-hwsw"):
         system = build(design, ds)
         assert system.feature_engine.design == "dram"
-        cost = system.feature_engine.batch_cost(workloads[0].input_nodes)
+        cost = system.feature_engine.batch_cost(workloads[0])
         assert cost.total_s < 1e-3
 
 
@@ -176,11 +176,11 @@ def test_feature_engine_storage_backed_extension(setup):
     ds, workloads = setup
     mmap_sys = build("ssd-mmap", ds, features_in_dram=False)
     direct_sys = build("smartsage-hwsw", ds, features_in_dram=False)
-    nodes = workloads[0].input_nodes
-    t_mmap = mmap_sys.feature_engine.batch_cost(nodes).total_s
-    t_direct = direct_sys.feature_engine.batch_cost(nodes).total_s
+    w = workloads[0]
+    t_mmap = mmap_sys.feature_engine.batch_cost(w).total_s
+    t_direct = direct_sys.feature_engine.batch_cost(w).total_s
     dram_sys = build("dram", ds)
-    t_dram = dram_sys.feature_engine.batch_cost(nodes).total_s
+    t_dram = dram_sys.feature_engine.batch_cost(w).total_s
     assert t_dram < t_direct
     assert t_dram < t_mmap
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import LRUPolicy
+from repro.cache.policy import ClockPolicy
 from repro.core.accounting import BatchCost
 from repro.graph import CSRGraph, kronecker_expand
 from repro.host import OSPageCache, Scratchpad, align_up, expand_extents
@@ -97,7 +98,8 @@ def test_scratchpad_matches_reference_lru(batches, capacity):
 
     Batches draw from 31 keys against at most 10 slots, so they repeat
     keys and evict mid-batch.  Each cache takes whole batches; one more
-    scratchpad takes the same keys one at a time.
+    scratchpad takes the same keys one at a time, and one more page
+    buffer is touched only through the count-only ``miss_count``.
     """
     caches = [
         Scratchpad(capacity_bytes=capacity, avg_entry_bytes=1),
@@ -106,6 +108,7 @@ def test_scratchpad_matches_reference_lru(batches, capacity):
     ]
     policy = LRUPolicy(capacity)
     single = Scratchpad(capacity_bytes=capacity, avg_entry_bytes=1)
+    counting = PageBuffer(capacity)
     reference = []
     hits = misses = 0
     for batch in batches:
@@ -121,10 +124,62 @@ def test_scratchpad_matches_reference_lru(batches, capacity):
             assert cache.residents() == tuple(reference)
         assert policy.access(keys).tolist() == expected
         assert policy.residents() == tuple(reference)
+        assert counting.miss_count(keys) == len(expected) - sum(expected)
+        assert (counting.hits, counting.misses) == (hits, misses)
+        assert counting.residents() == tuple(reference)
         for key, expected_hit in zip(batch, expected):
             assert single.hit_mask([key])[0] == expected_hit
     assert (single.hits, single.misses) == (hits, misses)
     assert single.residents() == tuple(reference)
+
+
+def _touch_reference_clock(queue, key, capacity):
+    """Second-chance FIFO model of CLOCK: ``queue`` holds ``[key,
+    referenced]`` from the clock hand on; touch ``key``; True on hit."""
+    for entry in queue:
+        if entry[0] == key:
+            entry[1] = True
+            return True
+    if len(queue) == capacity:
+        while queue[0][1]:
+            entry = queue.pop(0)
+            entry[1] = False
+            queue.append(entry)
+        queue.pop(0)
+    queue.append([key, True])
+    return False
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=60),
+        min_size=1, max_size=8,
+    ),
+    st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_clock_matches_second_chance_queue(batches, capacity):
+    """The ``clock`` policy must behave exactly like a second-chance
+    FIFO queue: same hits, same reference bits, and its slots read from
+    the hand on are the queue.
+
+    Batches draw from 31 keys against at most 10 slots, so the hand
+    sweeps over referenced slots and evicts mid-batch.
+    """
+    policy = ClockPolicy(capacity)
+    queue = []
+    for batch in batches:
+        expected = [
+            _touch_reference_clock(queue, key, capacity) for key in batch
+        ]
+        keys = np.array(batch, dtype=np.int64)
+        assert policy.access(keys).tolist() == expected
+        slots = policy.residents()
+        assert dict(zip(slots, policy.reference_bits())) == dict(queue)
+        order = tuple(key for key, _ in queue)
+        assert any(
+            slots[i:] + slots[:i] == order for i in range(len(slots))
+        ) or slots == order == ()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1,

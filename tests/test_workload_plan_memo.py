@@ -4,7 +4,8 @@ A warm session replays the same read-only workloads on every run, so
 what an engine derives from a workload and a graph alone is memoized by
 :func:`repro.core.accounting.workload_plan`: the ISP command's page set
 (``SubgraphGenerator.span_pages``), the GIDS hop reads
-(``GIDSSamplingEngine._reads``) and the cross-group and cross-host
+(``GIDSSamplingEngine._reads``), the GIDS feature pages
+(``GIDSFeatureEngine._pages``) and the cross-group and cross-host
 traffic of a graph cut (``pipeline.engine._remote_parts`` and
 ``_host_traffic``).  These tests pin what that memo must never change:
 warm reruns build nothing and still produce fresh-session records,
@@ -21,7 +22,7 @@ import repro.core.accounting as accounting
 import repro.distributed.planner as planner
 from repro.api import RunSpec, Session, SystemSpec
 from repro.api.cache import ContentCache, activated
-from repro.core.gids_designs import GIDSSamplingEngine
+from repro.core.gids_designs import GIDSFeatureEngine, GIDSSamplingEngine
 from repro.graph.layout import EdgeListLayout
 from repro.graph.partition import GraphPartition
 from repro.service.store import record_bytes, result_to_dict
@@ -72,6 +73,7 @@ def builds(monkeypatch):
 
     counting(EdgeListLayout, "flash_page_ids")
     counting(GIDSSamplingEngine, "_hop_reads")
+    counting(GIDSFeatureEngine, "_batch_pages")
     counting(GraphPartition, "remote_mask")
     counting(planner, "host_workload_traffic")
     return calls
@@ -81,7 +83,7 @@ def builds(monkeypatch):
 FIRST_RUN = {
     "event": {"flash_page_ids"},
     "sharded": {"flash_page_ids", "remote_mask"},
-    "gids": {"_hop_reads"},
+    "gids": {"_hop_reads", "_batch_pages"},
     "async": {"flash_page_ids"},
     "distributed": {"flash_page_ids", "remote_mask",
                     "host_workload_traffic"},
@@ -109,6 +111,7 @@ def _plans(graph, workload) -> dict:
     ("event", [{}, {"hardware": {"nand": {"page_bytes": 8192}}}]),
     ("event", [{}, {"hardware": {"workload": {"edge_id_bytes": 4}}}]),
     ("gids", [{}, {"hardware": {"workload": {"edge_id_bytes": 4}}}]),
+    ("gids", [{}, {"hardware": {"workload": {"feature_dtype_bytes": 2}}}]),
     ("sharded", [{}, {"hardware": {"workload": {"edge_id_bytes": 4}}}]),
 ])
 def test_distinct_layouts_do_not_share_an_entry(preset, variants):
@@ -116,9 +119,11 @@ def test_distinct_layouts_do_not_share_an_entry(preset, variants):
     with activated(ContentCache()):
         sessions = [Session(s) for s in specs]
         graph = sessions[0].dataset.graph
-        workload = sessions[0].workloads[0]
+        # the last workload is planned by every preset (the first ones
+        # may only warm the systems up)
+        workload = sessions[0].workloads[-1]
         assert all(s.dataset.graph is graph for s in sessions)
-        assert all(s.workloads[0] is workload for s in sessions)
+        assert all(s.workloads[-1] is workload for s in sessions)
         shared = []
         for s in sessions:
             n_before = len(_plans(graph, workload)) if shared else 0
@@ -152,7 +157,8 @@ def test_memoized_arrays_are_read_only():
         workload = sessions[0].workloads[-1]
         plans = _plans(graph, workload)
     kinds = {key[0] for key in plans}
-    assert kinds == {"isp-pages", "gids-reads", "remote", "host"}
+    assert kinds == {"isp-pages", "gids-reads", "gids-pages", "remote",
+                     "host"}
     arrays = [a for plan in plans.values() for a in _arrays(plan)]
     assert arrays
     assert not any(a.flags.writeable for a in arrays)
@@ -190,4 +196,5 @@ def test_threads_build_each_entry_once(builds):
     n_hops = sum(len(w.hop_targets) for w in workloads)
     assert entries.count("gids-reads") == len(workloads)
     assert builds.count("_hop_reads") == n_hops
+    assert builds.count("_batch_pages") == entries.count("gids-pages")
     assert builds.count("host_workload_traffic") == entries.count("host")
