@@ -185,7 +185,7 @@ class GIDSFeatureEngine(FeatureEngineBase):
         """
         pages = self._pages(workload)
         cache = self.controller.cache
-        if cache is None or pages.size == 0:
+        if cache is None:
             return int(pages.size), ()
         look = cache.lookup(pages)
         return look.misses, look.hit_costs()
