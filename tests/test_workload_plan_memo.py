@@ -111,8 +111,8 @@ def _plans(graph, workload) -> dict:
     ("event", [{}, {"hardware": {"nand": {"page_bytes": 8192}}}]),
     ("event", [{}, {"hardware": {"workload": {"edge_id_bytes": 4}}}]),
     ("gids", [{}, {"hardware": {"workload": {"edge_id_bytes": 4}}}]),
-    ("gids", [{}, {"hardware": {"workload": {"feature_dtype_bytes": 2}}}]),
     ("sharded", [{}, {"hardware": {"workload": {"edge_id_bytes": 4}}}]),
+    ("gids", [{}, {"hardware": {"workload": {"feature_dtype_bytes": 2}}}]),
 ])
 def test_distinct_layouts_do_not_share_an_entry(preset, variants):
     specs = [_spec(preset, **v) for v in variants]
