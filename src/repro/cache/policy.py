@@ -11,13 +11,12 @@ plug in without touching this module::
     class MyPolicy(CachePolicy):
         ...
 
-``access_scalar`` is each policy's one-key-at-a-time loop, and
-``access`` answers a batch through it unless the policy's optional
-``_batch_access`` fast path answers first.  Only ``static`` has one:
-its frozen resident set makes membership one sorted lookup.  ``lru``
-is the shared :class:`~repro.memory.lru.ExactLRU` and ``clock`` its
-own loop; their callers pass de-duplicated, evicting batches, where an
-eviction-free shortcut never answers.
+Each policy answers a batch through its one ``access``: ``lru`` is the
+shared :class:`~repro.memory.lru.ExactLRU`'s ``hit_mask``, ``clock``
+its own per-key loop, and ``static`` one sorted lookup against the
+pinned set it preloads from ``priority_pages``.  Tests check ``lru``
+and ``clock`` against list models (``tests/test_properties.py``) and
+``static`` against ``np.isin``.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ __all__ = [
     "StaticPolicy",
     "ClockPolicy",
 ]
-
-#: below this batch size the fixed numpy overhead beats the scalar loop
-_VECTOR_MIN = 96
-
 
 @dataclass(frozen=True)
 class CachePolicyEntry:
@@ -134,12 +129,9 @@ def build_cache_policy(
 class CachePolicy:
     """Protocol base: batched membership with insert-on-miss.
 
-    Subclasses implement ``access_scalar`` (the reference loop) and
-    may override ``_batch_access`` with a vectorized path (return
-    ``None`` to request a scalar replay).  ``priority_pages`` is an
-    optional page-ID array in descending priority order; replacement
-    policies ignore it, the static pinning policy reads its pinned set
-    from it.
+    Subclasses implement ``access``.  ``priority_pages`` is an optional
+    page-ID array in descending priority order; replacement policies
+    ignore it, the static pinning policy reads its pinned set from it.
     """
 
     name = "base"
@@ -149,16 +141,6 @@ class CachePolicy:
 
     def access(self, keys: np.ndarray) -> np.ndarray:
         """Per-key hit mask for one batch (updates policy state)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        out = self._batch_access(keys)
-        if out is None:
-            out = self.access_scalar(keys)
-        return out
-
-    def _batch_access(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        return None
-
-    def access_scalar(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def residents(self) -> Tuple[int, ...]:
@@ -191,8 +173,8 @@ class LRUPolicy(CachePolicy):
         super().__init__(capacity)
         self._lru = ExactLRU(self.capacity)
 
-    def access_scalar(self, keys: np.ndarray) -> np.ndarray:
-        return self._lru.hit_mask(keys)
+    def access(self, keys: np.ndarray) -> np.ndarray:
+        return self._lru.hit_mask(np.asarray(keys, dtype=np.int64))
 
     def residents(self) -> Tuple[int, ...]:
         return self._lru.residents()
@@ -213,94 +195,41 @@ class LRUPolicy(CachePolicy):
 class StaticPolicy(CachePolicy):
     """Static pinning: a fixed resident set, no replacement.
 
-    With ``priority_pages`` (the degree-ordered hot pages the design
-    context computes) the first ``capacity`` entries are pinned up
-    front and membership is a pure vectorized lookup.  Without
-    priorities the cache fills first-touch and then freezes -- the
-    behavior of a preloaded cache whose warm-up happens in-band.
+    The first ``capacity`` entries of ``priority_pages`` (the
+    degree-ordered hot pages the design context computes) are pinned
+    up front; membership is one sorted lookup and never changes the
+    set.  ``priority_pages`` is required (:class:`ConfigError`
+    without it).
     """
 
     name = "static"
 
     def __init__(self, capacity: int, priority_pages=None):
         super().__init__(capacity)
-        self._pinned: Dict[int, None] = {}
-        self._preloaded = priority_pages is not None
-        if self._preloaded:
-            pages = np.asarray(priority_pages, dtype=np.int64)
-            for k in pages[: self.capacity].tolist():
-                self._pinned[k] = None
-        self._sorted: Optional[np.ndarray] = None
-
-    @property
-    def _frozen(self) -> bool:
-        return self._preloaded or len(self._pinned) >= self.capacity
-
-    def _sorted_residents(self) -> np.ndarray:
-        if self._sorted is None:
-            self._sorted = np.sort(
-                np.fromiter(
-                    self._pinned, dtype=np.int64, count=len(self._pinned)
-                )
+        if priority_pages is None:
+            raise ConfigError(
+                "the static cache policy pins priority_pages; none given"
             )
-        return self._sorted
-
-    def _batch_access(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        n = int(keys.size)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if self._frozen:
-            # membership against the frozen set: one sorted lookup,
-            # no state change -- always worth vectorizing
-            residents = self._sorted_residents()
-            if residents.size == 0:
-                return np.zeros(n, dtype=bool)
-            pos = np.searchsorted(residents, keys)
-            pos[pos >= residents.size] = residents.size - 1
-            return residents[pos] == keys
-        if n < _VECTOR_MIN:
-            return None
-        # fill phase: same eviction-free reasoning as the LRU kernel --
-        # if every distinct new key fits, an access hits iff its key is
-        # resident or appeared earlier in the batch
-        uniq, first_idx = np.unique(keys, return_index=True)
-        resident = np.fromiter(
-            (k in self._pinned for k in uniq.tolist()),
-            dtype=bool,
-            count=int(uniq.size),
+        pages = np.asarray(priority_pages, dtype=np.int64)[: self.capacity]
+        self._pinned: Dict[int, None] = dict.fromkeys(pages.tolist())
+        self._sorted = np.sort(
+            np.fromiter(self._pinned, dtype=np.int64, count=len(self._pinned))
         )
-        n_new = int(uniq.size) - int(resident.sum())
-        if len(self._pinned) + n_new > self.capacity:
-            return None  # batch crosses the freeze point; replay scalar
-        mask = np.ones(n, dtype=bool)
-        mask[first_idx[~resident]] = False
-        order = np.argsort(first_idx[~resident], kind="stable")
-        for k in uniq[~resident][order].tolist():
-            self._pinned[k] = None
-        if n_new:
-            self._sorted = None
-        return mask
 
-    def access_scalar(self, keys: np.ndarray) -> np.ndarray:
+    def access(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        mask = np.zeros(int(keys.size), dtype=bool)
-        frozen = self._frozen
-        for i, k in enumerate(keys.tolist()):
-            if k in self._pinned:
-                mask[i] = True
-            elif not frozen and len(self._pinned) < self.capacity:
-                self._pinned[k] = None
-                self._sorted = None
-            # else: miss against the frozen set, no insert
-        return mask
+        residents = self._sorted
+        if residents.size == 0:
+            return np.zeros(keys.size, dtype=bool)
+        pos = np.searchsorted(residents, keys)
+        pos[pos >= residents.size] = residents.size - 1
+        return residents[pos] == keys
 
     def residents(self) -> Tuple[int, ...]:
         return tuple(self._pinned)
 
     def clear(self) -> None:
-        if not self._preloaded:
-            self._pinned.clear()
-            self._sorted = None
+        """Preloaded pins survive ``clear``: there is nothing to drop."""
 
     def __len__(self) -> int:
         return len(self._pinned)
@@ -346,7 +275,7 @@ class ClockPolicy(CachePolicy):
         self._ref[self._hand] = True
         self._hand = (self._hand + 1) % self.capacity
 
-    def access_scalar(self, keys: np.ndarray) -> np.ndarray:
+    def access(self, keys: np.ndarray) -> np.ndarray:
         slot_of, ref = self._index.get, self._ref
         out = []
         for k in np.asarray(keys, dtype=np.int64).tolist():

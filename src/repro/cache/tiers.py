@@ -25,6 +25,11 @@ Built-in tier names (:data:`TIER_NAMES`):
     ``pin_memory`` shape) -- no page fault, no bounce copy, PCIe
     pricing.
 
+Each tier answers through its policy's one ``access``; there is no
+scalar twin of :meth:`TieredFeatureCache.lookup`.  A lookup hands each
+tier only the pages the nearer tiers missed, and takes the last tier's
+misses as a count.
+
 A single-``hbm``-LRU stack (the default) reproduces the pre-refactor
 GPU cache arithmetic bit-identically: same membership kernel, same
 ``n_hits * cache_hit_s`` service cost, same one-event schedule.
@@ -105,9 +110,9 @@ class FeatureCacheTier:
         self.hit_bytes = 0
         self.miss_bytes = 0
 
-    # -- accounting (the one helper both access paths share) ---------------
-
-    def _account(self, mask: np.ndarray) -> np.ndarray:
+    def access(self, pages: np.ndarray) -> np.ndarray:
+        """Per-page hit/miss mask for a batch (updates policy state)."""
+        mask = self.policy.access(pages)
         hits = int(mask.sum())
         misses = int(mask.size) - hits
         self.hits += hits
@@ -115,16 +120,6 @@ class FeatureCacheTier:
         self.hit_bytes += hits * self.page_bytes
         self.miss_bytes += misses * self.page_bytes
         return mask
-
-    def access(self, pages: np.ndarray) -> np.ndarray:
-        """Per-page hit/miss mask for a batch (updates policy state)."""
-        return self._account(self.policy.access(pages))
-
-    def access_scalar(self, pages: np.ndarray) -> np.ndarray:
-        """Reference implementation of :meth:`access` (parity tests)."""
-        return self._account(
-            self.policy.access_scalar(np.asarray(pages, dtype=np.int64))
-        )
 
     def hit_cost(self, n_hits: int) -> float:
         """Service time for ``n_hits`` hits in this tier."""
@@ -210,33 +205,24 @@ class TieredFeatureCache:
         self.tiers: Tuple[FeatureCacheTier, ...] = tuple(tiers)
         self.page_bytes = self.tiers[0].page_bytes
 
-    def _lookup(self, pages: np.ndarray, scalar: bool) -> CacheLookup:
-        remaining = np.asarray(pages, dtype=np.int64)
-        tier_hits: List[int] = []
-        for tier in self.tiers:
-            if remaining.size == 0:
-                tier_hits.append(0)
-                continue
-            mask = (
-                tier.access_scalar(remaining)
-                if scalar
-                else tier.access(remaining)
-            )
-            tier_hits.append(int(mask.sum()))
-            remaining = remaining[~mask]
-        return CacheLookup(
-            tiers=self.tiers,
-            tier_hits=tuple(tier_hits),
-            misses=int(remaining.size),
-        )
-
     def lookup(self, pages: np.ndarray) -> CacheLookup:
         """Route a page batch through the stack, nearest tier first."""
-        return self._lookup(pages, scalar=False)
-
-    def lookup_scalar(self, pages: np.ndarray) -> CacheLookup:
-        """Reference path of :meth:`lookup` (parity tests, benchmark)."""
-        return self._lookup(pages, scalar=True)
+        remaining = np.asarray(pages, dtype=np.int64)
+        misses = int(remaining.size)
+        tier_hits: List[int] = []
+        for i, tier in enumerate(self.tiers, start=1):
+            if misses == 0:
+                tier_hits.append(0)
+                continue
+            mask = tier.access(remaining)
+            hits = int(mask.sum())
+            tier_hits.append(hits)
+            misses -= hits
+            if i < len(self.tiers):  # the last tier's leftovers go unread
+                remaining = remaining[~mask]
+        return CacheLookup(
+            tiers=self.tiers, tier_hits=tuple(tier_hits), misses=misses
+        )
 
     # -- composite counters (the surface the gids backend reads) -----------
 

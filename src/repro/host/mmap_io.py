@@ -25,7 +25,6 @@ __all__ = [
     "MmapReader",
     "expand_extents",
     "fault_around_windows",
-    "fault_around_windows_scalar",
 ]
 
 
@@ -37,9 +36,9 @@ def fault_around_windows(
     Each extent's ``m`` missing pages are served by ``ceil(m / window)``
     major faults: ``m // window`` full windows followed by one partial
     window of ``m % window`` pages.  The ceil-div arithmetic emits the
-    same window stream the per-extent loop
-    (:func:`fault_around_windows_scalar`) produces, bit for bit --
-    full windows first, the remainder last within each extent.
+    same window stream as the per-extent loop it replaced (kept in
+    :mod:`repro.perf.reference`), bit for bit -- full windows first, the
+    remainder last within each extent.
     """
     m = np.asarray(misses_per_extent, dtype=np.int64)
     m = m[m > 0]
@@ -52,20 +51,6 @@ def fault_around_windows(
     partial = rem > 0
     out[last[partial]] = rem[partial]
     return out
-
-
-def fault_around_windows_scalar(
-    misses_per_extent: np.ndarray, window: int
-) -> np.ndarray:
-    """Reference kernel: the historical per-extent while loop."""
-    window_sizes = []
-    for m in np.asarray(misses_per_extent, dtype=np.int64):
-        m = int(m)
-        while m > 0:
-            take = min(window, m)
-            window_sizes.append(take)
-            m -= take
-    return np.asarray(window_sizes, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 Micro benchmarks pit each vectorized kernel against the scalar
 reference implementation it replaced (the reference stays in the tree
 precisely so this comparison -- and the parity tests backing it --
-never rot).  The two macro benchmarks time one GraphSAGE mini-batch
-(``sampler-batch``) and the fault hooks' tax on a clean pipeline run
-(``fault-overhead``).  Whole-spec wall-clock time, layer by layer, is
-the repository benchmark's job (``perfbench/``), not this registry's.
+never rot).  References that production code no longer selects live in
+:mod:`repro.perf.reference`, which no other production module imports;
+``cache-tiered`` has none and times the lookup alone.  The two macro
+benchmarks time one GraphSAGE mini-batch (``sampler-batch``) and the
+fault hooks' tax on a clean pipeline run (``fault-overhead``).
+Whole-spec wall-clock time, layer by layer, is the repository
+benchmark's job (``perfbench/``), not this registry's.
 
 Problem sizes follow ``ctx.scale(full, smoke)``: full sizes target
 roughly a second per benchmark on a laptop-class core; smoke sizes keep
@@ -62,13 +65,13 @@ def _bench_llc_trace(ctx):
 @register_benchmark(
     "cache-tiered",
     tags=("micro", "cache", "gids"),
-    description="tiered feature-cache lookup, per policy (vectorized vs scalar)",
+    description="tiered feature-cache lookup, per policy",
 )
 def _bench_cache_tiered(ctx):
     from repro.cache import FeatureCacheTier, TieredFeatureCache
 
     page = 512
-    n_batches = ctx.scale(200, 20)
+    n_batches = ctx.scale(200, 60)
     batch = 1024
     rng = ctx.rng()
     domain = 16 * 1024
@@ -92,25 +95,16 @@ def _bench_cache_tiered(ctx):
 
     policies = ("lru", "clock", "static")
 
-    def vectorized():
+    def lookups():
         for policy in policies:
             cache = stack(policy)
             with ctx.stage(policy):
                 for keys in batches:
                     cache.lookup(keys)
 
-    def scalar():
-        for policy in policies:
-            cache = stack(policy)
-            for keys in batches:
-                cache.lookup_scalar(keys)
-
-    elapsed = ctx.time(vectorized)
-    reference = ctx.time(scalar)
     return ctx.result(
         ops=len(policies) * n_batches * batch,
-        elapsed_s=elapsed,
-        reference_s=reference,
+        elapsed_s=ctx.time(lookups),
     )
 
 
@@ -120,10 +114,18 @@ def _bench_cache_tiered(ctx):
     description="flash controller extent planning (batched vs per-extent)",
 )
 def _bench_flash_plan(ctx):
+    """Batched extent planning against the per-extent loop.
+
+    One batched pass over the smoke sizes takes ~0.3 ms, short enough
+    for a single scheduler hiccup to decide a repeat, so each timed
+    repeat plans the same extents ``laps`` times (~20 ms at smoke).
+    The per-extent reference runs once per repeat.
+    """
     from repro.storage.controller import FlashController
     from repro.storage.nand import FlashArray
 
     n = ctx.scale(40_000, 4_000)
+    laps = ctx.scale(8, 64)
     rng = ctx.rng()
     sizes = rng.integers(0, 128 * 1024, size=n).astype(np.int64)
     lbas = rng.integers(0, 1 << 24, size=n).astype(np.int64)
@@ -131,10 +133,11 @@ def _bench_flash_plan(ctx):
 
     def batched():
         ctl = FlashController(FlashArray())
-        with ctx.stage("plan_extents"):
-            ctl.plan_extents(sizes)
-        with ctx.stage("lpns_for_extents"):
-            ctl.lpns_for_extents(lbas, counts)
+        for _ in range(laps):
+            with ctx.stage("plan_extents"):
+                ctl.plan_extents(sizes)
+            with ctx.stage("lpns_for_extents"):
+                ctl.lpns_for_extents(lbas, counts)
 
     def scalar():
         ctl = FlashController(FlashArray())
@@ -145,7 +148,9 @@ def _bench_flash_plan(ctx):
 
     elapsed = ctx.time(batched)
     reference = ctx.time(scalar)
-    return ctx.result(ops=2 * n, elapsed_s=elapsed, reference_s=reference)
+    return ctx.result(
+        ops=2 * n * laps, elapsed_s=elapsed, reference_s=reference * laps
+    )
 
 
 @register_benchmark(
@@ -154,6 +159,7 @@ def _bench_flash_plan(ctx):
     description="FTL translation with rewrites (vectorized vs scalar remap)",
 )
 def _bench_ftl_translate(ctx):
+    from repro.perf.reference import apply_remap_scalar
     from repro.storage.ftl import FlashTranslationLayer
 
     n = ctx.scale(300_000, 20_000)
@@ -166,7 +172,7 @@ def _bench_ftl_translate(ctx):
 
     def reference():
         raw = ftl.permute(lpns)
-        ftl._apply_remap_scalar(lpns, raw)
+        apply_remap_scalar(ftl, lpns, raw)
 
     elapsed = ctx.time(lambda: ftl.translate(lpns))
     reference_s = ctx.time(reference)
@@ -301,10 +307,8 @@ def _bench_csr_build(ctx):
     description="fault-around window planning (ceil-div kernel vs loop)",
 )
 def _bench_mmap_faultaround(ctx):
-    from repro.host.mmap_io import (
-        fault_around_windows,
-        fault_around_windows_scalar,
-    )
+    from repro.host.mmap_io import fault_around_windows
+    from repro.perf.reference import fault_around_windows_scalar
 
     n = ctx.scale(400_000, 20_000)
     rng = ctx.rng()
@@ -324,14 +328,15 @@ def _bench_mmap_faultaround(ctx):
     description="discrete-event loop (coalesced buckets vs per-event heap)",
 )
 def _bench_event_engine(ctx):
+    from repro.perf.reference import ReferenceSimulator
     from repro.sim.engine import Simulator
     from repro.sim.resources import Resource
 
     n_procs = ctx.scale(64, 16)
     steps = ctx.scale(400, 60)
 
-    def run(coalesce: bool) -> int:
-        sim = Simulator(coalesce=coalesce)
+    def run(sim_cls) -> int:
+        sim = sim_cls()
         resource = Resource(sim, capacity=4, name="bench")
         rng = np.random.default_rng(ctx.seed)
         delays = rng.integers(0, 3, size=(n_procs, steps)) * 1e-6
@@ -350,9 +355,9 @@ def _bench_event_engine(ctx):
         sim.run()
         return sim.processed_events
 
-    ops = run(True)
-    elapsed = ctx.time(lambda: run(True))
-    reference = ctx.time(lambda: run(False))
+    ops = run(Simulator)
+    elapsed = ctx.time(lambda: run(Simulator))
+    reference = ctx.time(lambda: run(ReferenceSimulator))
     return ctx.result(ops=ops, elapsed_s=elapsed, reference_s=reference)
 
 
@@ -362,13 +367,16 @@ def _bench_event_engine(ctx):
     description="uncontended Resource grant/release churn (synchronous fast path vs per-event grants)",
 )
 def _bench_resource_churn(ctx):
+    from contextlib import nullcontext
+
+    from repro.perf.reference import event_grants
     from repro.sim.engine import Simulator
     from repro.sim.resources import Resource
 
     n_procs = ctx.scale(8, 4)
     steps = ctx.scale(20_000, 2_000)
 
-    def run(fast: bool) -> int:
+    def run(grants) -> int:
         sim = Simulator()
         # capacity == n_procs: every cycle is an uncontended grant, the
         # exact shape of the hot flash-channel / embedded-core loops
@@ -383,19 +391,15 @@ def _bench_resource_churn(ctx):
                 finally:
                     resource.release()
 
-        old = Resource.fast_path
-        Resource.fast_path = fast
-        try:
+        with grants():
             for pid in range(n_procs):
                 sim.process(proc(), name=f"p{pid}")
             sim.run()
-        finally:
-            Resource.fast_path = old
         return n_procs * steps
 
-    ops = run(True)
-    elapsed = ctx.time(lambda: run(True))
-    reference = ctx.time(lambda: run(False))
+    ops = run(nullcontext)
+    elapsed = ctx.time(lambda: run(nullcontext))
+    reference = ctx.time(lambda: run(event_grants))
     return ctx.result(ops=ops, elapsed_s=elapsed, reference_s=reference)
 
 

@@ -257,22 +257,21 @@ def all_of(sim: "Simulator", events: Iterable[SimEvent]) -> SimEvent:
 class Simulator:
     """The event loop: a clock plus a priority queue of pending hops.
 
-    With ``coalesce=True`` (the default) hops scheduled for the same
-    timestamp share one heap entry -- a *bucket* list appended to in
-    O(1) -- instead of each paying a ``heappush``.  Nearly every hop a
-    process model schedules is at the current time (``succeed``,
-    immediate resumes), so bucketing removes most of the heap traffic
-    while dispatching in exactly the legacy (time, sequence) order.
-    ``coalesce=False`` keeps the one-entry-per-hop heap as the scalar
-    reference implementation for parity tests and benchmarks.
+    Hops scheduled for the same timestamp share one heap entry -- a
+    *bucket* list appended to in O(1) -- instead of each paying a
+    ``heappush``.  Nearly every hop a process model schedules is at the
+    current time (``succeed``, immediate resumes), so bucketing removes
+    most of the heap traffic while dispatching in exactly (time,
+    sequence) order.  The one-entry-per-hop heap it replaced is
+    :class:`repro.perf.reference.ReferenceSimulator`, which only the
+    parity tests and the ``event-engine`` benchmark use.
     """
 
-    def __init__(self, coalesce: bool = True):
+    def __init__(self):
         self.now: float = 0.0
-        self._queue: List = []   # (time, seq, hop-or-bucket)
+        self._queue: List = []   # (time, seq, bucket of hops)
         self._seq = 0
         self._event_count = 0
-        self._coalesce = coalesce
         self._buckets = {}       # open buckets: time -> list of hops
         self._ready = deque()    # current-time bucket being drained
 
@@ -304,18 +303,14 @@ class Simulator:
         earlier than :attr:`now` (the loop raises if time goes
         backwards).
         """
-        if self._coalesce:
-            bucket = self._buckets.get(when)
-            if bucket is not None:
-                bucket.append(fn)
-                return
-            self._seq += 1
-            bucket = [fn]
-            self._buckets[when] = bucket
-            heapq.heappush(self._queue, (when, self._seq, bucket))
+        bucket = self._buckets.get(when)
+        if bucket is not None:
+            bucket.append(fn)
             return
         self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, fn))
+        bucket = [fn]
+        self._buckets[when] = bucket
+        heapq.heappush(self._queue, (when, self._seq, bucket))
 
     # -- execution --------------------------------------------------------
 
@@ -326,18 +321,18 @@ class Simulator:
         """Timestamp of the next hop to dispatch (queue must be non-empty)."""
         return self.now if self._ready else self._queue[0][0]
 
-    def _pop_time(self):
-        """Advance the clock to the earliest queue entry and return it."""
-        when, _seq, entry = heapq.heappop(self._queue)
+    def _pop_time(self) -> list:
+        """Advance the clock to the earliest bucket and return it."""
+        when, _seq, bucket = heapq.heappop(self._queue)
         if when < self.now - 1e-18:
             raise SimulationError("time went backwards")
         self.now = when
-        if self._coalesce and self._buckets.get(when) is entry:
+        if self._buckets.get(when) is bucket:
             # Close the bucket: same-time hops scheduled from now on
             # open a fresh bucket, dispatched after this one drains --
             # exactly the legacy sequence order.
             del self._buckets[when]
-        return entry
+        return bucket
 
     def step(self) -> bool:
         """Dispatch the next hop; returns False when the queue is empty."""
@@ -345,11 +340,9 @@ class Simulator:
             fn = self._ready.popleft()
         elif not self._queue:
             return False
-        elif self._coalesce:
+        else:
             self._ready.extend(self._pop_time())
             fn = self._ready.popleft()
-        else:
-            fn = self._pop_time()
         self._event_count += 1
         fn()
         return True
@@ -367,22 +360,20 @@ class Simulator:
         queue = self._queue
         buckets = self._buckets
         heappop = heapq.heappop
-        coalesce = self._coalesce
         count = 0
         try:
             while not event._triggered:
                 if ready:
                     fn = popleft()
                 elif queue:
-                    when, _seq, fn = heappop(queue)
+                    when, _seq, bucket = heappop(queue)
                     if when < self.now - 1e-18:
                         raise SimulationError("time went backwards")
                     self.now = when
-                    if coalesce:
-                        if buckets.get(when) is fn:
-                            del buckets[when]
-                        ready.extend(fn)
-                        fn = popleft()
+                    if buckets.get(when) is bucket:
+                        del buckets[when]
+                    ready.extend(bucket)
+                    fn = popleft()
                 else:
                     return False
                 count += 1

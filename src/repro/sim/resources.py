@@ -39,17 +39,11 @@ class Resource:
 
     Hot loops issue millions of uncontended grant/release cycles, so
     :meth:`try_acquire` is the churn fast path: no event object, no
-    event-queue round trip.  Setting the class attribute
-    :attr:`fast_path` to ``False`` forces every :meth:`try_acquire`
-    to decline, pushing all acquisitions through the per-event
-    reference path -- the scalar reference the ``resource-churn``
-    benchmark and the DES parity tests compare against.
+    event-queue round trip.  The per-event reference, where every
+    acquisition allocates and schedules a :class:`SimEvent`, is
+    :func:`repro.perf.reference.event_grants`, which only the parity
+    tests and the ``resource-churn`` benchmark use.
     """
-
-    #: class-wide switch: ``False`` disables the synchronous grant so
-    #: every acquisition allocates and schedules a SimEvent (the
-    #: reference path kept for parity tests and benchmarks)
-    fast_path = True
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
         if capacity < 1:
@@ -111,11 +105,11 @@ class Resource:
 
         Returns ``True`` and takes a slot when one is free; returns
         ``False`` (take the :meth:`acquire` event path) when the
-        resource is saturated or :attr:`fast_path` is disabled.  A
-        successful fast grant is indistinguishable from an immediate
-        event grant: same slot accounting, same zero recorded wait.
+        resource is saturated.  A successful fast grant is
+        indistinguishable from an immediate event grant: same slot
+        accounting, same zero recorded wait.
         """
-        if not self.fast_path or self._in_use >= self.capacity:
+        if self._in_use >= self.capacity:
             return False
         self._account()
         self._in_use += 1

@@ -120,17 +120,6 @@ class FlashTranslationLayer:
             flat[remapped] = self._remap_vals[pos[remapped]]
         return out
 
-    def _apply_remap_scalar(
-        self, lpns: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Reference remap application (parity tests)."""
-        flat = out.reshape(-1)
-        for i, lpn in enumerate(lpns.ravel()):
-            mapped = self._remap.get(int(lpn))
-            if mapped is not None:
-                flat[i] = mapped
-        return out
-
     def translate_one(self, lpn: int) -> int:
         return int(self.translate(np.array([lpn]))[0])
 

@@ -6,7 +6,9 @@ clock, the dispatched-hop count, the ``flash`` resource accounting and
 the page counter are pinned in ``tests/data/isp_contention_trace.json``
 so any change to how ISP lanes are scheduled must reproduce the exact
 event schedule, in both the coalesced and the one-entry-per-event
-queue, with and without the synchronous ``try_acquire`` grant.
+queue (``Simulator`` and ``repro.perf.reference.ReferenceSimulator``),
+with and without the synchronous ``try_acquire`` grant (``event_grants``
+turns it off).
 
 ``processed_events`` counts hops.  Each ``isp_flash_read`` call
 dispatches one hop that starts all its lanes, one hop per served
@@ -22,14 +24,15 @@ Regenerate the pin (only when the schedule is meant to change) with
 
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.perf.reference import ReferenceSimulator, event_grants
 from repro.pipeline.backends.base import drive
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource
 from repro.storage.ssd import SSDevice
 
 PIN = os.path.join(os.path.dirname(__file__), "data",
@@ -37,7 +40,7 @@ PIN = os.path.join(os.path.dirname(__file__), "data",
 
 
 def _scenario(coalesce):
-    sim = Simulator(coalesce=coalesce)
+    sim = Simulator() if coalesce else ReferenceSimulator()
     faults = FaultInjector(FaultPlan(seed=7, flash_read_error_rate=0.02))
     state = SSDevice().attach(sim, faults=faults)
 
@@ -57,13 +60,9 @@ def _scenario(coalesce):
 
 
 def contention_trace(coalesce, fast_path):
-    saved = Resource.fast_path
-    Resource.fast_path = fast_path
-    try:
+    with nullcontext() if fast_path else event_grants():
         sim, state, faults, procs = _scenario(coalesce)
         drive(sim, procs, what="isp trace")
-    finally:
-        Resource.fast_path = saved
     state.flash.utilization()  # fold the open interval into busy area
     return {
         "now": sim.now,

@@ -13,6 +13,12 @@ from repro.graph.csr import CSRGraph
 from repro.gnn.sampler import FrontierDedup, NeighborSampler
 from repro.host.pagecache import OSPageCache
 from repro.memory.llc import CacheSim
+from repro.perf.reference import (
+    ReferenceSimulator,
+    apply_remap_scalar,
+    event_grants,
+    fault_around_windows_scalar,
+)
 from repro.sim.engine import Simulator, all_of
 from repro.sim.resources import Resource
 from repro.storage.controller import FlashController
@@ -149,7 +155,7 @@ def test_ftl_vectorized_remap_matches_scalar():
         ref.rewrite(lpn)
     lpns = rng.integers(0, 50_000, size=5000).astype(np.int64)
     out_fast = fast.translate(lpns)
-    out_ref = ref._apply_remap_scalar(lpns, ref.permute(lpns))
+    out_ref = apply_remap_scalar(ref, lpns, ref.permute(lpns))
     assert np.array_equal(out_fast, out_ref)
     # a fresh rewrite invalidates the sorted-key cache
     fast.rewrite(int(lpns[0]))
@@ -254,18 +260,18 @@ def _contended_workload(sim, log):
 
 def test_engine_coalescing_preserves_dispatch_order():
     logs = {}
-    for coalesce in (True, False):
-        sim = Simulator(coalesce=coalesce)
+    for sim_cls in (Simulator, ReferenceSimulator):
+        sim = sim_cls()
         log = []
         _contended_workload(sim, log)
         sim.run()
-        logs[coalesce] = (log, sim.now, sim.processed_events)
-    assert logs[True] == logs[False]
+        logs[sim_cls] = (log, sim.now, sim.processed_events)
+    assert logs[Simulator] == logs[ReferenceSimulator]
 
 
 def test_engine_coalescing_run_until_boundary():
-    for coalesce in (True, False):
-        sim = Simulator(coalesce=coalesce)
+    for sim_cls in (Simulator, ReferenceSimulator):
+        sim = sim_cls()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(2.0, lambda: fired.append(2))
@@ -279,8 +285,8 @@ def test_engine_coalescing_run_until_boundary():
 def test_engine_coalescing_same_time_reentry():
     # events scheduled at the *current* time from inside a dispatch must
     # run after the currently draining bucket, in schedule order
-    for coalesce in (True, False):
-        sim = Simulator(coalesce=coalesce)
+    for sim_cls in (Simulator, ReferenceSimulator):
+        sim = sim_cls()
         order = []
 
         def outer(_ev):
@@ -378,10 +384,7 @@ def test_sampler_noreplace_edge_cases():
 
 
 def test_fault_around_windows_bit_identical():
-    from repro.host.mmap_io import (
-        fault_around_windows,
-        fault_around_windows_scalar,
-    )
+    from repro.host.mmap_io import fault_around_windows
 
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -401,7 +404,7 @@ def test_plan_extents_uses_vectorized_windows():
     """MmapReader.plan_extents emits the same window stream the scalar
     loop produced (the reader's cache state feeds both plans)."""
     from repro.config import HardwareParams
-    from repro.host.mmap_io import MmapReader, fault_around_windows_scalar
+    from repro.host.mmap_io import MmapReader
     from repro.host.pagecache import OSPageCache
     from repro.host.syscall import HostSoftware
     from repro.storage.ssd import SSDevice
@@ -456,12 +459,8 @@ def test_resource_fast_path_pipeline_bit_identical(design, mode):
         system=SystemSpec(design=design),
     )
     fast = Session(spec).run()
-    old = Resource.fast_path
-    Resource.fast_path = False
-    try:
+    with event_grants():
         reference = Session(spec).run()
-    finally:
-        Resource.fast_path = old
     assert fast == reference
 
 

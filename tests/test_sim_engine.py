@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError
+from repro.perf.reference import ReferenceSimulator
 from repro.pipeline.backends.base import drive
 from repro.sim import Simulator, all_of
 from repro.sim.resources import Resource
@@ -268,6 +269,11 @@ def test_processed_events_counter_increases():
 # -- events that already fired -------------------------------------------
 
 
+def _simulator(coalesce):
+    """The production loop, or the one-entry-per-hop reference."""
+    return Simulator() if coalesce else ReferenceSimulator()
+
+
 def _yields(*targets):
     """A process body that yields ``targets`` in order."""
     for target in targets:
@@ -276,7 +282,7 @@ def _yields(*targets):
 
 @pytest.mark.parametrize("coalesce", [True, False])
 def test_waiting_on_finished_process_resumes(coalesce):
-    sim = Simulator(coalesce=coalesce)
+    sim = _simulator(coalesce)
 
     def child(sim):
         yield sim.timeout(1.0)
@@ -351,7 +357,7 @@ def _delay_workload(sim, log, plain):
 def test_plain_delay_takes_the_timeout_slot(coalesce):
     runs = {}
     for plain in (False, True):
-        sim = Simulator(coalesce=coalesce)
+        sim = _simulator(coalesce)
         log = []
         _delay_workload(sim, log, plain)
         sim.run()
@@ -407,7 +413,7 @@ def test_bad_timeout_delay_rejected(delay):
 def test_run_until_triggered_matches_step_loop(coalesce):
     results = []
     for inlined in (True, False):
-        sim = Simulator(coalesce=coalesce)
+        sim = _simulator(coalesce)
         log = []
         done = _delay_workload(sim, log, plain=True)
         first = sim.process(_yields(3e-6, None))
@@ -425,7 +431,7 @@ def test_run_until_triggered_matches_step_loop(coalesce):
 
 @pytest.mark.parametrize("coalesce", [True, False])
 def test_run_until_triggered_false_when_queue_drains(coalesce):
-    sim = Simulator(coalesce=coalesce)
+    sim = _simulator(coalesce)
     sim.process(_yields(1.0, 2.0))
     never = sim.event()
     assert sim.run_until_triggered(never) is False

@@ -1,8 +1,11 @@
 """Unit tests for Resource, Store, and BandwidthLink."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.perf.reference import event_grants
 from repro.sim import BandwidthLink, Resource, Simulator, Store
 
 
@@ -244,13 +247,10 @@ def test_try_acquire_grants_until_saturated():
 def test_try_acquire_declines_when_fast_path_disabled():
     sim = Simulator()
     res = Resource(sim, capacity=4)
-    old = Resource.fast_path
-    Resource.fast_path = False
-    try:
+    with event_grants():
         assert not res.try_acquire()
-    finally:
-        Resource.fast_path = old
     assert res.in_use == 0
+    assert res.try_acquire()  # restored on exit
 
 
 def test_fast_path_matches_reference_accounting():
@@ -272,14 +272,10 @@ def test_fast_path_matches_reference_accounting():
                     res.release()
             done.append((tag, sim.now))
 
-        old = Resource.fast_path
-        Resource.fast_path = fast
-        try:
+        with nullcontext() if fast else event_grants():
             for tag in range(5):  # 5 procs > capacity 3: mixed contention
                 sim.process(proc(tag))
             sim.run()
-        finally:
-            Resource.fast_path = old
         return (
             done,
             sim.now,
