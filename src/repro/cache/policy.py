@@ -259,7 +259,7 @@ class ClockPolicy(CachePolicy):
         self._ref: list = []               # slot -> reference bit
         self._hand = 0
 
-    def _insert_scalar(self, key: int) -> None:
+    def _insert(self, key: int) -> None:
         if len(self._keys) < self.capacity:
             self._index[key] = len(self._keys)
             self._keys.append(key)
@@ -284,7 +284,7 @@ class ClockPolicy(CachePolicy):
                 ref[slot] = True
                 out.append(True)
             else:
-                self._insert_scalar(k)
+                self._insert(k)
                 out.append(False)
         return np.array(out, dtype=bool)
 

@@ -302,9 +302,9 @@ def build_tiered_cache(
     tier (``CacheParams.hbm_capacity_mb`` when ``None``); peer/uva
     capacities and the NVLink pricing come from ``hw.cache``, the UVA
     pricing from ``hw.pcie``'s GPU link.  ``priority_pages`` (descending
-    priority) feeds the static pinning policy; successive static tiers
-    pin successive chunks of it, so the hierarchy holds the hottest
-    pages nearest the GPU.
+    priority) feeds the static pinning policy, which requires it;
+    successive static tiers pin successive chunks of it, so the
+    hierarchy holds the hottest pages nearest the GPU.
     """
     names = tuple(tiers) if tiers else ("hbm",)
     policy = policy or "lru"
@@ -346,7 +346,7 @@ def build_tiered_cache(
             hit_bandwidth=bandwidth,
             priority_pages=tier_priority,
         )
-        if policy == "static" and priority_pages is not None:
+        if policy == "static":
             offset += tier.capacity_pages
         built.append(tier)
     return TieredFeatureCache(built)
