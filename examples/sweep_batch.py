@@ -33,17 +33,20 @@ def main() -> None:
     base.workloads  # materialize once, outside both timed runs
     workers = list(range(1, 101))
 
-    def sweep(batch):
-        session = Session(
-            spec, dataset=base.dataset, workloads=base.workloads
+    def point(w):
+        return Session(
+            spec.replace(n_workers=w),
+            dataset=base.dataset,
+            workloads=base.workloads,
         )
-        t0 = time.perf_counter()
-        results = session.sweep("n_workers", workers, batch=batch)
-        return results, time.perf_counter() - t0
 
     print("100-point n_workers sweep, analytic mode")
-    batched, t_batch = sweep(True)    # what batch=None picks here
-    scalar, t_scalar = sweep(False)   # the per-point reference
+    t0 = time.perf_counter()
+    batched = point(spec.n_workers).sweep("n_workers", workers)
+    t_batch = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scalar = {w: point(w).run() for w in workers}  # per-point reference
+    t_scalar = time.perf_counter() - t0
     assert all(batched[w] == scalar[w] for w in workers)
     print(f"   per-point loop   {t_scalar * 1e3:8.1f} ms")
     print(f"   batched          {t_batch * 1e3:8.1f} ms "

@@ -18,13 +18,10 @@ batched path share the same :func:`phase_costs` accumulation and the
 same IEEE-double combine arithmetic -- which the parity tests in
 ``tests/test_perf_parity.py`` lock down, ``record_bytes`` included.
 
-Entry points:
-
-* :func:`evaluate_sessions` -- N prepared :class:`Session` objects.
-* :func:`evaluate_specs` -- N :class:`RunSpec` / spec dicts (the
-  service's batched dispatch; shares materialized datasets through the
-  active :mod:`repro.api.cache` when one is installed).
-* :func:`batchable` -- eligibility predicate shared by every layer.
+Entry point: :func:`evaluate_sessions`, N prepared :class:`Session`
+objects.  Its one production caller is :meth:`Session.sweep`, which
+takes it exactly when every point of a grid is analytic; the service
+answers each analytic job on its own, with the same record bytes.
 """
 
 from __future__ import annotations
@@ -38,13 +35,7 @@ from repro.errors import ConfigError
 from repro.pipeline.backends.analytic import combine_batch, phase_costs
 from repro.pipeline.backends.base import PipelineResult
 
-__all__ = [
-    "FREE_FIELDS",
-    "batchable",
-    "cost_group_key",
-    "evaluate_sessions",
-    "evaluate_specs",
-]
+__all__ = ["FREE_FIELDS", "cost_group_key", "evaluate_sessions"]
 
 #: RunSpec fields the analytic model either folds in closed form
 #: (``n_batches``/``n_workers``) or ignores outright (the mode and the
@@ -53,16 +44,6 @@ __all__ = [
 #: warm-up, the whole SystemSpec) changes the warmed system or the
 #: workload pool and therefore splits the group.
 FREE_FIELDS = frozenset({"mode", *PIPELINE_COUNTS})
-
-
-def batchable(spec) -> bool:
-    """Can this spec ride the batched evaluator?  (Mapping or RunSpec.)"""
-    if isinstance(spec, RunSpec):
-        return spec.mode == "analytic"
-    try:
-        return spec.get("mode") == "analytic"
-    except AttributeError:
-        return False
 
 
 def cost_group_key(spec: RunSpec) -> str:
@@ -141,53 +122,3 @@ def evaluate_sessions(sessions: Sequence) -> List[PipelineResult]:
             results[i] = result
     return results
 
-
-def evaluate_specs(specs: Sequence) -> List[PipelineResult]:
-    """Evaluate N analytic :class:`RunSpec` objects (or spec dicts).
-
-    Materialized datasets and workload pools are shared across cost
-    groups with matching generation parameters (the same sharing rule
-    :meth:`Session.sweep` applies), so a cold 100-point cache-fraction
-    grid pays for one dataset build, not 100.  Datasets are
-    deterministic functions of those parameters, which keeps the
-    sharing invisible to the results.
-    """
-    from repro.api.session import Session
-
-    ds_pool: Dict[str, "Session"] = {}
-    wl_pool: Dict[str, "Session"] = {}
-    sessions = []
-    for spec in specs:
-        s = Session(spec)
-        sp = s.spec
-        ds_key = spec_key(
-            "batcheval-ds",
-            dataset=sp.dataset,
-            variant=sp.variant,
-            edge_budget=sp.edge_budget,
-            seed=sp.seed,
-            rmat_draw=sp.rmat_draw,
-        )
-        wl_key = spec_key(
-            "batcheval-wl",
-            ds=ds_key,
-            batch_size=sp.batch_size,
-            n_workloads=sp.n_workloads,
-            sampler=sp.sampler,
-            fanouts=sp.system.fanouts,
-            hardware=sp.system.hardware,
-        )
-        ds_donor = ds_pool.get(ds_key)
-        wl_donor = wl_pool.get(wl_key)
-        if ds_donor is not None:
-            s = Session(
-                sp,
-                dataset=ds_donor.dataset,
-                workloads=(
-                    wl_donor.workloads if wl_donor is not None else None
-                ),
-            )
-        ds_pool.setdefault(ds_key, s)
-        wl_pool.setdefault(wl_key, s)
-        sessions.append(s)
-    return evaluate_sessions(sessions)

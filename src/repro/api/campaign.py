@@ -12,10 +12,10 @@ results when they ran in the same campaign under the same config; the
 ones that did not are run for it, unlisted.
 
 Every unit runs on its own through :func:`_execute_unit`; a campaign
-never coalesces units.  Batched analytic evaluation lives in
-:meth:`repro.api.session.Session.sweep` and in the service's dispatch
-(:mod:`repro.service.server`), the two places that see many analytic
-specs at once.  With a ``store`` (a
+never coalesces units, and neither does the service.  Batched
+analytic evaluation lives only in
+:meth:`repro.api.session.Session.sweep`, which sees a whole grid at
+once.  With a ``store`` (a
 :class:`~repro.service.store.ResultStore` or its directory), spec
 units are content-addressed: a hit is served from its record, and a
 miss is evaluated by the service worker

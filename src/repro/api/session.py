@@ -528,12 +528,7 @@ class Session:
             baseline=baseline or designs[0], results=results
         )
 
-    def sweep(
-        self,
-        axis: str,
-        values: Sequence,
-        batch: Optional[bool] = None,
-    ) -> "SweepResults":
+    def sweep(self, axis: str, values: Sequence) -> "SweepResults":
         """Run the spec once per value of ``axis``.
 
         ``axis`` is any :class:`RunSpec` field (``n_workers``,
@@ -551,10 +546,8 @@ class Session:
         When every point is analytic-mode the grid is answered by the
         batched evaluator (:mod:`repro.api.batcheval`) -- one phase-cost
         computation per cost group, one vectorized combine -- with
-        results bit-identical to per-point :meth:`run`.  ``batch``
-        overrides the automatic choice: ``False`` forces scalar
-        per-point evaluation, ``True`` requires an all-analytic grid
-        (:class:`ConfigError` otherwise).
+        results bit-identical to per-point :meth:`run`.  Any other grid
+        runs point by point.
         """
         run_fields = {
             f.name for f in dataclasses.fields(RunSpec) if f.name != "system"
@@ -595,16 +588,8 @@ class Session:
                 workloads=self.workloads if share_workloads else None,
                 hw=self._hw if axis != "hardware" else None,
             ))
-        all_analytic = all(p.spec.mode == "analytic" for p in points)
-        if batch is None:
-            batch = all_analytic
-        elif batch and not all_analytic:
-            raise ConfigError(
-                "batch=True needs every sweep point in mode='analytic'; "
-                "pass batch=None to fall back per-point automatically"
-            )
         results = SweepResults()
-        if batch and points:
+        if points and all(p.spec.mode == "analytic" for p in points):
             from repro.api.batcheval import evaluate_sessions
 
             for value, result in zip(values, evaluate_sessions(points)):

@@ -12,15 +12,12 @@ from functools import partial
 
 from repro.api.experiment import register_experiment
 from repro.core.energy import energy_comparison
-from repro.core.systems import build_gpu_model
 from repro.experiments.common import (
     ExperimentConfig,
-    build_eval_system,
-    make_workloads,
     scaled_instance,
+    session_for,
 )
 from repro.experiments.report import format_table
-from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import geometric_mean
 
 __all__ = ["render"]
@@ -34,20 +31,10 @@ _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw",
 
 
 def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
-    ds = scaled_instance(name, cfg)
-    workloads = make_workloads(ds, cfg)
-    request = ExecutionRequest(
-        gpu=build_gpu_model(ds, cfg.hw),
-        workloads=workloads[cfg.warmup_batches:],
-        n_batches=N_BATCHES,
-        n_workers=N_WORKERS,
-    )
-    results = {}
-    for design in _DESIGNS:
-        system = build_eval_system(design, ds, cfg)
-        for w in workloads[: cfg.warmup_batches]:
-            system.sampling_engine.batch_cost(w)
-        results[design] = run_pipeline(request, system=system)
+    results = session_for(
+        scaled_instance(name, cfg), cfg,
+        n_batches=N_BATCHES, n_workers=N_WORKERS,
+    ).compare(_DESIGNS).results
     reports = energy_comparison(results)
     return name, {
         "reports": reports,

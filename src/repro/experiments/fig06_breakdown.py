@@ -10,16 +10,13 @@ from __future__ import annotations
 from functools import partial
 
 from repro.api.experiment import register_experiment
-from repro.core.systems import build_gpu_model
 from repro.experiments.common import (
     EVAL_DATASETS,
     ExperimentConfig,
-    build_eval_system,
-    make_workloads,
     scaled_instance,
+    session_for,
 )
 from repro.experiments.report import format_stacked, format_table
-from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import PhaseBreakdown, geometric_mean
 
 __all__ = ["render", "PAPER_AVG_SLOWDOWN", "PAPER_MAX_SLOWDOWN"]
@@ -35,21 +32,10 @@ _DESIGNS = ("dram", "ssd-mmap")
 
 
 def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
-    ds = scaled_instance(name, cfg)
-    workloads = make_workloads(ds, cfg)
-    request = ExecutionRequest(
-        gpu=build_gpu_model(ds, cfg.hw),
-        workloads=workloads[cfg.warmup_batches:],
-        n_batches=N_BATCHES,
-        n_workers=N_WORKERS,
-    )
-    designs = {}
-    for design in _DESIGNS:
-        system = build_eval_system(design, ds, cfg)
-        for w in workloads[: cfg.warmup_batches]:
-            system.sampling_engine.batch_cost(w)
-        result = run_pipeline(request, system=system)
-        designs[design] = result
+    designs = session_for(
+        scaled_instance(name, cfg), cfg,
+        n_batches=N_BATCHES, n_workers=N_WORKERS,
+    ).compare(_DESIGNS).results
     slowdown = (
         designs["ssd-mmap"].elapsed_s / designs["dram"].elapsed_s
     )

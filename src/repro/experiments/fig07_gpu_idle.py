@@ -10,13 +10,11 @@ from __future__ import annotations
 from functools import partial
 
 from repro.api.experiment import RunRecord, register_experiment
-from repro.core.systems import build_gpu_model
 from repro.experiments.common import (
     EVAL_DATASETS,
     ExperimentConfig,
-    build_eval_system,
-    make_workloads,
     scaled_instance,
+    session_for,
 )
 from repro.experiments.report import format_table
 
@@ -30,24 +28,11 @@ _DESIGNS = ("dram", "ssd-mmap")
 
 
 def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
-    from repro.pipeline import ExecutionRequest, run_pipeline
-
-    ds = scaled_instance(name, cfg)
-    workloads = make_workloads(ds, cfg)
-    request = ExecutionRequest(
-        gpu=build_gpu_model(ds, cfg.hw),
-        workloads=workloads[cfg.warmup_batches:],
-        n_batches=N_BATCHES,
-        n_workers=N_WORKERS,
-    )
-    idle = {}
-    for design in _DESIGNS:
-        system = build_eval_system(design, ds, cfg)
-        for w in workloads[: cfg.warmup_batches]:
-            system.sampling_engine.batch_cost(w)
-        result = run_pipeline(request, system=system)
-        idle[design] = result.gpu_idle_fraction
-    return name, idle
+    results = session_for(
+        scaled_instance(name, cfg), cfg,
+        n_batches=N_BATCHES, n_workers=N_WORKERS,
+    ).compare(_DESIGNS).results
+    return name, {d: r.gpu_idle_fraction for d, r in results.items()}
 
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:

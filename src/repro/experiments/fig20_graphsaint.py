@@ -11,16 +11,13 @@ from __future__ import annotations
 from functools import partial
 
 from repro.api.experiment import register_experiment
-from repro.core.systems import build_gpu_model
 from repro.experiments.common import (
     EVAL_DATASETS,
     ExperimentConfig,
-    build_eval_system,
-    make_workloads,
     scaled_instance,
+    session_for,
 )
 from repro.experiments.report import format_bars, format_table
-from repro.pipeline import ExecutionRequest, run_pipeline
 from repro.sim.stats import geometric_mean
 
 __all__ = ["render", "PAPER_AVG_SPEEDUP"]
@@ -35,20 +32,11 @@ _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw")
 
 
 def _run_dataset(name: str, cfg: ExperimentConfig) -> tuple:
-    ds = scaled_instance(name, cfg)
-    workloads = make_workloads(ds, cfg, sampler_kind="saint")
-    request = ExecutionRequest(
-        gpu=build_gpu_model(ds, cfg.hw),
-        workloads=workloads[cfg.warmup_batches:],
-        n_batches=N_BATCHES,
-        n_workers=N_WORKERS,
-    )
-    elapsed = {}
-    for design in _DESIGNS:
-        system = build_eval_system(design, ds, cfg)
-        for w in workloads[: cfg.warmup_batches]:
-            system.sampling_engine.batch_cost(w)
-        elapsed[design] = run_pipeline(request, system=system).elapsed_s
+    results = session_for(
+        scaled_instance(name, cfg), cfg,
+        sampler="saint", n_batches=N_BATCHES, n_workers=N_WORKERS,
+    ).compare(_DESIGNS).results
+    elapsed = {d: r.elapsed_s for d, r in results.items()}
     return name, {
         "elapsed": elapsed,
         "hwsw_speedup": elapsed["ssd-mmap"]

@@ -210,6 +210,12 @@ def _bench_frontier_dedup(ctx):
     description="multi-hop neighbor sampling (table vs sorted dedup kernel)",
 )
 def _bench_sampler_batch(ctx):
+    """Multi-hop sampling with the table dedup against the sorted one.
+
+    Five mini-batches take ~1.4 ms at smoke scale, short enough for a
+    single scheduler hiccup to decide a repeat, so a smoke repeat
+    samples ``iters`` = 100 batches (~20-40 ms).
+    """
     from repro.gnn.sampler import NeighborSampler
     from repro.graph.csr import CSRGraph
 
@@ -223,7 +229,7 @@ def _bench_sampler_batch(ctx):
     )
     seeds = rng.choice(n_nodes, size=ctx.scale(512, 96), replace=False)
     fanouts = (15, 10)
-    iters = 5
+    iters = ctx.scale(5, 100)
 
     def run(dedup: str):
         sampler = NeighborSampler(graph, fanouts=fanouts, dedup=dedup)

@@ -16,7 +16,9 @@ checks that), so production code has exactly one path each.
   :meth:`repro.storage.ftl.FlashTranslationLayer.translate`'s sorted
   remap lookup;
 * :func:`fault_around_windows_scalar` -- the per-extent loop behind
-  :func:`repro.host.mmap_io.fault_around_windows`.
+  :func:`repro.host.mmap_io.fault_around_windows`;
+* :func:`combine` -- the one-point closed-form fold behind
+  :func:`repro.pipeline.backends.analytic.combine_batch`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.pipeline.backends.base import PipelineResult
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 
@@ -35,6 +38,7 @@ __all__ = [
     "event_grants",
     "apply_remap_scalar",
     "fault_around_windows_scalar",
+    "combine",
 ]
 
 
@@ -96,3 +100,36 @@ def fault_around_windows_scalar(
             window_sizes.append(take)
             m -= take
     return np.asarray(window_sizes, dtype=np.int64)
+
+
+def combine(
+    design: str,
+    samp: float,
+    feat: float,
+    trans: float,
+    train: float,
+    n_batches: int,
+    n_workers: int,
+) -> PipelineResult:
+    """Fold mean phase costs into the steady-state result, one point
+    in Python scalars."""
+    produce = samp + feat
+    consume = trans + train
+    interval = max(consume, produce / n_workers)
+    elapsed = produce + consume + (n_batches - 1) * interval
+    busy = n_batches * consume
+    return PipelineResult(
+        design=design,
+        mode="analytic",
+        n_batches=n_batches,
+        n_workers=n_workers,
+        elapsed_s=elapsed,
+        gpu_busy_s=busy,
+        gpu_idle_fraction=max(0.0, 1.0 - busy / elapsed),
+        phase_means={
+            "neighbor_sampling": samp,
+            "feature_lookup": feat,
+            "cpu_to_gpu": trans,
+            "gnn_training": train,
+        },
+    )

@@ -16,14 +16,15 @@ The model factors into two halves that the batched sweep evaluator
   sampling/feature/transfer/train costs over the workload pool, which
   depend only on the warmed system + GPU + workloads (never on
   ``n_batches``/``n_workers``).
-* :func:`combine` / :func:`combine_batch` -- the cheap closed-form
-  part: fold those four costs with the pipeline knobs into a
-  :class:`PipelineResult`.  ``combine_batch`` is the vectorized face:
-  one numpy pass over arrays of ``n_batches``/``n_workers`` (and
-  optionally per-point costs), bit-identical to calling the scalar
-  :func:`combine` per point because every arithmetic step maps to the
-  same IEEE-double operation (``np.maximum`` == ``max`` for non-NaN,
-  int64/float64 division and multiplication match Python scalars).
+* :func:`combine_batch` -- the cheap closed-form part: fold those
+  four costs with the pipeline knobs into one :class:`PipelineResult`
+  per point, one numpy pass over arrays of ``n_batches``/``n_workers``
+  (and optionally per-point costs).  A single spec is a batch of one.
+  It is bit-identical to the scalar fold
+  :func:`repro.perf.reference.combine` because every arithmetic step
+  maps to the same IEEE-double operation (``np.maximum`` == ``max``
+  for non-NaN, int64/float64 division and multiplication match Python
+  scalars).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from repro.pipeline.backends.base import ExecutionRequest, PipelineResult
 from repro.pipeline.backends.registry import register_backend
 
-__all__ = ["phase_costs", "combine", "combine_batch"]
+__all__ = ["phase_costs", "combine_batch"]
 
 
 def phase_costs(system, gpu, workloads) -> Tuple[float, float, float, float]:
@@ -56,39 +57,6 @@ def phase_costs(system, gpu, workloads) -> Tuple[float, float, float, float]:
     return samp / k, feat / k, trans / k, train / k
 
 
-def combine(
-    design: str,
-    samp: float,
-    feat: float,
-    trans: float,
-    train: float,
-    n_batches: int,
-    n_workers: int,
-) -> PipelineResult:
-    """Fold mean phase costs into the steady-state result (scalar
-    reference for :func:`combine_batch`)."""
-    produce = samp + feat
-    consume = trans + train
-    interval = max(consume, produce / n_workers)
-    elapsed = produce + consume + (n_batches - 1) * interval
-    busy = n_batches * consume
-    return PipelineResult(
-        design=design,
-        mode="analytic",
-        n_batches=n_batches,
-        n_workers=n_workers,
-        elapsed_s=elapsed,
-        gpu_busy_s=busy,
-        gpu_idle_fraction=max(0.0, 1.0 - busy / elapsed),
-        phase_means={
-            "neighbor_sampling": samp,
-            "feature_lookup": feat,
-            "cpu_to_gpu": trans,
-            "gnn_training": train,
-        },
-    )
-
-
 def combine_batch(
     design: str,
     samp,
@@ -98,14 +66,14 @@ def combine_batch(
     n_batches: Sequence[int],
     n_workers: Sequence[int],
 ) -> List[PipelineResult]:
-    """Vectorized :func:`combine`: N results from one numpy pass.
+    """The closed-form fold: N results from one numpy pass.
 
     ``samp``/``feat``/``trans``/``train`` are scalars (one cost group
     broadcast across every point) or per-point arrays; ``n_batches``
     and ``n_workers`` are the per-point knob arrays.  Outputs are
     converted back to Python floats so the results -- and their
     canonical-JSON store records -- are byte-identical to the scalar
-    path.
+    reference fold.
     """
     nb = np.asarray(n_batches, dtype=np.int64)
     nw = np.asarray(n_workers, dtype=np.int64)
@@ -146,10 +114,10 @@ def combine_batch(
 def _plan_analytic(request: ExecutionRequest) -> PipelineResult:
     system, gpu = request.base_system(), request.gpu
     samp, feat, trans, train = phase_costs(system, gpu, request.workloads)
-    return combine(
+    return combine_batch(
         system.design, samp, feat, trans, train,
-        request.n_batches, request.n_workers,
-    )
+        [request.n_batches], [request.n_workers],
+    )[0]
 
 
 @register_backend(

@@ -1,7 +1,7 @@
 """Campaign-as-a-service: persistent spec serving over the simulator.
 
 The :mod:`repro.api` layer made spec evaluation declarative (``RunSpec``
--> ``Session`` -> ``PipelineResult``) and batchable (``Campaign``);
+-> ``Session`` -> ``PipelineResult``) and runnable in bulk (``Campaign``);
 this package turns it into a *service*: a long-running process that
 accepts :class:`~repro.api.spec.RunSpec` submissions, executes them on
 a **process-pool worker tier** (so CPU-bound simulations scale with
@@ -20,7 +20,7 @@ re-simulating.  The pieces:
 * :mod:`repro.service.worker` -- the picklable work unit
   (:func:`evaluate_spec_dict`) refactored out of the campaign
   executor's closure-based units so a ``ProcessPoolExecutor`` can run
-  it.
+  it; each computed job is one call of it, analytic specs included.
 * :mod:`repro.service.server` -- :class:`CampaignService`: the serving
   loop wiring queue, workers, and store together, with per-job
   timeouts, bounded retry on worker crashes, failure isolation, and a

@@ -22,13 +22,10 @@ with the invariants the campaign-as-a-service design asks for:
   currently being computed attaches to that computation
   (``source="coalesced"``) so one key simulates at most once no matter
   how many submitters race;
-* **batched**: with the default ``work_fn``, queued analytic-mode jobs
-  coalesce into one pool submission
-  (:func:`~repro.service.worker.evaluate_batch_and_store`) whose
-  records are byte-identical to the scalar path's -- this and
-  :meth:`repro.api.session.Session.sweep` are the only places analytic
-  specs are batched (a :class:`~repro.api.campaign.Campaign` runs
-  each unit on its own);
+* **one answer path**: every computed job is one ``work_fn`` call on
+  one worker, analytic or not; analytic grids are batched only by
+  :meth:`repro.api.session.Session.sweep`, whose records equal the
+  per-spec ones;
 * **scales with cores**: real work runs on a ``ProcessPoolExecutor``
   (``executor="process"``); ``"thread"`` and ``"inline"`` executors
   exist for tests, benchmarks, and single-core fallbacks;
@@ -66,11 +63,7 @@ from repro.api.validation import check_count, check_positive_real
 from repro.errors import ConfigError
 from repro.service.jobs import Job, JobQueue, Spool
 from repro.service.store import ResultStore, run_key
-from repro.service.worker import (
-    evaluate_and_store,
-    evaluate_batch_and_store,
-    init_worker,
-)
+from repro.service.worker import evaluate_and_store, init_worker
 
 __all__ = ["CampaignService", "ServiceReport", "EXECUTORS"]
 
@@ -176,7 +169,6 @@ class ServiceReport:
             f"({self.wall_s:.2f}s wall, "
             f"{self.throughput_jobs_per_s:.1f} jobs/s)",
             f"sources: {self.sources.get('computed', 0)} computed, "
-            f"{self.sources.get('batch', 0)} batch, "
             f"{self.sources.get('store', 0)} store, "
             f"{self.sources.get('coalesced', 0)} coalesced "
             f"({self.served_fraction:.0%} served)",
@@ -242,10 +234,8 @@ class CampaignService:
         #: set by submit() and by every settling future; the loop
         #: sleeps on it between cycles instead of a fixed poll
         self._wake = threading.Event()
-        #: key -> (primary job, future, monotonic dispatch time,
-        #: batched?) -- members of one batch share a single future,
-        #: whose result maps run_key -> record
-        self._running: Dict[str, Tuple[Job, Future, float, bool]] = {}
+        #: key -> (primary job, future, monotonic dispatch time)
+        self._running: Dict[str, Tuple[Job, Future, float]] = {}
         #: key -> jobs waiting on the in-flight primary
         self._followers: Dict[str, List[Job]] = {}
         self._latencies: List[float] = []
@@ -290,10 +280,6 @@ class CampaignService:
     def _submit_work(self, job: Job) -> Future:
         return self._start(self.work_fn, job.spec, self.store.root)
 
-    def _submit_batch(self, jobs: List[Job]) -> Future:
-        specs = [job.spec for job in jobs]
-        return self._start(evaluate_batch_and_store, specs, self.store.root)
-
     def _start(self, fn, *args) -> Future:
         """Run ``fn(*args)`` on the executor; its settling wakes the loop."""
         if self.executor == "inline":
@@ -303,10 +289,6 @@ class CampaignService:
             future = self._pool.submit(fn, *args)
         future.add_done_callback(lambda _: self._wake.set())
         return future
-
-    def _in_flight(self) -> int:
-        """Occupied worker slots: batch members share one future."""
-        return len({id(f) for _, f, _, _ in self._running.values()})
 
     # -- the three moves ---------------------------------------------------
 
@@ -330,81 +312,38 @@ class CampaignService:
         return progressed
 
     def _dispatch(self) -> bool:
-        """Start queued jobs: serve from store, coalesce, batch, or
-        simulate.
-
-        With the default ``work_fn``, queued analytic-mode jobs are
-        coalesced into one batched pool submission
-        (:func:`~repro.service.worker.evaluate_batch_and_store`): the
-        open batch occupies a single worker slot however many jobs it
-        absorbs, so a 50-spec sweep is answered as one array op instead
-        of 50 submissions.  A batch of one falls back to the scalar
-        path (nothing to coalesce).
-        """
+        """Start queued jobs: serve from store, coalesce, or simulate."""
         progressed = False
-        # an injected work function has no batched face
-        batch_ok = self.work_fn is evaluate_and_store
-        pending: List[Job] = []
-        pending_keys = set()
-        while self._in_flight() + (1 if pending else 0) < self.workers \
-                or pending:
+        while len(self._running) < self.workers:
             job = self.queue.next_job()
             if job is None:
                 break
             progressed = True
-            if job.key in self._running or job.key in pending_keys:
+            if job.key in self._running:
                 self._followers.setdefault(job.key, []).append(job)
                 continue
-            record = self.store.get(job.key)
-            if record is not None:
+            if self.store.get(job.key) is not None:
                 self._finish(job, "store")
                 continue
-            if batch_ok and job.spec.get("mode") == "analytic":
-                pending.append(job)
-                pending_keys.add(job.key)
-                continue
-            if self._in_flight() + (1 if pending else 0) >= self.workers:
-                # pulled past capacity while the open batch was still
-                # absorbing: only analytic jobs may ride along, so this
-                # one goes back to the queue for the next cycle (not a
-                # real attempt -- give the retry budget back)
-                job.attempts -= 1
-                self.queue.requeue(job, "capacity")
-                break
             self._running[job.key] = (
-                job, self._submit_work(job), time.monotonic(), False
+                job, self._submit_work(job), time.monotonic()
             )
-        if len(pending) == 1:
-            job = pending[0]
-            self._running[job.key] = (
-                job, self._submit_work(job), time.monotonic(), False
-            )
-        elif pending:
-            future = self._submit_batch(pending)
-            t0 = time.monotonic()
-            for job in pending:
-                self._running[job.key] = (job, future, t0, True)
         return progressed
 
     def _harvest(self) -> bool:
         """Collect finished/overdue futures; settle followers."""
         progressed = False
         now = time.monotonic()
-        busy_counted = set()  # count a shared batch future's span once
         for key in list(self._running):
             if key not in self._running:
                 continue  # a crash handler cleared the table mid-scan
-            job, future, t0, batched = self._running[key]
+            job, future, t0 = self._running[key]
             if future.done():
                 progressed = True
                 del self._running[key]
-                if id(future) not in busy_counted:
-                    busy_counted.add(id(future))
-                    self._busy_s += time.monotonic() - t0
+                self._busy_s += time.monotonic() - t0
                 try:
                     record = future.result()
-                    if batched:
-                        record = record[job.key]
                 except BrokenProcessPool:
                     self._handle_crash(job)
                 except Exception as exc:
@@ -414,16 +353,14 @@ class CampaignService:
                         # thread/inline workers share our store dir and
                         # have already written; a custom work_fn may not
                         self.store.put(record)
-                    self._finish(job, "batch" if batched else "computed")
+                    self._finish(job, "computed")
             elif (
                 self.job_timeout_s is not None
                 and now - t0 > self.job_timeout_s
             ):
                 progressed = True
                 del self._running[key]
-                if id(future) not in busy_counted:
-                    busy_counted.add(id(future))
-                    self._busy_s += time.monotonic() - t0
+                self._busy_s += time.monotonic() - t0
                 future.cancel()
                 self._fail(
                     job,
@@ -452,7 +389,7 @@ class CampaignService:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
         # every other in-flight future of the broken pool is lost too
-        orphans = [j for j, _, _, _ in self._running.values()]
+        orphans = [j for j, _, _ in self._running.values()]
         self._running.clear()
         for victim in [job] + orphans:
             if victim.attempts > self.max_retries:
@@ -547,12 +484,10 @@ class CampaignService:
         """
         from repro.api.campaign import cancel_pending
 
-        cancel_pending(
-            {id(f): f for _, f, _, _ in self._running.values()}.values()
-        )
+        cancel_pending([f for _, f, _ in self._running.values()])
         requeued = []
         for key in list(self._running):
-            job, _, _, _ = self._running.pop(key)
+            job, _, _ = self._running.pop(key)
             self.queue.requeue(job, "shutdown")
             requeued.append(job.job_id)
         for key in list(self._followers):

@@ -9,11 +9,9 @@ its side of the process boundary, runs the pipeline, and returns the
 serialized result dict -- everything crossing the boundary is JSON-
 shaped and therefore picklable by construction.
 
-Every served result record is built here:
-:func:`evaluate_and_store` serves the service's scalar jobs and a
-store-backed :class:`~repro.api.campaign.Campaign`'s misses, and
-:func:`evaluate_batch_and_store` serves the service's batched analytic
-jobs with the same record bytes.
+Every served result record is built here: :func:`evaluate_and_store`
+answers each of the service's computed jobs, analytic or not, and a
+store-backed :class:`~repro.api.campaign.Campaign`'s misses.
 
 Simulation is deterministic (campaign records are byte-identical
 across processes and job counts), so *where* a spec is evaluated --
@@ -37,7 +35,6 @@ __all__ = [
     "place_worker",
     "evaluate_spec_dict",
     "evaluate_and_store",
-    "evaluate_batch_and_store",
 ]
 
 
@@ -116,36 +113,3 @@ def evaluate_and_store(
         ResultStore(store_root).put(record)
     return record
 
-
-def evaluate_batch_and_store(
-    spec_dicts: list, store_root: Optional[str] = None
-) -> dict:
-    """Batched face of :func:`evaluate_and_store` for analytic specs.
-
-    One pool submission answers the whole batch through
-    :func:`repro.api.batcheval.evaluate_specs` -- phase costs computed
-    once per cost group, results combined in one vectorized pass.
-    Returns ``{run_key: record}``; each record is byte-identical to
-    what the scalar :func:`evaluate_and_store` call would have written
-    (same spec dict verbatim, same result, same canonical JSON).
-    """
-    from repro.api.batcheval import evaluate_specs
-    from repro.api.spec import RunSpec
-    from repro.service.store import (
-        ResultStore,
-        make_record,
-        result_to_dict,
-        run_key,
-    )
-
-    specs = [RunSpec.from_dict(d) for d in spec_dicts]
-    results = evaluate_specs(specs)
-    store = ResultStore(store_root) if store_root is not None else None
-    out = {}
-    for spec_dict, spec, result in zip(spec_dicts, specs, results):
-        key = run_key(spec)
-        record = make_record(key, spec_dict, result_to_dict(result))
-        if store is not None:
-            store.put(record)
-        out[key] = record
-    return out

@@ -1,6 +1,6 @@
-"""Tests for the batched analytic evaluator: eligibility, cost-group
-hashing, the vectorized combine against its scalar reference, and the
-spec-level entry point the campaign and service layers call."""
+"""Tests for the batched analytic evaluator: cost-group hashing, the
+vectorized combine against its scalar reference, and the session-level
+entry point behind ``Session.sweep``."""
 
 import dataclasses
 
@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 from repro.api import RunSpec, Session, SystemSpec
-from repro.api.batcheval import (
-    FREE_FIELDS,
-    batchable,
-    cost_group_key,
-    evaluate_sessions,
-    evaluate_specs,
-)
+from repro.api.batcheval import FREE_FIELDS, cost_group_key, evaluate_sessions
 from repro.errors import ConfigError
-from repro.pipeline.backends.analytic import combine, combine_batch
+from repro.perf.reference import combine
+from repro.pipeline.backends.analytic import combine_batch
 
 
 def _spec(**overrides):
@@ -35,15 +30,7 @@ def _spec(**overrides):
     return RunSpec(**base)
 
 
-# -- eligibility -----------------------------------------------------------
-
-
-def test_batchable_accepts_analytic_specs_and_dicts():
-    assert batchable(_spec())
-    assert batchable({"mode": "analytic"})
-    assert not batchable(_spec(mode="event"))
-    assert not batchable({"mode": "event"})
-    assert not batchable(42)
+# -- cost groups -----------------------------------------------------------
 
 
 def test_cost_group_key_ignores_exactly_the_free_fields():
@@ -114,7 +101,7 @@ def test_evaluate_sessions_rejects_non_analytic():
         evaluate_sessions([Session(_spec(mode="event"))])
 
 
-def test_evaluate_specs_interleaved_groups_keep_input_order():
+def test_evaluate_sessions_interleaved_groups_keep_input_order():
     # two cost groups interleaved: results must come back in input
     # order, each bit-identical to its own scalar run
     a = dataclasses.replace(
@@ -129,12 +116,6 @@ def test_evaluate_specs_interleaved_groups_keep_input_order():
         _spec(system=a, n_workers=4),
         _spec(system=b, n_workers=4),
     ]
-    batched = evaluate_specs(specs)
+    batched = evaluate_sessions([Session(s) for s in specs])
     scalar = [Session(s).run() for s in specs]
     assert batched == scalar
-
-
-def test_evaluate_specs_accepts_spec_dicts():
-    specs = [_spec(n_workers=w) for w in (1, 2)]
-    from_dicts = evaluate_specs([s.to_dict() for s in specs])
-    assert from_dicts == evaluate_specs(specs)

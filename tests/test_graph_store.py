@@ -12,19 +12,22 @@ from repro.api.cache import (
     active_cache,
     artifact_nbytes,
 )
-from repro.api.session import scaled_dataset
+from repro.api.batcheval import evaluate_sessions
+from repro.api.session import Session, scaled_dataset
 from repro.api.spec import RunSpec
 from repro.errors import ConfigError
 from repro.graph.datasets import DatasetSpec
 from repro.graph.store import GraphStore
 from repro.service.server import CampaignService
-from repro.service.store import ResultStore, record_bytes, run_key
-from repro.service.traffic import spec_pool
-from repro.service.worker import (
-    WORKER_CACHE_BYTES,
-    evaluate_and_store,
-    evaluate_batch_and_store,
+from repro.service.store import (
+    ResultStore,
+    make_record,
+    record_bytes,
+    result_to_dict,
+    run_key,
 )
+from repro.service.traffic import spec_pool
+from repro.service.worker import WORKER_CACHE_BYTES, evaluate_and_store
 
 #: one spec per template: event (twice), analytic, sharded, async, gids
 #: and distributed, on reddit at four dataset seeds
@@ -40,8 +43,13 @@ BATCH = [
 def _records():
     """Every template's record bytes, scalar and batched."""
     out = [record_bytes(evaluate_and_store(s.to_dict())) for s in POOL]
-    batch = evaluate_batch_and_store([s.to_dict() for s in BATCH])
-    out += [record_bytes(batch[run_key(s)]) for s in BATCH]
+    batch = evaluate_sessions([Session(s) for s in BATCH])
+    out += [
+        record_bytes(
+            make_record(run_key(s), s.to_dict(), result_to_dict(result))
+        )
+        for s, result in zip(BATCH, batch)
+    ]
     return out
 
 

@@ -4,6 +4,8 @@ bit-identical simulated results, so these tests compare hit/miss
 counts, returned arrays, *and* the mutated cache/LRU state (which is
 what future batches observe)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -467,8 +469,8 @@ def test_resource_fast_path_pipeline_bit_identical(design, mode):
 # -- batched analytic sweep vs per-point scalar ----------------------------
 
 
-def _analytic_session(**overrides):
-    from repro.api import RunSpec, Session, SystemSpec
+def _analytic_spec(**overrides):
+    from repro.api import RunSpec, SystemSpec
 
     base = dict(
         dataset="protein-pi", edge_budget=1.5e5, batch_size=16,
@@ -476,7 +478,24 @@ def _analytic_session(**overrides):
         system=SystemSpec(design="smartsage-sw"),
     )
     base.update(overrides)
-    return Session(RunSpec(**base))
+    return RunSpec(**base)
+
+
+def _per_point(spec, axis, values):
+    """``{value: Session(point).run()}``: the reference a sweep must
+    reproduce, one fresh session per grid point."""
+    from repro.api import Session, SystemSpec
+
+    out = {}
+    for value in values:
+        if axis in {f.name for f in dataclasses.fields(SystemSpec)}:
+            point = spec.replace(
+                system=dataclasses.replace(spec.system, **{axis: value})
+            )
+        else:
+            point = spec.replace(**{axis: value})
+        out[value] = Session(point).run()
+    return out
 
 
 @pytest.mark.parametrize("axis,values", [
@@ -485,37 +504,28 @@ def _analytic_session(**overrides):
     ("batch_size", [8, 16, 32]),
 ])
 def test_sweep_batched_bit_identical_to_scalar(axis, values):
-    """The auto fast path (batch=None on an all-analytic grid) must
+    """An all-analytic grid takes the batched evaluator, which must
     produce the exact PipelineResult the per-point scalar run does,
     for axes the model folds (n_workers), axes that split cost groups
     (host_cache_frac), and axes that reshape the workloads
     (batch_size)."""
-    batched = _analytic_session().sweep(axis, values)
-    scalar = _analytic_session().sweep(axis, values, batch=False)
+    from repro.api import Session
+
+    spec = _analytic_spec()
+    batched = Session(spec).sweep(axis, values)
+    scalar = _per_point(spec, axis, values)
+    assert list(batched) == values
     for value in values:
         assert batched[value] == scalar[value]
 
 
 def test_sweep_mixed_modes_falls_back_per_point():
-    """A grid with non-analytic points silently takes the per-point
-    path under batch=None; batch=True refuses it up front."""
-    session = _analytic_session(edge_budget=1e5)
+    """A grid with non-analytic points takes the per-point path."""
+    from repro.api import Session
+
+    spec = _analytic_spec(edge_budget=1e5)
     values = ["analytic", "event"]
-    auto = session.sweep("mode", values)
-    scalar = session.sweep("mode", values, batch=False)
+    auto = Session(spec).sweep("mode", values)
+    scalar = _per_point(spec, "mode", values)
     for value in values:
         assert auto[value] == scalar[value]
-    with pytest.raises(ConfigError, match="analytic"):
-        session.sweep("mode", values, batch=True)
-
-
-def test_sweep_batch_true_matches_forced_scalar():
-    batched = _analytic_session().sweep(
-        "n_workers", [1, 4, 9], batch=True
-    )
-    scalar = _analytic_session().sweep(
-        "n_workers", [1, 4, 9], batch=False
-    )
-    assert list(batched) == list(scalar)
-    for value in (1, 4, 9):
-        assert batched[value] == scalar[value]

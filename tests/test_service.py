@@ -489,7 +489,7 @@ def test_service_report_scoped_to_current_instance(tmp_path):
     assert status["counts"]["done"] == 6
 
 
-# -- batched analytic dispatch ---------------------------------------------
+# -- analytic jobs ----------------------------------------------------------
 
 
 def _analytic_specs(n, **overrides):
@@ -504,12 +504,12 @@ def _analytic_specs(n, **overrides):
     return [RunSpec(n_workers=w + 1, **base) for w in range(n)]
 
 
-def test_service_batches_queued_analytic_jobs(tmp_path):
-    """Queued analytic jobs coalesce into one batch submission (one
-    worker slot, however many members) and every record lands in the
-    store byte-identical to what the scalar worker would have
-    written."""
-    from repro.service.worker import evaluate_and_store
+def test_service_analytic_records_match_sweep(tmp_path):
+    """Each queued analytic job is computed on its own, and every record
+    lands in the store byte-identical both to a scalar replay and to a
+    record built from ``Session.sweep`` over the same grid."""
+    from repro.api import Session
+    from repro.service.store import make_record, record_bytes, result_to_dict
 
     specs = _analytic_specs(10)
     store_root = str(tmp_path / "state" / "store")
@@ -520,35 +520,29 @@ def test_service_batches_queued_analytic_jobs(tmp_path):
         svc.submit(spec)
     report = svc.drain()
     svc.close()
-    assert report.jobs_completed == 10
-    assert report.sources.get("batch", 0) >= 9
+    assert report.sources == {"computed": 10}
     # replay every spec through the scalar path into a fresh store
     scalar_root = str(tmp_path / "scalar-store")
     for spec in specs:
         evaluate_and_store(spec.to_dict(), scalar_root)
+    workers = [spec.n_workers for spec in specs]
+    sweep = Session(specs[0]).sweep("n_workers", workers)
     store = ResultStore(store_root)
     scalar = ResultStore(scalar_root)
     for spec in specs:
         key = run_key(spec)
         with open(store.path_for(key), "rb") as f:
-            batched_bytes = f.read()
+            served = f.read()
         with open(scalar.path_for(key), "rb") as f:
-            assert batched_bytes == f.read()
-
-
-def test_service_singleton_analytic_stays_scalar(tmp_path):
-    svc = CampaignService(
-        str(tmp_path / "state"), workers=2, executor="thread"
-    )
-    svc.submit(_analytic_specs(1)[0])
-    report = svc.drain()
-    svc.close()
-    assert report.sources == {"computed": 1}
+            assert served == f.read()
+        swept = make_record(
+            key, spec.to_dict(), result_to_dict(sweep[spec.n_workers])
+        )
+        assert served == record_bytes(swept)
 
 
 def test_service_custom_work_fn_never_batches(tmp_path):
-    # batching is gated on the default evaluate_and_store work_fn: a
-    # custom fn must see every spec dict individually
+    # a custom work_fn sees every analytic spec dict individually
     seen = []
 
     def tracking(spec_dict, store_root):
@@ -566,7 +560,7 @@ def test_service_custom_work_fn_never_batches(tmp_path):
 
 def test_service_batch_mixes_with_store_hits(tmp_path):
     # second submission wave: everything served from the store, no
-    # re-batching of already-answered keys
+    # recomputing of already-answered keys
     specs = _analytic_specs(5)
     state = str(tmp_path / "state")
     svc = CampaignService(state, workers=2, executor="thread")
