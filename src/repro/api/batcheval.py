@@ -74,17 +74,14 @@ def cost_group_key(spec: RunSpec) -> str:
 def _group_costs(session) -> Tuple[str, float, float, float, float]:
     """(design, samp, feat, trans, train) for one cost group.
 
-    Reproduces :meth:`Session.run` for an analytic spec exactly: build
-    a fresh system, warm its caches on ``workloads[:warmup]``, measure
-    the remaining pool in order.
+    Reproduces :meth:`Session.run` for an analytic spec exactly: the
+    same :meth:`Session.warmed_system`, then the remaining pool
+    measured in order.
     """
-    warm = session.spec.warmup_batches
-    system = session.build()
-    for w in session.workloads[:warm]:
-        system.sampling_engine.batch_cost(w)
-    measured = session.workloads[warm:]
+    measured = session.workloads[session.spec.warmup_batches:]
     if not measured:
         raise ConfigError("need at least one workload")
+    system = session.warmed_system()
     samp, feat, trans, train = phase_costs(system, session.gpu, measured)
     return system.design, samp, feat, trans, train
 

@@ -448,7 +448,7 @@ class Session:
         """The pipeline request the spec declares, built once: every
         :meth:`run` binds it to a fresh system for its design."""
         if self._request is None:
-            self._request = ExecutionRequest.from_spec(
+            self._request = ExecutionRequest(
                 self.spec,
                 gpu=self.gpu,
                 workloads=self.workloads[self.spec.warmup_batches:],
@@ -465,22 +465,25 @@ class Session:
             system = dataclasses.replace(system, design=design)
         return build_system(system, self.dataset, hw=self.hw)
 
+    def warmed_system(self, design: Optional[str] = None) -> TrainingSystem:
+        """A fresh system for ``design`` whose caches are warmed on the
+        spec's ``warmup_batches`` workloads."""
+        system = self.build(design)
+        for w in self.workloads[:self.spec.warmup_batches]:
+            system.sampling_engine.batch_cost(w)
+        return system
+
     def run(self, design: Optional[str] = None) -> PipelineResult:
         """Build ``design``, warm its caches, run the training pipeline.
 
-        The system is supplied to the backend as a factory (build +
-        cache warm-up), so single-device backends materialize exactly
-        one instance and multi-device backends one per device group.
+        The system is supplied to the backend as a factory
+        (:meth:`warmed_system`), so single-device backends materialize
+        exactly one instance and multi-device backends one per device
+        group.
         """
-        warm = self.spec.warmup_batches
-
-        def warmed_system() -> TrainingSystem:
-            fresh = self.build(design)
-            for w in self.workloads[:warm]:
-                fresh.sampling_engine.batch_cost(w)
-            return fresh
-
-        return run_pipeline(self.request, system_factory=warmed_system)
+        return run_pipeline(
+            self.request, system_factory=lambda: self.warmed_system(design)
+        )
 
     def sampling_cost(self, design: Optional[str] = None) -> BatchCost:
         """Steady-state single-worker sampling cost (Fig 14 metric)."""

@@ -141,7 +141,7 @@ class SystemSpec:
                 f"fanouts must be positive ints, got {self.fanouts!r}",
             )
         if self.granularity is not None:
-            check_count("granularity", self.granularity)
+            self.granularity = check_count("granularity", self.granularity)
         check_fraction("host_cache_frac", self.host_cache_frac)
         check_fraction("page_buffer_frac", self.page_buffer_frac)
         _require(
@@ -149,7 +149,9 @@ class SystemSpec:
             f"features_in_dram must be a bool, got {self.features_in_dram!r}",
         )
         for name, minimum in TOPOLOGY_COUNTS.items():
-            check_count(name, getattr(self, name), minimum)
+            setattr(
+                self, name, check_count(name, getattr(self, name), minimum)
+            )
         check_positive_real("gpu_cache_mb", self.gpu_cache_mb)
         from repro.cache.tiers import check_cache_config
 
@@ -278,9 +280,11 @@ class RunSpec:
             f"edge_budget must be positive, got {self.edge_budget!r}",
         )
         check_rmat_draw(self.rmat_draw)
-        check_count("batch_size", self.batch_size)
-        check_count("n_workloads", self.n_workloads)
-        check_count("warmup_batches", self.warmup_batches, minimum=0)
+        self.batch_size = check_count("batch_size", self.batch_size)
+        self.n_workloads = check_count("n_workloads", self.n_workloads)
+        self.warmup_batches = check_count(
+            "warmup_batches", self.warmup_batches, minimum=0
+        )
         _require(
             self.warmup_batches < self.n_workloads,
             f"warmup_batches ({self.warmup_batches}) must leave at least "
@@ -298,7 +302,9 @@ class RunSpec:
             f"got {self.mode!r}",
         )
         for name, minimum in PIPELINE_COUNTS.items():
-            check_count(name, getattr(self, name), minimum)
+            setattr(
+                self, name, check_count(name, getattr(self, name), minimum)
+            )
         self.system.validate()
         _require(
             self.system.faults is None

@@ -1,5 +1,4 @@
-"""Small shared validators and count tables used by the spec layer and
-the pipeline request."""
+"""Small shared validators and count tables used by the spec layer."""
 
 from __future__ import annotations
 
@@ -21,8 +20,8 @@ __all__ = [
     "check_rmat_draw",
 ]
 
-#: pipeline counts -> least accepted value; ``RunSpec.validate`` and
-#: ``ExecutionRequest.validate`` both check exactly these
+#: pipeline counts -> least accepted value; ``RunSpec.validate`` checks
+#: exactly these and stores each back as an ``int``
 PIPELINE_COUNTS = {
     "n_batches": 1,
     "n_workers": 1,
@@ -33,7 +32,7 @@ PIPELINE_COUNTS = {
     "checkpoint_bytes": 0,
 }
 #: device-group counts -> least accepted value; ``SystemSpec.validate``
-#: and ``ExecutionRequest.validate`` both check exactly these
+#: checks exactly these and stores each back as an ``int``
 TOPOLOGY_COUNTS = {"n_shards": 1, "n_hosts": 1}
 
 

@@ -260,10 +260,10 @@ def check_cache_config(
 ) -> Tuple[Optional[Tuple[str, ...]], Optional[str]]:
     """Validate the ``(cache_tiers, cache_policy)`` spec pair.
 
-    The one copy of this check, shared by ``SystemSpec.validate`` (which
-    ``build_system`` runs) and ``ExecutionRequest.validate``, so a bad
-    stack fails at spec time, before any graph is built.  Returns the
-    normalized pair (``tiers`` as a tuple).
+    Run by ``SystemSpec.validate`` (which ``build_system`` and, through
+    ``RunSpec.validate``, ``run_pipeline`` run), so a bad stack fails
+    at spec time, before any graph is built.  Returns the normalized
+    pair (``tiers`` as a tuple).
     """
     if tiers is not None:
         tiers = tuple(tiers)

@@ -60,9 +60,8 @@ class DistributedCoordinator(TopologyEngine):
     """The engine with the shards and hosts axes exposed; ``run()`` is
     the event-driven face, :meth:`analytic` the closed-form one."""
 
-    def __init__(self, request: ExecutionRequest,
-                 mode: str = "distributed"):
-        super().__init__(request, mode, axes=(SHARDS, HOSTS))
+    def __init__(self, request: ExecutionRequest):
+        super().__init__(request, axes=(SHARDS, HOSTS))
 
     # -- analytic face -----------------------------------------------------
 
@@ -78,6 +77,7 @@ class DistributedCoordinator(TopologyEngine):
         the event face, so the two faces agree on every byte counter.
         """
         req = self.request
+        spec = req.spec
         gpu = req.gpu
         workloads = req.workloads
         plan = self.plan()
@@ -149,7 +149,7 @@ class DistributedCoordinator(TopologyEngine):
             n = len(batch_ids)
             produce /= n
             consume /= n
-            interval = max(consume, produce / req.n_workers)
+            interval = max(consume, produce / spec.n_workers)
             group_elapsed = produce + consume + (n - 1) * interval
             elapsed = max(elapsed, group_elapsed)
             busy += n * (consume - allreduce_s)
@@ -159,9 +159,9 @@ class DistributedCoordinator(TopologyEngine):
         n_groups_live = len(plan.group_ids)
         return PipelineResult(
             design=plan.systems[0].design,
-            mode=self.mode,
-            n_batches=req.n_batches,
-            n_workers=req.n_workers,
+            mode=spec.mode,
+            n_batches=spec.n_batches,
+            n_workers=spec.n_workers,
             elapsed_s=elapsed,
             gpu_busy_s=busy,
             gpu_idle_fraction=max(

@@ -193,7 +193,6 @@ class CSRGraph:
         rng: np.random.Generator,
         replace: bool = True,
         return_positions: bool = False,
-        method: str = "auto",
     ):
         """Sample up to ``fanout`` neighbors of every target node.
 
@@ -203,14 +202,14 @@ class CSRGraph:
         DGL/PyG-style sampling without replacement, returning all neighbors
         when the degree is below the fanout.
 
-        ``method`` selects the without-replacement kernel: ``"batched"``
-        (per-row random-key top-``fanout``, fully vectorized),
-        ``"scalar"`` (the per-row reference loop), or ``"auto"``
-        (batched).  Both kernels return identical ``offsets`` (counts do
-        not depend on the draw) and identical samples for every row
-        whose degree is at most the fanout; rows that genuinely sample
-        draw equally uniform but differently ordered subsets, since the
-        kernels consume the generator differently.
+        Without replacement, rows draw per-row random-key
+        top-``fanout`` subsets, fully vectorized.  The per-row reference
+        loop (:func:`repro.perf.reference.noreplace_positions_scalar`)
+        gives identical ``offsets`` (counts do not depend on the draw)
+        and identical samples for every row whose degree is at most the
+        fanout; rows that genuinely sample draw equally uniform but
+        differently ordered subsets, since the two consume the
+        generator differently.
 
         Returns
         -------
@@ -225,8 +224,6 @@ class CSRGraph:
         targets = np.asarray(targets, dtype=np.int64)
         if fanout <= 0:
             raise GraphError(f"fanout must be positive, got {fanout}")
-        if method not in ("auto", "batched", "scalar"):
-            raise GraphError(f"unknown sampling method {method!r}")
         if targets.size and (
             targets.min() < 0 or targets.max() >= self.num_nodes
         ):
@@ -254,44 +251,13 @@ class CSRGraph:
         counts = np.minimum(degs, fanout).astype(np.int64)
         offsets = np.zeros(targets.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        if method == "scalar":
-            flat_pos = self._noreplace_positions_scalar(
-                degs, starts, fanout, rng
-            )
-        else:
-            flat_pos = self._noreplace_positions_batched(
-                degs, starts, counts, offsets, fanout, rng
-            )
+        flat_pos = self._noreplace_positions_batched(
+            degs, starts, counts, offsets, fanout, rng
+        )
         samples = self.indices[flat_pos].astype(np.int64)
         if return_positions:
             return samples, offsets, flat_pos
         return samples, offsets
-
-    def _noreplace_positions_scalar(
-        self,
-        degs: np.ndarray,
-        starts: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Reference kernel: one ``rng.choice`` per oversized row."""
-        pos_chunks = []
-        for i in range(degs.size):
-            deg = degs[i]
-            if deg == 0:
-                continue
-            if deg <= fanout:
-                pos_chunks.append(
-                    starts[i] + np.arange(deg, dtype=np.int64)
-                )
-            else:
-                sel = rng.choice(deg, size=fanout, replace=False)
-                pos_chunks.append(
-                    starts[i] + np.asarray(sel, dtype=np.int64)
-                )
-        if not pos_chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pos_chunks)
 
     def _noreplace_positions_batched(
         self,

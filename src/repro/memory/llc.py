@@ -79,74 +79,19 @@ class CacheSim:
         self.stats.misses += 1
         return False
 
-    def run_trace(
-        self, addrs: np.ndarray, method: str = "auto"
-    ) -> CacheStats:
+    def run_trace(self, addrs: np.ndarray) -> CacheStats:
         """Run a full address trace; returns stats for just this trace.
 
-        ``method`` selects the kernel: ``"vectorized"`` (set-parallel
-        rounds), ``"scalar"`` (the reference per-access loop), or
-        ``"auto"`` (vectorized unless the trace concentrates on a few
-        sets, where round-by-round replay degenerates).  Both kernels
-        leave identical tag/recency state and identical statistics.
-        """
-        if method == "scalar":
-            return self.run_trace_scalar(addrs)
-        line = self.params.line_bytes
-        line_ids = np.asarray(addrs, dtype=np.int64) // line
-        if method == "auto" and line_ids.size:
-            if line_ids.size < 256:
-                return self.run_trace_scalar(addrs)
-            # Rounds = the deepest per-set subsequence; fall back when a
-            # single set would dominate (vector lanes would sit empty).
-            depth = int(np.bincount(line_ids % self.num_sets).max())
-            if depth * 4 > line_ids.size:
-                return self.run_trace_scalar(addrs)
-        return self._run_trace_vectorized(line_ids)
-
-    def run_trace_scalar(self, addrs: np.ndarray) -> CacheStats:
-        """Reference kernel: one address at a time (parity baseline)."""
-        before = CacheStats(self.stats.hits, self.stats.misses)
-        line = self.params.line_bytes
-        line_ids = np.asarray(addrs, dtype=np.int64) // line
-        sets = line_ids % self.num_sets
-        tags = line_ids // self.num_sets
-        tags_arr, used_arr = self._tags, self._used
-        tick = self._tick
-        hits = 0
-        for i in range(line_ids.size):
-            s = sets[i]
-            t = tags[i]
-            tick += 1
-            row = tags_arr[s]
-            found = -1
-            for w in range(self.ways):
-                if row[w] == t:
-                    found = w
-                    break
-            if found >= 0:
-                used_arr[s, found] = tick
-                hits += 1
-            else:
-                victim = int(np.argmin(used_arr[s]))
-                tags_arr[s, victim] = t
-                used_arr[s, victim] = tick
-        self._tick = tick
-        misses = line_ids.size - hits
-        self.stats.hits += hits
-        self.stats.misses += misses
-        return CacheStats(
-            self.stats.hits - before.hits, self.stats.misses - before.misses
-        )
-
-    def _run_trace_vectorized(self, line_ids: np.ndarray) -> CacheStats:
-        """Set-parallel replay: accesses to different sets never interact,
+        Set-parallel replay: accesses to different sets never interact,
         so round ``r`` dispatches the r-th access of *every* set as one
-        vectorized step.  Each access writes the same global tick it would
-        have received in the scalar loop, so the resulting tag/recency
-        state (and therefore all future hit/miss behaviour) is identical.
+        vectorized step.  Each access writes the same global tick it
+        would have received one access at a time, so the resulting
+        tag/recency state (and therefore all future hit/miss behaviour)
+        equals the scalar reference
+        :func:`repro.perf.reference.run_trace_scalar`.
         """
         before = CacheStats(self.stats.hits, self.stats.misses)
+        line_ids = np.asarray(addrs, dtype=np.int64) // self.params.line_bytes
         n = line_ids.size
         if n == 0:
             return CacheStats(0, 0)

@@ -38,6 +38,7 @@ def _zipf_keys(rng, n: int, domain: int, a: float = 1.2) -> np.ndarray:
 def _bench_llc_trace(ctx):
     from repro.config import LLCParams
     from repro.memory.llc import CacheSim
+    from repro.perf.reference import run_trace_scalar
 
     n = ctx.scale(300_000, 20_000)
     rng = ctx.rng()
@@ -46,12 +47,8 @@ def _bench_llc_trace(ctx):
     trace = rng.integers(0, 1 << 31, size=n)
     params = LLCParams(capacity_bytes=8 << 20, ways=16, line_bytes=64)
 
-    elapsed = ctx.time(
-        lambda: CacheSim(params).run_trace(trace, method="vectorized")
-    )
-    reference = ctx.time(
-        lambda: CacheSim(params).run_trace_scalar(trace)
-    )
+    elapsed = ctx.time(lambda: CacheSim(params).run_trace(trace))
+    reference = ctx.time(lambda: run_trace_scalar(CacheSim(params), trace))
     sim = CacheSim(params)
     stats = sim.run_trace(trace)
     return ctx.result(
@@ -185,21 +182,33 @@ def _bench_ftl_translate(ctx):
     description="sampling frontier dedup (direct-address table vs np.unique)",
 )
 def _bench_frontier_dedup(ctx):
+    """The direct-address table against ``np.unique``.
+
+    One smoke-sized dedup takes ~0.06 ms, far too short for a single
+    scheduler hiccup not to decide a repeat, so each timed repeat
+    dedups the same frontier ``laps`` times (~20 ms at smoke).  The
+    ``np.unique`` reference runs once per repeat.
+    """
     from repro.gnn.sampler import FrontierDedup
 
     n = ctx.scale(400_000, 20_000)
+    laps = ctx.scale(1, 320)
     domain = max(1024, n // 8)
     rng = ctx.rng()
     samples = rng.integers(0, domain, size=n).astype(np.int64)
     table = FrontierDedup(domain)
     table(samples[:16])  # allocate outside the timed region
 
-    elapsed = ctx.time(lambda: table(samples))
+    def dedup():
+        for _ in range(laps):
+            table(samples)
+
+    elapsed = ctx.time(dedup)
     reference = ctx.time(lambda: np.unique(samples, return_inverse=True))
     return ctx.result(
-        ops=n,
+        ops=n * laps,
         elapsed_s=elapsed,
-        reference_s=reference,
+        reference_s=reference * laps,
         distinct_frac=np.unique(samples).size / n,
     )
 
@@ -253,6 +262,7 @@ def _bench_sampler_batch(ctx):
 )
 def _bench_sampler_noreplace(ctx):
     from repro.graph.csr import CSRGraph
+    from repro.perf.reference import noreplace_positions_scalar
 
     n_nodes = ctx.scale(20_000, 2_000)
     n_edges = 24 * n_nodes
@@ -265,15 +275,20 @@ def _bench_sampler_noreplace(ctx):
     targets = rng.integers(0, n_nodes, size=ctx.scale(4_000, 400))
     fanout = 10
 
-    def run(method: str):
+    def batched():
         gen = np.random.default_rng(ctx.seed)
-        return graph.sample_neighbors(
-            targets, fanout, gen, replace=False, method=method
-        )
+        return graph.sample_neighbors(targets, fanout, gen, replace=False)
 
-    samples, _ = run("batched")
-    elapsed = ctx.time(lambda: run("batched"))
-    reference = ctx.time(lambda: run("scalar"))
+    def scalar():
+        gen = np.random.default_rng(ctx.seed)
+        pos = noreplace_positions_scalar(
+            graph.degrees(targets), graph.indptr[targets], fanout, gen
+        )
+        return graph.indices[pos].astype(np.int64)
+
+    samples, _ = batched()
+    elapsed = ctx.time(batched)
+    reference = ctx.time(scalar)
     return ctx.result(
         ops=int(samples.size), elapsed_s=elapsed, reference_s=reference
     )

@@ -18,7 +18,12 @@ checks that), so production code has exactly one path each.
 * :func:`fault_around_windows_scalar` -- the per-extent loop behind
   :func:`repro.host.mmap_io.fault_around_windows`;
 * :func:`combine` -- the one-point closed-form fold behind
-  :func:`repro.pipeline.backends.analytic.combine_batch`.
+  :func:`repro.pipeline.backends.analytic.combine_batch`;
+* :func:`run_trace_scalar` -- the per-access loop behind
+  :meth:`repro.memory.llc.CacheSim.run_trace`'s set-parallel rounds;
+* :func:`noreplace_positions_scalar` -- the per-row ``rng.choice``
+  loop behind :meth:`repro.graph.csr.CSRGraph.sample_neighbors`'s
+  batched draw without replacement.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.memory.llc import CacheStats
 from repro.pipeline.backends.base import PipelineResult
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
@@ -39,6 +45,8 @@ __all__ = [
     "apply_remap_scalar",
     "fault_around_windows_scalar",
     "combine",
+    "run_trace_scalar",
+    "noreplace_positions_scalar",
 ]
 
 
@@ -133,3 +141,63 @@ def combine(
             "gnn_training": train,
         },
     )
+
+
+def run_trace_scalar(cache, addrs: np.ndarray) -> CacheStats:
+    """Replay ``addrs`` through ``cache`` (a
+    :class:`~repro.memory.llc.CacheSim`) one access at a time; returns
+    the stats of this trace and leaves the same state as
+    :meth:`~repro.memory.llc.CacheSim.run_trace`."""
+    line_ids = np.asarray(addrs, dtype=np.int64) // cache.params.line_bytes
+    sets = line_ids % cache.num_sets
+    tags = line_ids // cache.num_sets
+    tags_arr, used_arr = cache._tags, cache._used
+    tick = cache._tick
+    hits = 0
+    for i in range(line_ids.size):
+        s = sets[i]
+        t = tags[i]
+        tick += 1
+        row = tags_arr[s]
+        found = -1
+        for w in range(cache.ways):
+            if row[w] == t:
+                found = w
+                break
+        if found >= 0:
+            used_arr[s, found] = tick
+            hits += 1
+        else:
+            victim = int(np.argmin(used_arr[s]))
+            tags_arr[s, victim] = t
+            used_arr[s, victim] = tick
+    cache._tick = tick
+    misses = line_ids.size - hits
+    cache.stats.hits += hits
+    cache.stats.misses += misses
+    return CacheStats(hits, misses)
+
+
+def noreplace_positions_scalar(
+    degs: np.ndarray,
+    starts: np.ndarray,
+    fanout: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Positions into ``CSRGraph.indices`` of a draw without
+    replacement of up to ``fanout`` neighbors per row (degree
+    ``degs``, extent start ``starts``): one ``rng.choice`` per
+    oversized row."""
+    pos_chunks = []
+    for i in range(degs.size):
+        deg = degs[i]
+        if deg == 0:
+            continue
+        if deg <= fanout:
+            pos_chunks.append(starts[i] + np.arange(deg, dtype=np.int64))
+        else:
+            sel = rng.choice(deg, size=fanout, replace=False)
+            pos_chunks.append(starts[i] + np.asarray(sel, dtype=np.int64))
+    if not pos_chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(pos_chunks)

@@ -4,11 +4,13 @@ One :class:`ProducerPool` and one :class:`GPUConsumer` make up the
 pipeline; :mod:`repro.pipeline.engine` replicates them over a topology
 of device groups, and the ``event``, ``sharded``, ``distributed``,
 ``async`` and ``gids`` modes are presets of that one engine.
-``run_pipeline`` takes one :class:`ExecutionRequest` (usually built by
-:meth:`ExecutionRequest.from_spec`) and dispatches its ``mode`` through
-the backend registry (:mod:`repro.pipeline.backends`), so those
-presets, the closed-form ``analytic`` faces and any third-party
-``@register_backend`` mode share one entry point.
+``run_pipeline`` takes one :class:`ExecutionRequest` (a
+:class:`~repro.api.spec.RunSpec` plus the GPU model, workloads and
+graph it materialized; usually ``Session.request``), validates its
+spec and dispatches ``spec.mode`` through the backend registry
+(:mod:`repro.pipeline.backends`), so those presets, the closed-form
+``analytic`` faces and any third-party ``@register_backend`` mode
+share one entry point.
 """
 
 from repro.pipeline.backends import (

@@ -1,12 +1,13 @@
 """Pluggable execution backends for the training pipeline.
 
 ``run_pipeline`` dispatches one :class:`ExecutionRequest` through this
-package's registry.  The event-driven ``event``, ``sharded``,
-``distributed`` and ``async`` modes are presets of one topology engine
-(:mod:`repro.pipeline.engine`) that differ only in the axes they
-expose; ``gids`` runs that engine with HBM-resident features, and
-``analytic`` / ``distributed-analytic`` are the closed-form faces.  Third parties add modes with
-``@register_backend("name")`` without touching
+package's registry on its spec's ``mode``.  The event-driven ``event``,
+``sharded``, ``distributed`` and ``async`` modes are presets of one
+topology engine (:mod:`repro.pipeline.engine`) that differ only in the
+axes they expose; ``gids`` runs that engine with HBM-resident features,
+and ``analytic`` / ``distributed-analytic`` are the closed-form faces.
+Third parties add modes with ``@register_backend("name")`` without
+touching
 :mod:`repro.pipeline.runner`.
 """
 

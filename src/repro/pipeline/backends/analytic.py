@@ -116,7 +116,7 @@ def _plan_analytic(request: ExecutionRequest) -> PipelineResult:
     samp, feat, trans, train = phase_costs(system, gpu, request.workloads)
     return combine_batch(
         system.design, samp, feat, trans, train,
-        [request.n_batches], [request.n_workers],
+        [request.spec.n_batches], [request.spec.n_workers],
     )[0]
 
 
@@ -132,6 +132,4 @@ def _plan_distributed_analytic(
     # hosts axis, never on a single-device run
     from repro.distributed import DistributedCoordinator
 
-    return DistributedCoordinator(
-        request, mode="distributed-analytic"
-    ).analytic()
+    return DistributedCoordinator(request).analytic()

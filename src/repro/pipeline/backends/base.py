@@ -4,8 +4,9 @@ An execution backend decides *how* prepared batches flow through the
 system -- single-device producer/consumer, closed-form analytic,
 sharded multi-device, asynchronous prefetch pipelines -- while the
 *what* (systems, engines, GPU model, workloads) stays fixed.  Backends
-receive one :class:`ExecutionRequest` and return one
-:class:`PipelineResult`; they register through
+receive one :class:`ExecutionRequest` -- the validated
+:class:`~repro.api.spec.RunSpec` plus what it materialized -- and
+return one :class:`PipelineResult`; they register through
 :mod:`repro.pipeline.backends.registry` exactly like design points
 register through :mod:`repro.api.registry`.
 """
@@ -15,14 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.api.validation import (
-    PIPELINE_COUNTS,
-    TOPOLOGY_COUNTS,
-    check_count,
-    check_fabric,
-    check_faults,
-    check_partition,
-)
 from repro.errors import ConfigError
 from repro.sim.stats import PhaseBreakdown
 
@@ -84,27 +77,21 @@ class PipelineResult:
         return sum(self.phase_means.values())
 
 
-#: request knobs copied by name from :class:`~repro.api.spec.RunSpec`
-_RUN_KNOBS = ("mode", *PIPELINE_COUNTS)
-#: request knobs copied by name from :class:`~repro.api.spec.SystemSpec`
-_SYSTEM_KNOBS = (
-    *TOPOLOGY_COUNTS, "fabric", "partition", "faults", "cache_tiers",
-    "cache_policy",
-)
-
-
 @dataclass
 class ExecutionRequest:
     """Everything a backend needs to execute one training run.
 
-    The first block is what every mode reads; the second carries the
-    axes only some modes expose (``n_shards``/``partition``/``graph``
-    for the shards axis, ``n_hosts``/``fabric`` for the hosts axis,
-    ``prefetch_depth`` for the prefetch axis, ``qp_depth`` for
-    ``gids``); a mode ignores the knobs of axes it does not expose.
-    ``graph`` is the dataset's :class:`~repro.graph.csr.CSRGraph`;
-    :meth:`from_spec` always supplies it, hand-built requests only need
-    to when they ask for a graph-partitioning backend.
+    ``spec`` is the :class:`~repro.api.spec.RunSpec` the run executes:
+    backends read every pipeline knob from it (``spec.n_batches``,
+    ``spec.queue_depth``, ...) and every topology knob from its
+    :class:`~repro.api.spec.SystemSpec` (``spec.system.n_shards``,
+    ``spec.system.fabric``, ...); a mode ignores the knobs of axes it
+    does not expose.  :func:`~repro.pipeline.runner.run_pipeline`
+    validates the spec, the one check of those knobs.  ``graph`` is
+    the dataset's :class:`~repro.graph.csr.CSRGraph`;
+    :attr:`Session.request <repro.api.session.Session.request>` always
+    supplies it, hand-built requests only need to when they ask for a
+    graph-partitioning backend.
 
     ``system`` and ``system_factory`` are bound per run by
     :func:`~repro.pipeline.runner.run_pipeline`, so one request can run
@@ -117,51 +104,13 @@ class ExecutionRequest:
     instance it would discard.
     """
 
+    spec: object                       # RunSpec
     gpu: object                        # GPUModel
     workloads: List                    # List[SamplingWorkload]
-    n_batches: int
-    n_workers: int
-    mode: str = "event"
-    queue_depth: int = 4
-    checkpoint_every: int = 0
-    checkpoint_bytes: int = 0
-    # -- per-axis knobs ----------------------------------------------------
-    n_shards: int = 1
-    #: host replicas (hosts axis); each holds ``n_shards`` groups
-    n_hosts: int = 1
-    #: network fabric topology between hosts (hosts axis)
-    fabric: str = "rack"
-    partition: str = "edge-cut"
-    #: prefetch window between samplers and feature workers
-    prefetch_depth: int = 2
-    #: GPU-resident queue-pair depth (mode="gids")
-    qp_depth: int = 64
     graph: Optional[object] = None     # CSRGraph
-    #: degraded-operation plan (repro.faults.FaultPlan); event-driven
-    #: backends create one fresh FaultInjector per simulation from it
-    faults: Optional[object] = None
-    #: feature-cache tier stack (see repro.cache); ``None`` keeps each
-    #: backend's legacy cache behavior and stats byte-identical
-    cache_tiers: Optional[tuple] = None
-    #: replacement policy shared by the stack (``None`` -> ``"lru"``)
-    cache_policy: Optional[str] = None
     # -- the system one run executes on ------------------------------------
     system: Optional[object] = None    # TrainingSystem
     system_factory: Optional[Callable[[], object]] = None
-
-    @classmethod
-    def from_spec(cls, spec, *, gpu, workloads,
-                  graph=None) -> "ExecutionRequest":
-        """The request a :class:`~repro.api.spec.RunSpec` declares, run
-        on ``workloads`` with ``gpu``; ``graph`` feeds the shards and
-        hosts axes."""
-        return cls(
-            gpu=gpu,
-            workloads=list(workloads),
-            graph=graph,
-            **{name: getattr(spec, name) for name in _RUN_KNOBS},
-            **{name: getattr(spec.system, name) for name in _SYSTEM_KNOBS},
-        )
 
     def base_system(self):
         """The request's system, built on first use when only a
@@ -176,32 +125,13 @@ class ExecutionRequest:
             return self.system_factory()
         return self.system
 
-    def validate(self) -> "ExecutionRequest":
-        """Check every knob, normalizing counts to ``int``, ``faults``
-        to a :class:`~repro.faults.FaultPlan` and ``cache_tiers`` to a
-        tuple."""
-        if not self.workloads:
-            raise ConfigError("need at least one workload")
-        for counts in (PIPELINE_COUNTS, TOPOLOGY_COUNTS):
-            for name, minimum in counts.items():
-                setattr(self, name,
-                        check_count(name, getattr(self, name), minimum))
-        check_partition(self.partition)
-        check_fabric(self.fabric)
-        self.faults = check_faults(self.faults)
-        from repro.cache.tiers import check_cache_config
-
-        self.cache_tiers, self.cache_policy = check_cache_config(
-            self.cache_tiers, self.cache_policy
-        )
-        return self
-
     def injector(self):
         """A fresh :class:`~repro.faults.FaultInjector` for one
         simulation, or ``None`` when no plan is set.  Fresh per call
         so repeated runs of one request replay identical faults."""
-        if self.faults is None:
+        faults = self.spec.system.faults
+        if faults is None:
             return None
         from repro.faults import FaultInjector
 
-        return FaultInjector(self.faults)
+        return FaultInjector(faults)

@@ -59,7 +59,8 @@ def _plan_gids(request: ExecutionRequest) -> PipelineResult:
             "'gids-cached', or register a design whose system carries "
             "a GIDSController"
         )
-    controller.qp_depth = request.qp_depth
+    qp_depth = request.spec.qp_depth
+    controller.qp_depth = qp_depth
     # Stats below are deltas: warm-up batch_cost calls already moved
     # BAR bytes through the controller's lifetime counters.
     bar_bytes0 = controller.traffic.bar_bytes
@@ -69,15 +70,14 @@ def _plan_gids(request: ExecutionRequest) -> PipelineResult:
     cache_misses0 = cache.misses if cache else 0
     tiers = (
         cache.tiers
-        if request.cache_tiers is not None
+        if request.spec.system.cache_tiers is not None
         and cache is not None
         else ()
     )
     tier_hits0 = [(t.hits, t.hit_bytes) for t in tiers]
 
     result = TopologyEngine(
-        dataclasses.replace(request, gpu=_ResidentFeatureGPU(request.gpu)),
-        mode="gids",
+        dataclasses.replace(request, gpu=_ResidentFeatureGPU(request.gpu))
     ).run()
 
     bar_bytes = controller.traffic.bar_bytes - bar_bytes0
@@ -95,7 +95,7 @@ def _plan_gids(request: ExecutionRequest) -> PipelineResult:
     if tiers:
         tier_stats["cache_misses"] = float(misses)
     result.backend_stats = {
-        "qp_depth": float(request.qp_depth),
+        "qp_depth": float(qp_depth),
         "bar_bytes": float(bar_bytes),
         "bounce_bytes_avoided": float(bar_bytes),
         "doorbells": float(controller.queues.doorbells_rung - doorbells0),

@@ -193,7 +193,7 @@ class TopologyPlan:
     part: Optional[object] = None
     #: hierarchical host plan (hosts axis with more than one group)
     host_plan: Optional[object] = None
-    #: front-cache replay per group (``request.cache_tiers`` only)
+    #: front-cache replay per group (``cache_tiers`` specs only)
     cache_plans: Dict[int, object] = field(default_factory=dict)
     #: ``[host][workload]`` cross-host traffic (more than one host only)
     host_traffic: List[List] = field(default_factory=list)
@@ -219,34 +219,35 @@ class TopologyEngine:
     (``range(group, n_batches, n_groups)``).
     """
 
-    def __init__(self, request: ExecutionRequest, mode: str = "event",
+    def __init__(self, request: ExecutionRequest,
                  axes: Tuple[str, ...] = ()):
         self.request = request
-        self.mode = mode
+        spec = request.spec
         self.axes = frozenset(axes)
-        self.n_shards = request.n_shards if SHARDS in self.axes else 1
-        self.n_hosts = request.n_hosts if HOSTS in self.axes else 1
+        self.n_shards = spec.system.n_shards if SHARDS in self.axes else 1
+        self.n_hosts = spec.system.n_hosts if HOSTS in self.axes else 1
         self.n_groups = self.n_hosts * self.n_shards
         self.prefetch_depth = (
-            request.prefetch_depth if PREFETCH in self.axes else 0
+            spec.prefetch_depth if PREFETCH in self.axes else 0
         )
         if self.n_groups > 1 and request.graph is None:
             raise ConfigError(
-                f"{mode} mode with {self.n_groups} device groups needs "
+                f"{spec.mode} mode with {self.n_groups} device groups needs "
                 "the dataset graph; run through Session (which supplies "
                 "it) or pass graph="
             )
 
     def group_batches(self, group: int) -> List[int]:
-        return list(range(group, self.request.n_batches, self.n_groups))
+        return list(range(group, self.request.spec.n_batches, self.n_groups))
 
     # -- shared deterministic planning -------------------------------------
 
     def plan(self) -> TopologyPlan:
         """Systems, partition, cache replay and host traffic."""
         req = self.request
+        system_spec = req.spec.system
         workloads = req.workloads
-        group_ids = list(range(min(self.n_groups, req.n_batches)))
+        group_ids = list(range(min(self.n_groups, req.spec.n_batches)))
         # One group runs on the request's own (already warmed) system;
         # several groups are independently built replicas.
         if self.n_groups == 1:
@@ -264,7 +265,7 @@ class TopologyEngine:
         row_bytes = req.gpu.feature_dim * req.gpu.feature_dtype_bytes
         edge_id_bytes = hw.workload.edge_id_bytes
         cut = (HOSTS in self.axes, self.n_hosts, self.n_shards,
-               req.partition, row_bytes, edge_id_bytes)
+               system_spec.partition, row_bytes, edge_id_bytes)
         plan.part, plan.host_plan = _graph_cut(req.graph, *cut)
         parts = [
             _remote_parts(req.graph, cut, plan.part, workloads, g)
@@ -272,14 +273,14 @@ class TopologyEngine:
         ]
         plan.per_group_remote = [[total for total, _ in p] for p in parts]
 
-        if req.cache_tiers is not None:
+        if system_spec.cache_tiers is not None:
             # Front cache over each group's cross-group feature rows:
             # replayed here, in batch-id order, so both faces and every
             # --jobs level see identical per-batch hit bytes.
             from repro.cache import degree_priority_nodes, plan_remote_cache
 
             priority_nodes = None
-            if req.cache_policy == "static":
+            if system_spec.cache_policy == "static":
                 priority_nodes = degree_priority_nodes(req.graph)
             for g in group_ids:
                 plan.cache_plans[g] = plan_remote_cache(
@@ -287,8 +288,8 @@ class TopologyEngine:
                     self.group_batches(g),
                     [nodes for _, nodes in parts[g]],
                     row_bytes,
-                    tiers=req.cache_tiers,
-                    policy=req.cache_policy,
+                    tiers=system_spec.cache_tiers,
+                    policy=system_spec.cache_policy,
                     priority_nodes=priority_nodes,
                 )
 
@@ -297,7 +298,7 @@ class TopologyEngine:
             from repro.net import NetworkFabric
 
             plan.fabric = NetworkFabric(
-                hw.fabric, self.n_hosts, topology=req.fabric
+                hw.fabric, self.n_hosts, topology=system_spec.fabric
             )
             plan.host_traffic = [
                 _host_traffic(req.graph, cut, plan.host_plan, workloads, h)
@@ -375,6 +376,7 @@ class TopologyEngine:
 
     def run(self) -> PipelineResult:
         req = self.request
+        spec = req.spec
         workloads = req.workloads
         plan = self.plan()
 
@@ -434,7 +436,7 @@ class TopologyEngine:
                     idx: plan.host_traffic[host][idx % len(workloads)]
                     for idx in batch_ids
                 }
-            queue = WorkQueue(sim, depth=req.queue_depth)
+            queue = WorkQueue(sim, depth=spec.queue_depth)
             pool = ProducerPool(
                 system, runtime, workloads, queue, batch_ids, phases,
                 remote_bytes={
@@ -447,9 +449,9 @@ class TopologyEngine:
             )
             consumer = GPUConsumer(
                 req.gpu, queue, len(batch_ids), phases,
-                ssd=system.ssd if req.checkpoint_every else None,
-                checkpoint_every=req.checkpoint_every,
-                checkpoint_bytes=req.checkpoint_bytes,
+                ssd=system.ssd if spec.checkpoint_every else None,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_bytes=spec.checkpoint_bytes,
                 allreduce_s=allreduce_s,
                 # one consumer per host charges the ring share
                 on_allreduce=(
@@ -458,11 +460,11 @@ class TopologyEngine:
                 recovery_at=recovery_at,
                 recovery_s=recovery_s,
             )
-            procs.extend(pool.spawn_all(req.n_workers))
+            procs.extend(pool.spawn_all(spec.n_workers))
             procs.append(sim.process(consumer.run(sim), name=f"gpu-{g}"))
             consumers.append(consumer)
 
-        elapsed = drive(sim, procs, what=f"{self.mode} pipeline")
+        elapsed = drive(sim, procs, what=f"{spec.mode} pipeline")
         busy = sum(c.utilization.busy_time(elapsed) for c in consumers)
         stats = self.topology_stats(plan)
         if HOSTS in self.axes:
@@ -478,9 +480,9 @@ class TopologyEngine:
             stats.update(inj.stats())
         return PipelineResult(
             design=plan.systems[0].design,
-            mode=self.mode,
-            n_batches=req.n_batches,
-            n_workers=req.n_workers,
+            mode=spec.mode,
+            n_batches=spec.n_batches,
+            n_workers=spec.n_workers,
             elapsed_s=elapsed,
             gpu_busy_s=busy,
             gpu_idle_fraction=max(
@@ -498,7 +500,7 @@ def _register_preset(mode: str, description: str) -> None:
     axes = PRESETS[mode]
 
     def plan(request: ExecutionRequest) -> PipelineResult:
-        return TopologyEngine(request, mode, axes).run()
+        return TopologyEngine(request, axes).run()
 
     register_backend(
         mode, description=description,

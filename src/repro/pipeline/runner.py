@@ -1,9 +1,11 @@
 """End-to-end training pipeline runner: a thin backend dispatcher.
 
-``run_pipeline`` executes one :class:`ExecutionRequest` -- built from a
-spec by :meth:`ExecutionRequest.from_spec` or by hand -- on a
+``run_pipeline`` executes one :class:`ExecutionRequest` -- a validated
+:class:`~repro.api.spec.RunSpec` plus the GPU model, workload pool and
+graph it materialized, usually :attr:`Session.request
+<repro.api.session.Session.request>` -- on a
 :class:`~repro.core.systems.TrainingSystem` by dispatching to the
-execution backend registered for ``request.mode``
+execution backend registered for ``request.spec.mode``
 (:mod:`repro.pipeline.backends`).  ``event``, ``sharded``,
 ``distributed`` and ``async`` are presets of the one event-driven
 topology engine (:mod:`repro.pipeline.engine`), exposing no axes, the
@@ -31,23 +33,29 @@ def run_pipeline(
     system=None,
     system_factory=None,
 ) -> PipelineResult:
-    """Simulate ``request.n_batches`` of training via ``request.mode``.
+    """Simulate ``request.spec.n_batches`` of training via
+    ``request.spec.mode``.
 
     ``request.workloads`` is a pool of pre-sampled batch workloads,
     cycled if shorter than ``n_batches`` (sampling the graph itself is
     orthogonal to system timing, so reusing representative workloads
-    is sound).  An unknown mode raises :class:`~repro.errors.ConfigError`
-    listing the registered backends.
+    is sound).  The spec is validated here, by
+    :meth:`RunSpec.validate <repro.api.spec.RunSpec.validate>`, the one
+    check of every knob; an unknown mode raises
+    :class:`~repro.errors.ConfigError` listing the registered backends.
 
     ``system`` / ``system_factory`` bind the run to a system, replacing
     the request's own, so one request can run many designs.
     ``system_factory`` builds a fresh warmed system per device group so
     multi-group topologies get independent cache state per shard; when
     it is given, ``system`` may be ``None`` and backends materialize
-    instances lazily.  The request itself is never modified: the run
-    validates and uses a copy.
+    instances lazily.  The request itself is never rebound: the run
+    uses a copy.
     """
-    entry = backend_entry(request.mode)
+    request.spec.validate()
+    if not request.workloads:
+        raise ConfigError("need at least one workload")
+    entry = backend_entry(request.spec.mode)
     bound = dataclasses.replace(
         request,
         system=request.system if system is None else system,
@@ -58,4 +66,4 @@ def run_pipeline(
     )
     if bound.system is None and bound.system_factory is None:
         raise ConfigError("need a system or a system_factory")
-    return entry.plan(bound.validate())
+    return entry.plan(bound)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -21,6 +22,14 @@ from repro.core.sampling_engines import DirectIOSamplingEngine
 from repro.errors import ConfigError
 from repro.experiments.common import ExperimentConfig, scaled_instance
 from repro.pipeline import run_pipeline
+from repro.service.store import (
+    make_record,
+    record_bytes,
+    result_to_dict,
+    run_key,
+)
+
+from pipeline_request import make_request
 
 CFG = ExperimentConfig(edge_budget=2e5, batch_size=16, n_workloads=3)
 
@@ -273,15 +282,18 @@ def test_build_system_equivalent_for_all_designs(dataset):
         )
 
 
-# -- pipeline counts: one table, two validators --------------------------
+# -- pipeline counts: one table, one validator ---------------------------
 
 
 def test_request_rejects_negative_checkpoint_counts(dataset):
     """A hand-built request cannot slip negative checkpoint knobs past
-    the run (they are in the shared count table)."""
+    the run: it validates the request's spec (they are in the shared
+    count table)."""
     session = Session(small_spec(), dataset=dataset)
     for field, bad in (("checkpoint_every", -3), ("checkpoint_bytes", -5)):
-        request = dataclasses.replace(session.request, **{field: bad})
+        request = make_request(
+            session.gpu, session.workloads, **{field: bad}
+        )
         with pytest.raises(ConfigError, match=field):
             run_pipeline(request, system_factory=session.build)
 
@@ -291,7 +303,8 @@ def test_request_rejects_negative_checkpoint_counts(dataset):
 )
 def test_count_table_checked_by_spec_and_request(dataset, field):
     """Every count is checked at its minimum by RunSpec (pipeline
-    counts), SystemSpec (topology counts) and ExecutionRequest (both)."""
+    counts) or SystemSpec (topology counts), and a run of a hand-built
+    request checks it through the request's spec."""
     minimum = {**PIPELINE_COUNTS, **TOPOLOGY_COUNTS}[field]
     spec = small_spec()
     if field in TOPOLOGY_COUNTS:
@@ -302,11 +315,40 @@ def test_count_table_checked_by_spec_and_request(dataset, field):
         bad_spec = spec.replace(**{field: minimum - 1})
     with pytest.raises(ConfigError, match=field):
         bad_spec.validate()
-    request = Session(spec, dataset=dataset).request
+    session = Session(spec, dataset=dataset)
+
+    def run(value):
+        knobs = {"n_batches": 4, "n_workers": 2, field: value}
+        request = make_request(session.gpu, session.workloads, **knobs)
+        return run_pipeline(request, system_factory=session.build)
+
     for bad in (minimum - 1, 2.5, True):
         with pytest.raises(ConfigError, match=field):
-            dataclasses.replace(request, **{field: bad}).validate()
-    assert dataclasses.replace(request, **{field: minimum}).validate()
+            run(bad)
+    assert run(minimum).elapsed_s > 0
+
+
+def test_numpy_counts_give_int_results_and_identical_records(dataset):
+    """``RunSpec.validate`` stores each count back as an ``int``, so
+    numpy counts reach neither the result nor its store record."""
+    as_numpy = small_spec(
+        n_batches=np.int64(4), n_workers=np.int64(2),
+        queue_depth=np.int32(3),
+        system=SystemSpec(design="ssd-mmap", n_shards=np.int64(1)),
+    )
+    as_int = small_spec(queue_depth=3)
+
+    def run_and_record(spec):
+        result = Session(spec, dataset=dataset).run()
+        record = make_record(
+            run_key(spec), spec.to_dict(), result_to_dict(result)
+        )
+        return result, record_bytes(record)
+
+    result, record = run_and_record(as_numpy)
+    assert type(result.n_batches) is int
+    assert type(result.n_workers) is int
+    assert record == run_and_record(as_int)[1]
 
 
 # -- Session ------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import ExecutionRequest, run_pipeline
+from repro.pipeline import run_pipeline
 from repro.pipeline.backends import (
     available_backends,
     backend_entry,
@@ -18,6 +18,8 @@ from repro.pipeline.backends import (
     unregister_backend,
 )
 from repro.pipeline.backends.base import PipelineResult
+
+from pipeline_request import make_request
 
 CFG = ExperimentConfig(edge_budget=3e5, batch_size=24, n_workloads=5)
 
@@ -56,7 +58,8 @@ def test_register_backend_round_trip():
     def _plan_null(request):
         return PipelineResult(
             design=request.system.design, mode="null-test",
-            n_batches=request.n_batches, n_workers=request.n_workers,
+            n_batches=request.spec.n_batches,
+            n_workers=request.spec.n_workers,
             elapsed_s=1.0, gpu_busy_s=0.0, gpu_idle_fraction=1.0,
         )
 
@@ -76,7 +79,7 @@ def test_unknown_mode_lists_registered_backends(setup):
     system = build("dram", ds, workloads)
     with pytest.raises(ConfigError, match="event"):
         run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads, n_batches=4, n_workers=1,
                 mode="quantum",
             ),
@@ -98,13 +101,13 @@ def test_event_dispatch_matches_direct_backend_call(setup):
     """run_pipeline(mode='event') is exactly the registered backend."""
     ds, workloads, gpu = setup
     via_dispatch = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=12, n_workers=4,
             mode="event",
         ),
         system=build("ssd-mmap", ds, workloads),
     )
-    request = ExecutionRequest(
+    request = make_request(
         system=build("ssd-mmap", ds, workloads), gpu=gpu,
         workloads=workloads[2:], n_batches=12, n_workers=4,
     )
@@ -115,7 +118,7 @@ def test_event_dispatch_matches_direct_backend_call(setup):
 def test_analytic_dispatches_through_registry(setup):
     ds, workloads, gpu = setup
     result = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
             mode="analytic",
         ),
@@ -133,14 +136,14 @@ def test_sharded_k1_equals_event(setup):
     ds, workloads, gpu = setup
     for design in ("ssd-mmap", "smartsage-hwsw"):
         event = run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=12, n_workers=4,
                 mode="event",
             ),
             system=build(design, ds, workloads),
         )
         sharded = run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=12, n_workers=4,
                 mode="sharded", n_shards=1,
             ),
@@ -157,7 +160,7 @@ def test_sharded_scales_sublinearly(setup):
 
     def tput(k):
         result = run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=16, n_workers=4,
                 mode="sharded", n_shards=k, graph=ds.graph,
             ),
@@ -182,7 +185,7 @@ def test_sharded_multi_shard_needs_graph(setup):
     ds, workloads, gpu = setup
     with pytest.raises(ConfigError, match="graph"):
         run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
                 mode="sharded", n_shards=2,
             ),
@@ -194,7 +197,7 @@ def test_sharded_more_shards_than_batches(setup):
     """Empty groups are skipped; every batch still completes."""
     ds, workloads, gpu = setup
     result = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=3, n_workers=2,
             mode="sharded", n_shards=8, graph=ds.graph,
         ),
@@ -213,7 +216,7 @@ def test_async_prefetch_depth_monotonicity(setup):
     elapsed = []
     for depth in (1, 2, 4, 8):
         result = run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=16, n_workers=4,
                 mode="async", prefetch_depth=depth,
             ),
@@ -231,7 +234,7 @@ def test_async_prefetch_depth_monotonicity(setup):
 def test_async_completes_all_batches(setup):
     ds, workloads, gpu = setup
     result = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=9, n_workers=3,
             mode="async", prefetch_depth=2,
         ),
@@ -322,17 +325,11 @@ def test_async_is_the_engine_prefetch_preset():
 def test_session_request_is_built_once_from_the_spec():
     from repro.pipeline import ExecutionRequest
 
-    session = Session(small_spec(
-        mode="async", prefetch_depth=3, qp_depth=8,
-        system=SystemSpec(n_shards=2, fabric="flat"),
-    ))
+    session = Session(small_spec(mode="async"))
     request = session.request
     assert isinstance(request, ExecutionRequest)
     assert session.request is request
-    assert (request.mode, request.prefetch_depth, request.qp_depth) == (
-        "async", 3, 8
-    )
-    assert (request.n_shards, request.fabric) == (2, "flat")
+    assert request.spec is session.spec
     assert request.graph is session.dataset.graph
     assert request.workloads == session.workloads[2:]
     assert request.system is None

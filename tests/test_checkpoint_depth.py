@@ -9,7 +9,9 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import ExecutionRequest, run_pipeline
+from repro.pipeline import run_pipeline
+
+from pipeline_request import make_request
 
 CFG = ExperimentConfig(edge_budget=2.5e5, batch_size=24, n_workloads=5)
 
@@ -30,7 +32,7 @@ def test_checkpointing_writes_and_costs_time(setup):
             SystemSpec("smartsage-hwsw", fanouts=CFG.fanouts), ds, hw=CFG.hw
         )
         return run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads, n_batches=12, n_workers=4,
                 mode="event", checkpoint_every=checkpoint_every,
                 checkpoint_bytes=4 << 20,
@@ -51,7 +53,7 @@ def test_checkpointing_ignored_for_dram_design(setup):
         SystemSpec("dram", fanouts=CFG.fanouts), ds, hw=CFG.hw
     )
     result = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads, n_batches=6, n_workers=2,
             mode="event", checkpoint_every=2, checkpoint_bytes=1 << 20,
         ),

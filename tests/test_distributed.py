@@ -20,6 +20,8 @@ from repro.experiments.common import (
 from repro.graph.csr import CSRGraph
 from repro.pipeline.backends import available_backends, backend_entry
 
+from pipeline_request import make_request
+
 CFG = ExperimentConfig(edge_budget=3e5, batch_size=24, n_workloads=5)
 
 
@@ -175,7 +177,8 @@ def test_spec_validation_names_offending_field():
 
 
 def test_request_validation_rejects_non_integral_counts(setup):
-    from repro.pipeline import ExecutionRequest, run_pipeline
+    """A hand-built request's spec is validated by the run itself."""
+    from repro.pipeline import run_pipeline
 
     ds, workloads = setup
     gpu = build_gpu_model(ds, CFG.hw)
@@ -194,7 +197,7 @@ def test_request_validation_rejects_non_integral_counts(setup):
     ]:
         with pytest.raises(ConfigError, match=field):
             run_pipeline(
-                ExecutionRequest(
+                make_request(
                     gpu=gpu, workloads=workloads, n_batches=4, n_workers=2,
                     mode="event", **bad,
                 ),
@@ -202,7 +205,7 @@ def test_request_validation_rejects_non_integral_counts(setup):
             )
     # numpy integers are fine
     result = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads, n_batches=4, n_workers=2,
             mode="event", n_shards=np.int64(1), n_hosts=np.int64(1),
         ),

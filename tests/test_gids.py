@@ -14,7 +14,7 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import ExecutionRequest, run_pipeline
+from repro.pipeline import run_pipeline
 from repro.pipeline.backends import available_backends, backend_entry
 from repro.storage.gids import (
     BARTraffic,
@@ -22,6 +22,8 @@ from repro.storage.gids import (
     GIDSQueuePairs,
 )
 from repro.storage.ssd import SSDevice
+
+from pipeline_request import make_request
 
 CFG = ExperimentConfig(edge_budget=3e5, batch_size=24, n_workloads=5)
 
@@ -147,7 +149,7 @@ def test_gids_mode_requires_gids_design(setup):
     ds, workloads, gpu = setup
     with pytest.raises(ConfigError, match="gids-baseline"):
         run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=4, n_workers=2,
                 mode="gids",
             ),
@@ -158,7 +160,7 @@ def test_gids_mode_requires_gids_design(setup):
 def test_gids_backend_end_to_end(setup):
     ds, workloads, gpu = setup
     result = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
             mode="gids",
         ),
@@ -181,7 +183,7 @@ def test_gids_backend_end_to_end(setup):
     # features arrive over the BAR: only subgraph structure crosses the
     # host->GPU link, so the copy phase is far below the event backend's
     event = run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
             mode="event",
         ),
@@ -198,7 +200,7 @@ def test_gids_cache_speeds_up_feature_path(setup):
 
     def elapsed(design):
         return run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=2,
                 mode="gids",
             ),
@@ -213,7 +215,7 @@ def test_gids_qp_depth_throttles(setup):
 
     def elapsed(depth):
         return run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads[2:], n_batches=8, n_workers=4,
                 mode="gids", qp_depth=depth,
             ),

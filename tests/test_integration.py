@@ -5,7 +5,6 @@ import pytest
 
 from repro import (
     DESIGNS,
-    ExecutionRequest,
     SamplingWorkload,
     SystemSpec,
     build_gpu_model,
@@ -20,6 +19,8 @@ from repro.experiments.common import (
     scaled_instance,
 )
 from repro.gnn import NeighborSampler
+
+from pipeline_request import make_request
 
 CFG = ExperimentConfig(edge_budget=3e5, batch_size=24, n_workloads=5)
 
@@ -56,7 +57,7 @@ def test_every_design_completes_a_pipeline(setup):
             SystemSpec(design, fanouts=CFG.fanouts), ds, hw=CFG.hw
         )
         result = run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads, n_batches=6, n_workers=3,
                 mode="event",
             ),
@@ -76,7 +77,7 @@ def test_pipeline_deterministic(setup):
             SystemSpec("ssd-mmap", fanouts=CFG.fanouts), ds, hw=CFG.hw
         )
         return run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads, n_batches=8, n_workers=4,
                 mode="event",
             ),

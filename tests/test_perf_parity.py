@@ -20,6 +20,8 @@ from repro.perf.reference import (
     apply_remap_scalar,
     event_grants,
     fault_around_windows_scalar,
+    noreplace_positions_scalar,
+    run_trace_scalar,
 )
 from repro.sim.engine import Simulator, all_of
 from repro.sim.resources import Resource
@@ -49,8 +51,8 @@ def test_llc_vectorized_matches_scalar(capacity, ways, domain):
     rng = np.random.default_rng(0)
     for _ in range(3):
         trace = rng.integers(0, domain, size=1500)
-        s_vec = vec.run_trace(trace, method="vectorized")
-        s_ref = ref.run_trace_scalar(trace)
+        s_vec = vec.run_trace(trace)
+        s_ref = run_trace_scalar(ref, trace)
         assert (s_vec.hits, s_vec.misses) == (s_ref.hits, s_ref.misses)
     # identical internal state => identical future behaviour
     assert np.array_equal(vec._tags, ref._tags)
@@ -64,8 +66,8 @@ def test_llc_trace_interleaves_with_scalar_access():
     rng = np.random.default_rng(1)
     for _ in range(4):
         trace = rng.integers(0, 128 * KIB, size=600)
-        vec.run_trace(trace, method="vectorized")
-        ref.run_trace_scalar(trace)
+        vec.run_trace(trace)
+        run_trace_scalar(ref, trace)
         for addr in rng.integers(0, 128 * KIB, size=40):
             assert vec.access(int(addr)) == ref.access(int(addr))
     assert vec.stats.hits == ref.stats.hits
@@ -73,15 +75,18 @@ def test_llc_trace_interleaves_with_scalar_access():
 
 
 def test_llc_auto_dispatch_preserves_stats():
+    """Short and long traces alike take the one set-parallel kernel
+    and match the per-access reference."""
     params = LLCParams(capacity_bytes=8 * KIB, ways=2, line_bytes=64)
-    auto, ref = CacheSim(params), CacheSim(params)
+    vec, ref = CacheSim(params), CacheSim(params)
     rng = np.random.default_rng(2)
-    # tiny trace (scalar route) then a large one (vectorized route)
     for size in (20, 3000):
         trace = rng.integers(0, 1 << 22, size=size)
-        s_auto = auto.run_trace(trace)
-        s_ref = ref.run_trace_scalar(trace)
-        assert (s_auto.hits, s_auto.misses) == (s_ref.hits, s_ref.misses)
+        s_vec = vec.run_trace(trace)
+        s_ref = run_trace_scalar(ref, trace)
+        assert (s_vec.hits, s_vec.misses) == (s_ref.hits, s_ref.misses)
+        assert np.array_equal(vec._tags, ref._tags)
+        assert np.array_equal(vec._used, ref._used)
 
 
 # -- exact-LRU caches ------------------------------------------------------
@@ -319,6 +324,17 @@ def _noreplace_graph(n_nodes=1500, n_edges=20000, seed=3):
     ), rng
 
 
+def _noreplace_scalar(graph, targets, fanout, rng):
+    """``(samples, offsets, positions)`` of the per-row reference."""
+    degs = graph.degrees(targets)
+    offsets = np.zeros(targets.size + 1, dtype=np.int64)
+    np.cumsum(np.minimum(degs, fanout), out=offsets[1:])
+    positions = noreplace_positions_scalar(
+        degs, graph.indptr[targets], fanout, rng
+    )
+    return graph.indices[positions].astype(np.int64), offsets, positions
+
+
 @pytest.mark.parametrize("fanout", [1, 5, 10, 40])
 def test_sampler_noreplace_batched_matches_scalar_structure(fanout):
     """Offsets/counts are bit-identical; rows whose degree fits the
@@ -328,11 +344,10 @@ def test_sampler_noreplace_batched_matches_scalar_structure(fanout):
     targets = rng.integers(0, graph.num_nodes, size=400)
     s_b, o_b, p_b = graph.sample_neighbors(
         targets, fanout, np.random.default_rng(1), replace=False,
-        return_positions=True, method="batched",
+        return_positions=True,
     )
-    s_s, o_s, p_s = graph.sample_neighbors(
-        targets, fanout, np.random.default_rng(1), replace=False,
-        return_positions=True, method="scalar",
+    s_s, o_s, p_s = _noreplace_scalar(
+        graph, targets, fanout, np.random.default_rng(1)
     )
     assert np.array_equal(o_b, o_s)
     assert s_b.size == s_s.size and p_b.size == p_s.size
@@ -350,15 +365,14 @@ def test_sampler_noreplace_batched_matches_scalar_structure(fanout):
         assert np.array_equal(graph.indices[row_pos], s_b[lo:hi])
 
 
-def test_sampler_noreplace_deterministic_and_auto_is_batched():
+def test_sampler_noreplace_deterministic():
     graph, rng = _noreplace_graph()
     targets = rng.integers(0, graph.num_nodes, size=200)
     draws = [
         graph.sample_neighbors(
-            targets, 8, np.random.default_rng(7), replace=False,
-            method=method,
+            targets, 8, np.random.default_rng(7), replace=False
         )
-        for method in ("auto", "batched", "auto")
+        for _ in range(3)
     ]
     for samples, offsets in draws[1:]:
         assert np.array_equal(samples, draws[0][0])
@@ -368,18 +382,12 @@ def test_sampler_noreplace_deterministic_and_auto_is_batched():
 def test_sampler_noreplace_edge_cases():
     graph, _ = _noreplace_graph(n_nodes=50, n_edges=0)
     rng = np.random.default_rng(0)
-    for method in ("batched", "scalar"):
-        samples, offsets = graph.sample_neighbors(
-            np.arange(10), 5, rng, replace=False, method=method
-        )
+    targets = np.arange(10)
+    batched = graph.sample_neighbors(targets, 5, rng, replace=False)
+    scalar = _noreplace_scalar(graph, targets, 5, rng)
+    for samples, offsets in (batched, scalar[:2]):
         assert samples.size == 0
         assert offsets.tolist() == [0] * 11
-    from repro.errors import GraphError
-
-    with pytest.raises(GraphError, match="method"):
-        graph.sample_neighbors(
-            np.arange(2), 5, rng, replace=False, method="quantum"
-        )
 
 
 # -- mmap fault-around windows (ceil-div kernel vs loop) --------------------

@@ -10,7 +10,9 @@ from repro.experiments.common import (
     make_workloads,
     scaled_instance,
 )
-from repro.pipeline import ExecutionRequest, run_pipeline
+from repro.pipeline import run_pipeline
+
+from pipeline_request import make_request
 
 CFG = ExperimentConfig(edge_budget=3e5, batch_size=24, n_workloads=5)
 
@@ -30,7 +32,7 @@ def run(design, ds, workloads, gpu, mode="event", workers=4, batches=12):
     for w in workloads[:2]:
         system.sampling_engine.batch_cost(w)
     return run_pipeline(
-        ExecutionRequest(
+        make_request(
             gpu=gpu, workloads=workloads[2:], n_batches=batches,
             n_workers=workers, mode=mode,
         ),
@@ -115,21 +117,21 @@ def test_pipeline_validation(setup):
     system = build_system(SystemSpec("dram"), ds)
     with pytest.raises(ConfigError):
         run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads, n_batches=0, n_workers=1,
             ),
             system=system,
         )
     with pytest.raises(ConfigError):
         run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=[], n_batches=4, n_workers=1,
             ),
             system=system,
         )
     with pytest.raises(ConfigError):
         run_pipeline(
-            ExecutionRequest(
+            make_request(
                 gpu=gpu, workloads=workloads, n_batches=4, n_workers=1,
                 mode="quantum",
             ),
