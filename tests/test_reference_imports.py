@@ -2,7 +2,7 @@
 
 ``repro.perf.reference`` holds the pure references the fast paths
 replaced (the one-entry-per-hop event loop, per-event resource grants,
-the FTL remap and fault-around loops).  Only the parity tests and
+the FTL remap, fault-around, LLC replay and sampling loops).  Only the parity tests and
 ``repro/perf/benchmarks.py`` may import it, so that every production
 class has exactly one path.
 """
