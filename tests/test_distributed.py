@@ -1,6 +1,9 @@
 """Tests for the distributed subsystem (repro.distributed) and the
 ``distributed`` execution backend."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.experiments.common import (
 )
 from repro.graph.csr import CSRGraph
 from repro.pipeline.backends import available_backends, backend_entry
+from repro.service.store import record_bytes, result_to_dict
 
 from pipeline_request import make_request
 
@@ -293,3 +297,26 @@ def test_distributed_more_groups_than_batches():
     assert result.n_batches == 3
     assert result.backend_stats["n_groups"] == 3.0
     assert result.backend_stats["n_hosts"] == 2.0
+
+
+#: ``distributed-analytic`` records (default "u16" graphs), pinned so a
+#: move of the closed-form face shows up byte for byte
+ANALYTIC_RECORDS = (
+    pathlib.Path(__file__).parent / "data" / "distributed_analytic_records.json"
+)
+ANALYTIC_SPECS = {
+    "h2k2": {"n_hosts": 2, "n_shards": 2},
+    "h2-static-stack": {
+        "n_hosts": 2, "cache_tiers": ("hbm", "uva"), "cache_policy": "static",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_SPECS))
+def test_distributed_analytic_records_are_pinned(name):
+    pinned = json.loads(ANALYTIC_RECORDS.read_text(encoding="utf-8"))
+    result = Session(spec(
+        mode="distributed-analytic",
+        system=SystemSpec(**ANALYTIC_SPECS[name]),
+    )).run()
+    assert record_bytes(result_to_dict(result)) == pinned[name].encode("utf-8")
