@@ -576,17 +576,19 @@ def main(argv=None) -> int:
         print(run_experiment("calibration", suite_config()).rendered)
         return 0
     # run
-    from repro.api.experiment import available_experiments
+    from repro.api.experiment import available_experiments, experiment_entry
+    from repro.errors import ConfigError
 
-    if args.experiment != "all" and (
-        args.experiment not in available_experiments()
-    ):
-        print(
-            f"unknown experiment {args.experiment!r}; try: "
-            + ", ".join(available_experiments()),
-            file=sys.stderr,
-        )
-        return 2
+    if args.experiment != "all":
+        try:
+            experiment_entry(args.experiment)
+        except ConfigError:
+            print(
+                f"unknown experiment {args.experiment!r}; try: "
+                + ", ".join(available_experiments()),
+                file=sys.stderr,
+            )
+            return 2
     return _cmd_run(args)
 
 

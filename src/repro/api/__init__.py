@@ -16,6 +16,9 @@ The pieces:
 * :mod:`repro.api.experiment` -- ``@register_experiment`` /
   ``available_experiments``: the experiment registry (plan/collect
   protocol, structured ``RunRecord`` rows).
+* :mod:`repro.registry` -- ``Registry``: the one implementation behind
+  the design, backend, experiment, benchmark and cache-policy
+  registries (name check, clash and removal rules, lazy built-ins).
 * :mod:`repro.api.campaign` -- ``Campaign``: batch executor over a
   shared content-addressed cache with structured artifacts.
 * :mod:`repro.api.cache` -- ``ContentCache``: the build-once substrate

@@ -30,9 +30,10 @@ The registered protocol has four pieces:
   :func:`standard_records`.
 * ``render(result) -> str`` -- the existing paper-style text rendering.
 
-The built-in experiments register on ``import repro.experiments``; the
-registry imports it lazily so :func:`available_experiments` is always
-complete.
+The built-in experiments register on ``import repro.experiments``.  An
+experiment's description defaults to the first line of its module's
+docstring (``repro list`` prints it); names, clashes, removal and
+lookup follow :class:`repro.registry.Registry`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from typing import (
 )
 
 from repro.errors import ConfigError
+from repro.registry import Registry
 
 __all__ = [
     "RunRecord",
@@ -227,22 +229,14 @@ class ExperimentEntry:
         return self.render(result) if self.render is not None else None
 
 
-_REGISTRY: Dict[str, ExperimentEntry] = {}
-_builtin_loaded = False
+def _module_doc(fn: Callable) -> Optional[str]:
+    module = sys.modules.get(fn.__module__)
+    return getattr(module, "__doc__", None) or fn.__doc__
 
 
-def _ensure_builtin() -> None:
-    """Import the built-in experiment registrations (once, on success)."""
-    global _builtin_loaded
-    if _builtin_loaded:
-        return
-    import repro.experiments  # noqa: F401  (registers on import)
-
-    _builtin_loaded = True
-
-
-def _first_line(doc: Optional[str]) -> str:
-    return (doc or "").strip().split("\n")[0]
+_EXPERIMENTS = Registry(
+    "experiment", ExperimentEntry, ("repro.experiments",), doc=_module_doc
+)
 
 
 def register_experiment(
@@ -257,74 +251,18 @@ def register_experiment(
     reads: Sequence[str] = (),
     replace: bool = False,
 ) -> Callable:
-    """Decorator registering ``fn`` as the *plan* for experiment ``name``.
-
-    ``description`` defaults to the first line of the defining module's
-    docstring (``repro list`` prints it), else of ``fn``'s.  Raises
-    :class:`ConfigError` if ``name`` is already registered, unless
-    ``replace=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"experiment name must be a non-empty string, got {name!r}"
-        )
-    tags = tuple(tags)
-
-    def decorator(fn: Callable) -> Callable:
-        existing = _REGISTRY.get(name)
-        if existing is not None and not replace:
-            raise ConfigError(
-                f"experiment {name!r} is already registered "
-                f"(by {existing.plan!r}); "
-                "pass replace=True to override"
-            )
-        _REGISTRY[name] = ExperimentEntry(
-            name=name,
-            plan=fn,
-            collect=collect,
-            records=records,
-            render=render,
-            figure=figure,
-            tags=tags,
-            description=description or _first_line(
-                getattr(sys.modules.get(fn.__module__), "__doc__", None)
-                or fn.__doc__
-            ),
-            reads=tuple(reads),
-        )
-        return fn
-
-    return decorator
-
-
-def unregister_experiment(name: str) -> None:
-    """Remove a registered experiment (no-op if absent)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_experiments() -> Tuple[str, ...]:
-    """Names of every registered experiment, registration order."""
-    _ensure_builtin()
-    return tuple(_REGISTRY)
-
-
-def experiment_entry(name: str) -> ExperimentEntry:
-    """Look up one experiment; raise :class:`ConfigError` if unknown."""
-    _ensure_builtin()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown experiment {name!r}; one of {tuple(_REGISTRY)}"
-        ) from None
-
-
-def experiments_with_tag(tag: str) -> Tuple[str, ...]:
-    """Registered experiments carrying ``tag``."""
-    _ensure_builtin()
-    return tuple(
-        name for name, e in _REGISTRY.items() if tag in e.tags
+    """Decorator registering ``fn`` as the *plan* for experiment ``name``."""
+    return _EXPERIMENTS.register(
+        name, description=description, replace=replace,
+        collect=collect, records=records, render=render, figure=figure,
+        tags=tuple(tags), reads=tuple(reads),
     )
+
+
+unregister_experiment = _EXPERIMENTS.unregister
+available_experiments = _EXPERIMENTS.names
+experiment_entry = _EXPERIMENTS.entry
+experiments_with_tag = _EXPERIMENTS.with_tag
 
 
 # -- execution -------------------------------------------------------------

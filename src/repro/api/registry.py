@@ -33,17 +33,17 @@ carries:
   ``edge_scratchpad``, ``dram_feature_engine``, ``feature_cache``, ...).
 
 They return a fully wired :class:`repro.core.systems.TrainingSystem`.
-The seven paper designs are registered by ``repro.core.systems`` on
-import; this module lazily imports it so ``available_designs()`` is
-always complete.
+The built-in designs (the paper's seven, the GIDS and the sharded ones)
+register when :mod:`repro.core.systems` is imported.  Names, clashes,
+removal and lookup follow :class:`repro.registry.Registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
-from repro.errors import ConfigError
+from repro.registry import Registry
 
 __all__ = [
     "DesignEntry",
@@ -65,23 +65,7 @@ class DesignEntry:
     description: str = ""
 
 
-_REGISTRY: Dict[str, DesignEntry] = {}
-_builtin_loaded = False
-
-
-def _ensure_builtin() -> None:
-    """Import the built-in design registrations (once, on success).
-
-    The flag is only set after a successful import so that a transient
-    import failure surfaces its real error on every call instead of
-    leaving the registry silently empty for the rest of the process.
-    """
-    global _builtin_loaded
-    if _builtin_loaded:
-        return
-    import repro.core.systems  # noqa: F401  (registers on import)
-
-    _builtin_loaded = True
+_DESIGNS = Registry("design", DesignEntry, ("repro.core.systems",))
 
 
 def register_design(
@@ -91,52 +75,16 @@ def register_design(
     description: str = "",
     replace: bool = False,
 ) -> Callable:
-    """Decorator registering ``fn`` as the builder for design ``name``.
-
-    Raises :class:`ConfigError` if ``name`` is already registered, unless
-    ``replace=True`` (for deliberate overrides in experiments).
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(f"design name must be a non-empty string, got {name!r}")
-
-    def decorator(fn: Callable) -> Callable:
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"design {name!r} is already registered "
-                f"(by {_REGISTRY[name].builder!r}); "
-                "pass replace=True to override"
-            )
-        _REGISTRY[name] = DesignEntry(
-            name=name,
-            builder=fn,
-            ssd_backed=ssd_backed,
-            description=description or (fn.__doc__ or "").strip().split("\n")[0],
-        )
-        return fn
-
-    return decorator
+    """Decorator registering ``fn`` as the builder for design ``name``."""
+    return _DESIGNS.register(
+        name, description=description, replace=replace,
+        ssd_backed=ssd_backed,
+    )
 
 
-def unregister_design(name: str) -> None:
-    """Remove a registered design (no-op if absent)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_designs() -> Tuple[str, ...]:
-    """Names of every registered design, registration order."""
-    _ensure_builtin()
-    return tuple(_REGISTRY)
-
-
-def design_entry(name: str) -> DesignEntry:
-    """Look up one design; raise :class:`ConfigError` if unknown."""
-    _ensure_builtin()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown design {name!r}; one of {tuple(_REGISTRY)}"
-        ) from None
+unregister_design = _DESIGNS.unregister
+available_designs = _DESIGNS.names
+design_entry = _DESIGNS.entry
 
 
 def is_ssd_backed(name: str) -> bool:

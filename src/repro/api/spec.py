@@ -294,13 +294,9 @@ class RunSpec:
             self.sampler in _SAMPLERS,
             f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}",
         )
-        from repro.pipeline.backends import available_backends
+        from repro.pipeline.backends import backend_entry
 
-        _require(
-            self.mode in available_backends(),
-            f"mode must be one of {available_backends()}, "
-            f"got {self.mode!r}",
-        )
+        backend_entry(self.mode)  # raises ConfigError if unknown
         for name, minimum in PIPELINE_COUNTS.items():
             setattr(
                 self, name, check_count(name, getattr(self, name), minimum)

@@ -3,13 +3,15 @@
 A cache policy owns the *membership* question of one cache tier: given
 a batch of page keys, which are resident (hit) and which must be
 fetched (miss, insert-on-miss)?  Policies register through
-``@register_cache_policy`` exactly like design points and execution
-backends register through their registries, so third-party policies
-plug in without touching this module::
+``@register_cache_policy``, so third-party policies plug in without
+touching this module::
 
     @register_cache_policy("my-policy", description="...")
     class MyPolicy(CachePolicy):
         ...
+
+Names, clashes, removal and lookup follow
+:class:`repro.registry.Registry`; names list sorted.
 
 Each policy answers a batch through its one ``access``: ``lru`` is the
 shared :class:`~repro.memory.lru.ExactLRU`'s ``hit_mask``, ``clock``
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.memory.lru import ExactLRU
+from repro.registry import Registry
 
 __all__ = [
     "CachePolicy",
@@ -51,7 +54,7 @@ class CachePolicyEntry:
     description: str = ""
 
 
-_REGISTRY: Dict[str, CachePolicyEntry] = {}
+_POLICIES = Registry("cache policy", CachePolicyEntry, sort=True)
 
 
 def register_cache_policy(
@@ -63,51 +66,14 @@ def register_cache_policy(
     """Decorator registering a policy factory under ``name``.
 
     The factory is called as ``factory(capacity, priority_pages=...)``
-    and must return a :class:`CachePolicy`.  Raises
-    :class:`ConfigError` on duplicate names unless ``replace=True``.
+    and must return a :class:`CachePolicy`.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"cache policy name must be a non-empty string, got {name!r}"
-        )
-
-    def decorator(factory: Callable) -> Callable:
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"cache policy {name!r} is already registered "
-                f"(by {_REGISTRY[name].factory!r}); "
-                "pass replace=True to override"
-            )
-        _REGISTRY[name] = CachePolicyEntry(
-            name=name,
-            factory=factory,
-            description=description
-            or (factory.__doc__ or "").strip().split("\n")[0],
-        )
-        return factory
-
-    return decorator
+    return _POLICIES.register(name, description=description, replace=replace)
 
 
-def unregister_cache_policy(name: str) -> None:
-    """Remove a registered policy (experiments undo their overrides)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_cache_policies() -> Tuple[str, ...]:
-    """Registered policy names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def cache_policy_entry(name: str) -> CachePolicyEntry:
-    """The registry entry for ``name`` (ConfigError listing known)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown cache policy {name!r}; "
-            f"one of {available_cache_policies()}"
-        ) from None
+unregister_cache_policy = _POLICIES.unregister
+available_cache_policies = _POLICIES.names
+cache_policy_entry = _POLICIES.entry
 
 
 def build_cache_policy(

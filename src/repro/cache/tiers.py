@@ -42,10 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.policy import (
-    available_cache_policies,
-    build_cache_policy,
-)
+from repro.cache.policy import build_cache_policy, cache_policy_entry
 from repro.config import MIB, HardwareParams
 from repro.errors import ConfigError
 
@@ -279,11 +276,7 @@ def check_cache_config(
                 f"duplicate cache tiers: {list(tiers)}"
             )
     if policy is not None:
-        known = available_cache_policies()
-        if policy not in known:
-            raise ConfigError(
-                f"unknown cache policy {policy!r}; one of {known}"
-            )
+        cache_policy_entry(policy)  # raises ConfigError if unknown
     return tiers, policy
 
 

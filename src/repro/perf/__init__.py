@@ -1,7 +1,8 @@
 """Benchmark subsystem: a registry plus a BENCH_*.json-writing harness.
 
-Mirrors the design/backend/experiment registries: benchmarks are
-registered callables (``@register_benchmark``), the harness runs them
+Benchmarks are registered callables (``@register_benchmark``, one
+:class:`repro.registry.Registry` like the design, backend, experiment
+and cache-policy registries); the harness runs them
 (``python -m repro bench``) and writes one ``BENCH_<name>.json`` per
 benchmark with throughput, per-stage breakdown, the scalar-reference
 comparison, and machine + git provenance.  ``--baseline DIR`` compares

@@ -1,4 +1,4 @@
-"""Pluggable benchmark registry (mirrors the design/backend registries).
+"""Pluggable benchmark registry.
 
 Benchmarks are registered callables rather than a hard-coded list, so a
 new subsystem ships its own benchmark without touching the harness::
@@ -13,17 +13,17 @@ new subsystem ships its own benchmark without touching the harness::
 
 A benchmark receives a :class:`repro.perf.harness.BenchContext` (scale
 selection, timing helpers) and returns the dict built by
-``ctx.result``.  The built-ins in :mod:`repro.perf.benchmarks` register
-on first use; this module imports them lazily so
-``available_benchmarks()`` is always complete.
+``ctx.result``.  The built-ins register in :mod:`repro.perf.benchmarks`;
+names, clashes, removal and lookup follow
+:class:`repro.registry.Registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
-from repro.errors import ConfigError
+from repro.registry import Registry
 
 __all__ = [
     "BenchmarkEntry",
@@ -46,23 +46,9 @@ class BenchmarkEntry:
     tags: Tuple[str, ...] = ()
 
 
-_REGISTRY: Dict[str, BenchmarkEntry] = {}
-_builtin_loaded = False
-
-
-def _ensure_builtin() -> None:
-    """Import the built-in benchmark registrations (once, on success).
-
-    The flag is only set after a successful import so a transient
-    import failure surfaces its real error on every call instead of
-    leaving the registry silently empty for the rest of the process.
-    """
-    global _builtin_loaded
-    if _builtin_loaded:
-        return
-    import repro.perf.benchmarks  # noqa: F401  (registers on import)
-
-    _builtin_loaded = True
+_BENCHMARKS = Registry(
+    "benchmark", BenchmarkEntry, ("repro.perf.benchmarks",)
+)
 
 
 def register_benchmark(
@@ -72,57 +58,13 @@ def register_benchmark(
     tags: Tuple[str, ...] = (),
     replace: bool = False,
 ) -> Callable:
-    """Decorator registering ``fn`` as benchmark ``name``.
-
-    Raises :class:`ConfigError` if ``name`` is already registered,
-    unless ``replace=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"benchmark name must be a non-empty string, got {name!r}"
-        )
-
-    def decorator(fn: Callable) -> Callable:
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"benchmark {name!r} is already registered "
-                f"(by {_REGISTRY[name].fn!r}); pass replace=True to override"
-            )
-        _REGISTRY[name] = BenchmarkEntry(
-            name=name,
-            fn=fn,
-            description=description
-            or (fn.__doc__ or "").strip().split("\n")[0],
-            tags=tuple(tags),
-        )
-        return fn
-
-    return decorator
+    """Decorator registering ``fn`` as benchmark ``name``."""
+    return _BENCHMARKS.register(
+        name, description=description, replace=replace, tags=tuple(tags)
+    )
 
 
-def unregister_benchmark(name: str) -> None:
-    """Remove a registered benchmark (no-op if absent)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_benchmarks() -> Tuple[str, ...]:
-    """Names of every registered benchmark, registration order."""
-    _ensure_builtin()
-    return tuple(_REGISTRY)
-
-
-def benchmark_entry(name: str) -> BenchmarkEntry:
-    """Look up one benchmark; raise :class:`ConfigError` if unknown."""
-    _ensure_builtin()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown benchmark {name!r}; one of {tuple(_REGISTRY)}"
-        ) from None
-
-
-def benchmarks_with_tag(tag: str) -> Tuple[str, ...]:
-    """Names of registered benchmarks carrying ``tag``."""
-    _ensure_builtin()
-    return tuple(n for n, e in _REGISTRY.items() if tag in e.tags)
+unregister_benchmark = _BENCHMARKS.unregister
+available_benchmarks = _BENCHMARKS.names
+benchmark_entry = _BENCHMARKS.entry
+benchmarks_with_tag = _BENCHMARKS.with_tag

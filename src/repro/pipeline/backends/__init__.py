@@ -7,8 +7,7 @@ topology engine (:mod:`repro.pipeline.engine`) that differ only in the
 axes they expose; ``gids`` runs that engine with HBM-resident features,
 and ``analytic`` / ``distributed-analytic`` are the closed-form faces.
 Third parties add modes with ``@register_backend("name")`` without
-touching
-:mod:`repro.pipeline.runner`.
+touching :mod:`repro.pipeline.runner`.
 """
 
 from repro.pipeline.backends.base import (

@@ -14,22 +14,20 @@ pipelines, GIDS-style drop-in engines -- plug in without touching
         return PipelineResult(...)
 
 A backend is a function ``plan(request) -> PipelineResult``.  The
-built-in backends register on first use; this module imports them
-lazily so ``available_backends()`` is always complete.  They are the
-closed-form ``analytic`` and ``distributed-analytic`` faces, the
-presets of the one event-driven topology engine (``event``,
-``sharded``, ``distributed``, ``async``;
-:mod:`repro.pipeline.engine`), and ``gids`` (the no-axes engine with
-HBM-resident features).
+built-ins are the closed-form ``analytic`` and ``distributed-analytic``
+faces, the presets of the one event-driven topology engine (``event``,
+``sharded``, ``distributed``, ``async``; :mod:`repro.pipeline.engine`),
+and ``gids`` (the no-axes engine with HBM-resident features).  Names,
+clashes, removal and lookup follow :class:`repro.registry.Registry`; an
+unknown mode raises ``unknown mode ...``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
-from repro.errors import ConfigError
+from repro.registry import Registry
 
 __all__ = [
     "BackendEntry",
@@ -51,38 +49,11 @@ class BackendEntry:
     needs_graph: bool = False
 
 
-_REGISTRY: Dict[str, BackendEntry] = {}
-_builtin_loaded = False
-_builtin_lock = threading.RLock()
-_builtin_local = threading.local()
-
-
-def _ensure_builtin() -> None:
-    """Import the built-in backend registrations (once, on success).
-
-    The loaded flag is only set after a successful import so that a
-    transient import failure surfaces its real error on every call
-    instead of leaving the registry silently empty for the rest of the
-    process.  Re-entrant calls from the *loading thread* (the built-in
-    modules themselves register while importing) are no-ops via the
-    thread-local flag; other threads block on the lock until the
-    registry is complete (campaign workers may race here on first use).
-    """
-    global _builtin_loaded
-    if _builtin_loaded or getattr(_builtin_local, "loading", False):
-        return
-    with _builtin_lock:
-        if _builtin_loaded:
-            return
-        _builtin_local.loading = True
-        try:
-            import repro.pipeline.backends.analytic    # noqa: F401
-            import repro.pipeline.backends.gids        # noqa: F401
-            import repro.pipeline.engine               # noqa: F401
-        finally:
-            _builtin_local.loading = False
-
-        _builtin_loaded = True
+_BACKENDS = Registry("mode", BackendEntry, (
+    "repro.pipeline.backends.analytic",
+    "repro.pipeline.backends.gids",
+    "repro.pipeline.engine",
+))
 
 
 def register_backend(
@@ -92,56 +63,13 @@ def register_backend(
     needs_graph: bool = False,
     replace: bool = False,
 ) -> Callable:
-    """Decorator registering ``fn`` as the backend for mode ``name``.
-
-    Raises :class:`ConfigError` if ``name`` is already registered,
-    unless ``replace=True`` (for deliberate overrides in experiments).
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"backend name must be a non-empty string, got {name!r}"
-        )
-    # Load the built-ins first so colliding with one fails here, not
-    # from inside a later available_backends()/backend_entry() call.
-    _ensure_builtin()
-
-    def decorator(fn: Callable) -> Callable:
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"backend {name!r} is already registered "
-                f"(by {_REGISTRY[name].plan!r}); "
-                "pass replace=True to override"
-            )
-        _REGISTRY[name] = BackendEntry(
-            name=name,
-            plan=fn,
-            description=description
-            or (fn.__doc__ or "").strip().split("\n")[0],
-            needs_graph=needs_graph,
-        )
-        return fn
-
-    return decorator
+    """Decorator registering ``fn`` as the backend for mode ``name``."""
+    return _BACKENDS.register(
+        name, description=description, replace=replace,
+        needs_graph=needs_graph,
+    )
 
 
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (no-op if absent)."""
-    _ensure_builtin()
-    _REGISTRY.pop(name, None)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of every registered backend, registration order."""
-    _ensure_builtin()
-    return tuple(_REGISTRY)
-
-
-def backend_entry(name: str) -> BackendEntry:
-    """Look up one backend; raise :class:`ConfigError` if unknown."""
-    _ensure_builtin()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown mode {name!r}; one of {tuple(_REGISTRY)}"
-        ) from None
+unregister_backend = _BACKENDS.unregister
+available_backends = _BACKENDS.names
+backend_entry = _BACKENDS.entry
