@@ -38,8 +38,23 @@ __all__ = [
     "HostPartitionPlan",
     "WorkloadTraffic",
     "host_workload_traffic",
+    "model_gradient_bytes",
     "plan_hosts",
 ]
+
+
+def model_gradient_bytes(gpu, n_layers: int, dtype_bytes: int) -> int:
+    """Gradient payload of one synchronous update (all model weights).
+
+    Every layer of :meth:`~repro.pipeline.gpu.GPUModel.layer_shapes`
+    (the shapes the GPU timing prices) carries an ``(in, out)`` weight
+    plus an ``out`` bias.
+    """
+    params = sum(
+        w_in * w_out + w_out
+        for w_in, w_out in gpu.layer_shapes(max(1, n_layers))
+    )
+    return params * dtype_bytes
 
 
 @dataclass

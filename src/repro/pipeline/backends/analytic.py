@@ -6,8 +6,8 @@ runs at the slower of the two rates, plus one pipeline-fill.  This is
 the historical ``mode="analytic"`` path of ``run_pipeline``, moved onto
 the backend registry unchanged.  ``mode="distributed-analytic"``, the
 closed-form face of the multi-host topology
-(:meth:`~repro.distributed.coordinator.DistributedCoordinator.analytic`),
-registers here too.
+(:meth:`~repro.pipeline.engine.TopologyEngine.analytic` with the
+``distributed`` axes), registers here too.
 
 The model factors into two halves that the batched sweep evaluator
 (:mod:`repro.api.batcheval`) reuses directly:
@@ -128,8 +128,8 @@ def _plan_analytic(request: ExecutionRequest) -> PipelineResult:
 def _plan_distributed_analytic(
     request: ExecutionRequest,
 ) -> PipelineResult:
-    # repro.distributed (and with it repro.net) loads only for the
-    # hosts axis, never on a single-device run
-    from repro.distributed import DistributedCoordinator
+    # imported here so the engine's presets register after this
+    # module's modes (the listing order)
+    from repro.pipeline.engine import PRESETS, TopologyEngine
 
-    return DistributedCoordinator(request).analytic()
+    return TopologyEngine(request, PRESETS["distributed"]).analytic()
