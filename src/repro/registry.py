@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import importlib
 import threading
+from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -29,14 +30,10 @@ from repro.errors import ConfigError
 __all__ = ["Registry"]
 
 
-def _own_doc(fn: Callable) -> Optional[str]:
-    return fn.__doc__
-
-
 class Registry:
     """Entries of one kind, keyed by name.
 
-    ``entry(name, fn, description=..., **fields)`` builds the entry a
+    ``entry_type(name, fn, description=..., **fields)`` builds the entry a
     registration stores: every entry dataclass takes its name and the
     registered callable first.  ``builtins`` names the modules whose
     import registers the built-in entries.  ``sort`` lists names sorted
@@ -47,14 +44,14 @@ class Registry:
     def __init__(
         self,
         kind: str,
-        entry: Callable,
+        entry_type: Callable,
         builtins: Sequence[str] = (),
         *,
         sort: bool = False,
-        doc: Callable[[Callable], Optional[str]] = _own_doc,
+        doc: Callable[[Callable], Optional[str]] = attrgetter("__doc__"),
     ):
         self.kind = kind
-        self._entry = entry
+        self._entry_type = entry_type
         self._builtins = tuple(builtins)
         self._sort = sort
         self._doc = doc
@@ -97,7 +94,7 @@ class Registry:
         replace: bool = False,
         **fields: Any,
     ) -> Callable:
-        """Decorator storing ``entry(name, fn, ...)`` under ``name``."""
+        """Decorator storing ``entry_type(name, fn, ...)`` under ``name``."""
         if not name or not isinstance(name, str):
             raise ConfigError(
                 f"{self.kind} name must be a non-empty string, got {name!r}"
@@ -110,7 +107,7 @@ class Registry:
                     f"{self.kind} {name!r} is already registered; "
                     "pass replace=True to override"
                 )
-            self._entries[name] = self._entry(
+            self._entries[name] = self._entry_type(
                 name, fn,
                 description=description
                 or (self._doc(fn) or "").strip().split("\n")[0],
